@@ -1,25 +1,15 @@
-//! The DBT execution engine: code cache, dispatcher, block chaining,
-//! the indirect-branch target cache, the translation-cost model, and the
-//! interpreter helper fallback.
+//! The DBT executor: translation, the dispatcher, the chained fast loop,
+//! the superblock region loop, and the interpreter helper fallback, over
+//! the code cache (`crate::cache`) and the guardian (`crate::guardian`).
 //!
-//! # The execution hot path
+//! Four mechanisms keep the dispatcher off the hot path:
 //!
-//! Translated blocks live in an append-only arena ([`Engine::blocks`])
-//! keyed by a stable block id; a `pc → id` map backs the slow dispatcher
-//! path. Three mechanisms keep the dispatcher off the hot path:
-//!
-//! 1. **Block chaining**: when a block's exit stub (`movl $pc, %eax;
-//!    ret`) targets an already-translated block, the `ret` is patched
-//!    into [`X86Instr::ChainJmp`] and execution flows block-to-block
-//!    inside the run loop without a map probe. Every link is recorded on
-//!    *both* ends (`links_out` on the predecessor, `links_in` on the
-//!    successor) so a quarantine purge can unlink predecessors and fall
-//!    back to the dispatcher. Fuel and per-block statistics are
+//! 1. **Block chaining**: a chained exit flows block-to-block inside the
+//!    run loop without a map probe. Fuel and per-block statistics are
 //!    accounted at chain entry, making chained execution bit-identical
 //!    to unchained (`LDBT_NOCHAIN=1`).
-//! 2. **Indirect-branch target cache**: a small direct-mapped `pc → id`
-//!    table (QEMU's `lookup_tb_ptr` analog) consulted before the
-//!    `HashMap` on every dispatcher entry.
+//! 2. **Indirect-branch target cache**: consulted before the `HashMap`
+//!    on every dispatcher entry.
 //! 3. **Zero-allocation dispatch**: rule-hit metadata is aggregated into
 //!    [`DbtStats::hit_rules`] once at translation time and shared with
 //!    the watchdog via `Rc`, so a dispatch allocates nothing.
@@ -28,265 +18,53 @@
 //!    is re-materialized as a straight-line region of seam-specialized
 //!    code clones (see [`crate::sb`]); the head's dispatch entry then
 //!    runs the region, with side exits falling back to the chain/
-//!    dispatcher. Accounting is kept bit-identical to the plain path.
+//!    dispatcher. The per-unit accounting of the plain loop and the
+//!    region loop is the same code, so it is bit-identical.
 
-use crate::backend::lower_block;
+pub use crate::api::{RunOutcome, TransCost, Translator, TrapKind};
+use crate::backend::{lower_block, lower_block_opts, POOL};
+use crate::cache::{CachedBlock, CodeCache, InvalidateReason};
 use crate::env::{
-    chaining_from_env, env_mem, fusion_from_env, reg_mem, region_alloc_from_env, repair_from_env,
-    smc_from_env, superblocks_from_env, watchdog_from_env, FlagId, ENV_BASE, FLAGMODE_OFFSET,
+    engine_env, env_mem, load_guest, reg_mem, step_guest, store_guest, FlagId, ENV_BASE,
     GUEST_MEM_LIMIT, HOST_STACK_TOP,
 };
+use crate::guardian::{GuardCx, Guardian};
 use crate::jit::optimize_block;
-use crate::rules::block_supported;
+use crate::rules::{block_supported, lower_block_with_rules_fault};
 use crate::sb::{
-    allocate_region, fuse_region, optimize_region, optimize_region_pinned, ra_preamble,
-    region_contract, specialize_part, strip_seam_exits, SbPart, SeamState, Superblock, NO_SB,
-    SB_MAX_PARTS,
+    allocate_region, fuse_region, optimize_region, optimize_region_pinned, region_contract,
+    specialize_part, strip_seam_exits, SbPart, SeamState, NO_SB,
 };
-use crate::share::RuleCell;
-use crate::stats::{BlockProfile, DbtCtr, DbtStats, ExecProfile, RuleProfile};
-use crate::tcg::{decode_block, translate_block};
-use ldbt_arm::{encode::decode, ArmEvent, ArmInstr, ArmReg, ArmState};
+use crate::share::{RuleCell, RuleHandle};
+use crate::stats::{DbtCtr, DbtStats, ExecProfile};
+use crate::tcg::{decode_block, translate_block, GuestBlock};
+use ldbt_arm::{encode::decode, ArmInstr, ArmReg};
 use ldbt_compiler::ArmImage;
-use ldbt_isa::{CostModel, ExecStats, Memory, Width};
-use ldbt_learn::rule::Binding;
-use ldbt_learn::{Counterexample, FaultPlan, FaultSite, RuleSet};
-use ldbt_obs::registry::Hist;
-use ldbt_obs::trace::{self, Scope, Val};
+use ldbt_isa::{CostModel, Memory, Width};
+use ldbt_learn::FaultPlan;
 use ldbt_x86::interp::{run_seq, SeqExit};
 use ldbt_x86::{Gpr, TrapCause, X86Instr, X86State};
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Which translator the engine uses.
-///
-/// Rule sets are held behind `Arc` so one immutable generation can be
-/// shared across tenant engines on different threads (see
-/// [`crate::share::RuleCell`]); the `Arc` here is the engine's *cached*
-/// snapshot of the current generation.
-#[derive(Debug, Clone)]
-pub enum Translator {
-    /// Baseline QEMU-style TCG translation.
-    Tcg,
-    /// Rule-based translation with TCG fallback (the paper's prototype).
-    Rules(Arc<RuleSet>),
-    /// Rule-based translation without the §5 lazy host-flag save (the
-    /// condition-code ablation: flag-live-out rules are skipped).
-    RulesNoLazyFlags(Arc<RuleSet>),
-    /// HQEMU-style optimizing JIT backend.
-    Jit,
-}
-
-/// Modeled translation costs, in cycles.
-///
-/// Only the ratios matter for the reproduced shapes: rule lookup and
-/// emission are cheap ("much faster than a general translation that goes
-/// through an IR"), the optimizing JIT is two orders of magnitude more
-/// expensive per op (LLVM in the paper).
-#[derive(Debug, Clone)]
-pub struct TransCost {
-    /// Fixed cost per translated block.
-    pub block_base: u64,
-    /// Cost per TCG micro-op generated.
-    pub per_tcg_op: u64,
-    /// Cost per rule hash-table probe.
-    pub per_lookup: u64,
-    /// Cost per host instruction emitted from a rule.
-    pub per_rule_instr: u64,
-    /// Fixed cost per block for the optimizing JIT.
-    pub jit_block_base: u64,
-    /// Cost per micro-op for the optimizing JIT.
-    pub jit_per_op: u64,
-    /// Cost of one interpreter-helper step.
-    pub helper: u64,
-}
-
-impl Default for TransCost {
-    fn default() -> Self {
-        TransCost {
-            block_base: 60,
-            per_tcg_op: 12,
-            per_lookup: 5,
-            per_rule_instr: 10,
-            jit_block_base: 1_200,
-            jit_per_op: 110,
-            helper: 80,
-        }
-    }
-}
-
-/// Number of entries in the direct-mapped indirect-branch target cache.
-const IBTC_SIZE: usize = 1024;
-/// Empty IBTC slot / "no block" sentinel (arena ids stay well below).
-const NO_BLOCK: u32 = u32::MAX;
-/// Repair attempts allowed per rule (stable key). Past the cap a
-/// divergent rule is tombstoned permanently: a rule that was "repaired"
-/// and diverges again is unrepairable in practice, and re-trying would
-/// livelock the watchdog on it.
-const REPAIR_ATTEMPT_CAP: u32 = 1;
-/// Attribution bisection gives up beyond this many rule applications in
-/// one block: each probe is a full re-lower + replay, and a block this
-/// dense is cheaper to quarantine conservatively.
-const ATTRIBUTION_MAX_HITS: usize = 8;
-/// Fuel for one attribution or trial-replay probe run — generous for a
-/// single block, bounded against a probe lowering that misbehaves.
-const PROBE_FUEL: u64 = 100_000;
-
-/// One translated block in the code cache arena.
-struct CachedBlock {
-    /// Guest start PC.
-    pc: u32,
-    /// Byte length of the guest range this translation covers
-    /// (`[pc, pc + guest_bytes)`); a guest store overlapping it
-    /// invalidates the block. The trap and helper blocks cover the one
-    /// word they decoded (or failed to).
-    guest_bytes: u32,
-    /// FNV-1a fingerprint of the guest bytes at translation time;
-    /// [`Engine::reset`] revalidates against it.
-    csum: u64,
-    code: Rc<Vec<X86Instr>>,
-    guest_len: u64,
-    covered: u64,
-    execs: u64,
-    /// Interpret exactly one guest instruction instead of running code.
-    interp_one: bool,
-    /// (length, stable rule key) of each rule application, shared with
-    /// the watchdog without per-dispatch cloning.
-    hits: Rc<[(usize, u64)]>,
-    /// Patchable exit stubs: (index of the `ret`, direct-branch target).
-    exits: Vec<(usize, u32)>,
-    /// Outgoing chained links: (exit site, successor id).
-    links_out: Vec<(usize, u32)>,
-    /// Incoming chained links: (predecessor id, site in predecessor).
-    links_in: Vec<(u32, usize)>,
-    /// Purged by a quarantine; the arena slot is never reused.
-    dead: bool,
-    /// Region id of the live superblock this block heads, or
-    /// [`NO_SB`]. Dispatching the block enters the region instead.
-    sb_head: u32,
-}
-
-impl CachedBlock {
-    /// Whether other blocks may chain into this one.
-    fn chainable(&self) -> bool {
-        !self.dead && !self.interp_one && !self.code.is_empty()
-    }
-}
-
-/// How an engine run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// Guest executed `svc #0`.
-    Halted,
-    /// The fuel budget ran out.
-    OutOfFuel,
-    /// The guest trapped: a trap instruction (`svc #n`, n ≠ 0), an
-    /// undecodable word, or a memory access outside the guest address
-    /// space. Mirrors [`ldbt_arm::ArmStop::Trap`] so drivers can
-    /// differential-compare trap behavior against the interpreter.
-    Trap {
-        /// The trapping pc — exact for instruction traps; the entry pc
-        /// of the faulting block for memory traps (the translated-code
-        /// check is block-granular).
-        pc: u32,
-        /// Why the guest trapped.
-        cause: TrapKind,
-    },
-    /// Translated code misbehaved (dispatcher protocol violation).
-    Fault,
-}
-
-/// Why a guest run trapped (see [`RunOutcome::Trap`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrapKind {
-    /// A trap instruction: `svc #n` with n ≠ 0 (the immediate).
-    Svc(u32),
-    /// An undecodable guest word reached execution.
-    Undef,
-    /// A load or store touched this address, outside the guest address
-    /// space (at or above [`GUEST_MEM_LIMIT`]).
-    Mem(u32),
-}
-
-/// FNV-1a over a guest byte range — the translation-time fingerprint
-/// [`Engine::reset`] revalidates cached blocks against.
-fn guest_csum(mem: &Memory, start: u32, len: u32) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for i in 0..len {
-        let b = mem.read(start.wrapping_add(i), Width::W8) as u64;
-        h = (h ^ b).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Result of a watchdog cross-check, seen from the run loop.
-enum WdVerdict {
-    /// States matched; keep running (a chain may continue).
-    Clean,
-    /// Mismatch: state was rewound to the interpreter's, translations
-    /// were purged, `self.pc` holds the corrected continuation — the run
-    /// loop must go back through the dispatcher.
-    Diverged,
-    /// The interpreter reference run ended the program.
-    End(RunOutcome),
-}
-
-/// How a superblock region handed control back to the run loop.
-enum SbStep {
-    /// A side exit chained to a block outside the region: continue the
-    /// fast loop there (mirrors a plain chained transition).
-    Continue(u32),
-    /// Control left the chain (indirect branch or a watchdog rewind):
-    /// go back through the dispatcher.
-    Dispatch,
-    /// The run ended inside the region.
-    Done(RunOutcome),
-}
 
 /// The dynamic binary translator.
 pub struct Engine {
     /// Host machine state; its memory holds the guest image, the env, and
     /// the host stack.
     pub state: X86State,
-    translator: Translator,
-    /// Code cache arena; ids are indices and never reused.
-    blocks: Vec<CachedBlock>,
-    /// Slow-path dispatch map: guest pc → block id.
-    map: HashMap<u32, u32>,
-    /// Direct-mapped indirect-branch target cache: `(pc, id)` entries.
-    ibtc: Vec<(u32, u32)>,
-    /// Unresolved direct-branch exits waiting for their target to be
-    /// translated: target pc → (block id, exit site).
-    pending: HashMap<u32, Vec<(u32, usize)>>,
     /// Statistics for the experiment harness.
     pub stats: DbtStats,
+    cache: CodeCache,
+    guardian: Guardian,
+    /// The installed rule generation, present exactly when the
+    /// translator is rules-based.
+    rules: Option<RuleHandle>,
+    /// The TCG stream goes through the optimizing JIT backend.
+    jit: bool,
     cost: CostModel,
     tcost: TransCost,
     entry: u32,
     pc: u32,
-    /// Block chaining enabled (`!LDBT_NOCHAIN`).
-    chaining: bool,
-    /// Watchdog sampling period: check every Nth rule-covered dispatch.
-    watchdog: Option<u64>,
-    watchdog_tick: u64,
-    /// Blocks forced onto the TCG path after a quarantine.
-    force_tcg: HashSet<u32>,
-    /// Translation-time fault injection (`LDBT_FAULT`).
-    fault: Option<FaultPlan>,
-    /// Whether the install-time fault corruption (`imm-skew` /
-    /// `operand-swap`) has been applied to the installed rule set.
-    fault_installed: bool,
-    /// Counterexample-guided rule repair enabled (`LDBT_REPAIR`).
-    repair: bool,
-    /// Repair attempts per rule (stable key), capped at
-    /// [`REPAIR_ATTEMPT_CAP`].
-    repair_attempts: HashMap<u64, u32>,
-    /// Superblock region arena; ids are indices and never reused.
-    superblocks: Vec<Superblock>,
-    /// Block id → regions it is a member of (for invalidation when the
-    /// block is purged or its code is re-patched).
-    sb_members: HashMap<u32, Vec<u32>>,
     /// Superblock formation threshold; `None` disables formation
     /// (`LDBT_NOSB` / `LDBT_SB_THRESHOLD`).
     sb_cfg: Option<u64>,
@@ -294,74 +72,42 @@ pub struct Engine {
     region_alloc: bool,
     /// Guest memory access fusion enabled (`!LDBT_NOFUSE`).
     fusion: bool,
-    /// SMC protection enabled (`!LDBT_NOSMC`): guest stores into pages
-    /// holding translated code invalidate the overlapping translations.
-    smc: bool,
-    /// Shared rule-generation cell. Present exactly when the translator
-    /// is rules-based: a solo engine gets a private cell, serve-mode
-    /// tenants share one via [`Engine::with_rule_cell`]. All rule-set
-    /// mutation (fault install, quarantine, repair) publishes through it.
-    rule_cell: Option<Arc<RuleCell>>,
-    /// Generation of the cached `Arc<RuleSet>` inside `translator`;
-    /// compared against the cell's counter at every dispatcher entry.
-    rules_gen: u64,
 }
 
 impl Engine {
     /// Create an engine for a linked guest image.
     ///
-    /// The watchdog period, chaining flag, superblock config, fault
-    /// plan, and repair flag default from the `LDBT_WATCHDOG` /
-    /// `LDBT_NOCHAIN` / `LDBT_NOSB` / `LDBT_SB_THRESHOLD` / `LDBT_FAULT`
-    /// / `LDBT_REPAIR` environment; [`Engine::with_watchdog`],
-    /// [`Engine::with_chaining`], [`Engine::with_superblocks`],
-    /// [`Engine::with_fault`], and [`Engine::with_repair`] override them
-    /// explicitly.
+    /// The watchdog period, chaining flag, superblock config, region
+    /// passes, SMC protection, fault plan, and repair flag default from
+    /// the `LDBT_*` environment (see [`crate::env::KNOBS`] and
+    /// `LDBT_FAULT`); the `with_*` builders override them explicitly.
     pub fn new(image: &ArmImage, translator: Translator) -> Engine {
-        let mut mem = Memory::new();
-        image.load_into(&mut mem);
         let mut state = X86State::new();
-        state.mem = mem;
+        image.load_into(&mut state.mem);
         // Guest accesses at or above the host region trap instead of
         // silently aliasing the env or host stack.
         state.guest_limit = Some(GUEST_MEM_LIMIT);
-        // A rules engine always publishes through a cell so the mutation
-        // paths are identical solo and in serve mode; a solo engine simply
-        // owns a private one. `with_rule_cell` swaps in a shared cell.
-        let rule_cell = match &translator {
-            Translator::Rules(r) | Translator::RulesNoLazyFlags(r) => {
-                Some(Arc::new(RuleCell::from_arc(Arc::clone(r))))
-            }
-            _ => None,
+        let (rules, jit) = match translator {
+            Translator::Tcg => (None, false),
+            Translator::Jit => (None, true),
+            Translator::Rules(r) => (Some(RuleHandle::new(r, true)), false),
+            Translator::RulesNoLazyFlags(r) => (Some(RuleHandle::new(r, false)), false),
         };
+        let env = engine_env();
         Engine {
             state,
-            translator,
-            blocks: Vec::new(),
-            map: HashMap::new(),
-            ibtc: vec![(0, NO_BLOCK); IBTC_SIZE],
-            pending: HashMap::new(),
             stats: DbtStats::new(),
+            cache: CodeCache::new(env.chaining, env.smc),
+            guardian: Guardian::new(env.watchdog, env.repair, ldbt_learn::fault::env_plan()),
+            rules,
+            jit,
             cost: CostModel::default(),
             tcost: TransCost::default(),
             entry: image.entry,
             pc: image.entry,
-            chaining: chaining_from_env(),
-            watchdog: watchdog_from_env(),
-            watchdog_tick: 0,
-            force_tcg: HashSet::new(),
-            fault: ldbt_learn::fault::env_plan(),
-            fault_installed: false,
-            repair: repair_from_env(),
-            repair_attempts: HashMap::new(),
-            superblocks: Vec::new(),
-            sb_members: HashMap::new(),
-            sb_cfg: superblocks_from_env(),
-            region_alloc: region_alloc_from_env(),
-            fusion: fusion_from_env(),
-            smc: smc_from_env(),
-            rule_cell,
-            rules_gen: 0,
+            sb_cfg: env.superblocks,
+            region_alloc: env.region_alloc,
+            fusion: env.fusion,
         }
     }
 
@@ -374,19 +120,19 @@ impl Engine {
 
     /// Override the watchdog sampling period (`None` disables it).
     pub fn with_watchdog(mut self, period: Option<u64>) -> Engine {
-        self.watchdog = period;
+        self.guardian.watchdog = period;
         self
     }
 
     /// Enable or disable block chaining (the `LDBT_NOCHAIN` knob).
     pub fn with_chaining(mut self, chaining: bool) -> Engine {
-        self.chaining = chaining;
+        self.cache.chaining = chaining;
         self
     }
 
     /// Override the translation fault plan (`None` disables injection).
     pub fn with_fault(mut self, fault: Option<FaultPlan>) -> Engine {
-        self.fault = fault;
+        self.guardian.fault = fault;
         self
     }
 
@@ -394,7 +140,7 @@ impl Engine {
     /// `LDBT_REPAIR` knob). With repair off, a watchdog mismatch
     /// conservatively quarantines every rule applied in the block.
     pub fn with_repair(mut self, repair: bool) -> Engine {
-        self.repair = repair;
+        self.guardian.repair = repair;
         self
     }
 
@@ -424,29 +170,25 @@ impl Engine {
     /// `LDBT_NOSMC` knob). With it off, guest stores into translated
     /// code go unnoticed until the next [`Engine::reset`].
     pub fn with_smc(mut self, on: bool) -> Engine {
-        self.smc = on;
+        self.cache.smc = on;
         self
     }
 
     /// Attach this engine to a shared rule-generation cell (serve mode).
     ///
     /// The engine drops its private cell, caches the shared cell's
-    /// current generation in its translator, and from then on publishes
-    /// quarantine/repair through the shared cell and adopts generations
-    /// published by other tenants at dispatcher entries.
+    /// current generation, and from then on publishes quarantine/repair
+    /// through the shared cell and adopts generations published by other
+    /// tenants at dispatcher entries.
     ///
     /// # Panics
     ///
     /// Panics if the translator is not rules-based — only rule sets are
     /// shared; TCG/JIT engines have no cross-tenant state.
     pub fn with_rule_cell(mut self, cell: Arc<RuleCell>) -> Engine {
-        let (rules, gen) = cell.load();
-        match &mut self.translator {
-            Translator::Rules(r) | Translator::RulesNoLazyFlags(r) => *r = rules,
-            _ => panic!("with_rule_cell requires a rules translator"),
-        }
-        self.rules_gen = gen;
-        self.rule_cell = Some(cell);
+        let h = self.rules.as_mut().expect("with_rule_cell requires a rules translator");
+        (h.rules, h.gen) = cell.load();
+        h.cell = cell;
         self
     }
 
@@ -454,12 +196,12 @@ impl Engine {
     /// rules-based). Share the returned `Arc` with other engines to form
     /// a tenant group.
     pub fn rule_cell(&self) -> Option<&Arc<RuleCell>> {
-        self.rule_cell.as_ref()
+        self.rules.as_ref().map(|h| &h.cell)
     }
 
     /// Generation of the rule set this engine currently translates with.
     pub fn rules_generation(&self) -> u64 {
-        self.rules_gen
+        self.rules.as_ref().map_or(0, |h| h.gen)
     }
 
     /// Read a guest register from the env.
@@ -490,240 +232,32 @@ impl Engine {
         self.pc = pc;
     }
 
-    /// Dispatcher lookup: IBTC first, then the map, then the translator.
-    fn lookup_or_translate(&mut self, pc: u32) -> u32 {
-        let slot = ((pc >> 2) as usize) & (IBTC_SIZE - 1);
-        let (epc, eid) = self.ibtc[slot];
-        // A hit must also be live: `purge_block` scrubs the IBTC, but
-        // the dispatcher is the last line of defense — dispatching a
-        // tombstoned block would run empty code and fault the guest, so
-        // the liveness check is enforced here, not debug-asserted.
-        if epc == pc && eid != NO_BLOCK && !self.blocks[eid as usize].dead {
-            self.stats.bump(DbtCtr::IbtcHits);
-            return eid;
-        }
-        self.stats.bump(DbtCtr::IbtcMisses);
-        let id = match self.map.get(&pc) {
-            Some(&i) => i,
-            None => self.translate(pc),
-        };
-        if trace::enabled(Scope::Exec) && epc != pc && eid != NO_BLOCK {
-            trace::emit(
-                Scope::Exec,
-                "ibtc_evict",
-                &[
-                    ("slot", Val::U(slot as u64)),
-                    ("old_pc", Val::U(epc as u64)),
-                    ("new_pc", Val::U(pc as u64)),
-                ],
-            );
-        }
-        self.ibtc[slot] = (pc, id);
-        id
-    }
-
-    /// Patch predecessor `pred`'s exit `site` into a chained jump to
-    /// `succ`, recording the link on both ends.
-    ///
-    /// Only sites listed in the predecessor's `exits` — declared by the
-    /// lowerer when it emitted the stub — are ever patched. The engine
-    /// never infers exits from code shape: a `movl $imm, %eax; ret`
-    /// lookalike in a rule or JIT body must not become a `ChainJmp`.
-    fn patch_link(&mut self, pred: u32, site: usize, succ: u32) {
-        // The predecessor's code is about to change: any region holding a
-        // clone of it would go stale (its copy would still `ret` to the
-        // dispatcher where the original now chains, diverging the chain
-        // accounting), so those regions are invalidated and re-form later.
-        self.invalidate_regions_of(pred);
-        let code = Rc::make_mut(&mut self.blocks[pred as usize].code);
-        debug_assert!(matches!(code[site], X86Instr::Ret), "link site must be an unpatched ret");
-        code[site] = X86Instr::ChainJmp { block: succ };
-        self.blocks[pred as usize].links_out.push((site, succ));
-        self.blocks[succ as usize].links_in.push((pred, site));
-        self.stats.bump(DbtCtr::ChainLinks);
-        if trace::enabled(Scope::Exec) {
-            trace::emit(
-                Scope::Exec,
-                "chain_link",
-                &[
-                    ("pred_pc", Val::U(self.blocks[pred as usize].pc as u64)),
-                    ("succ_pc", Val::U(self.blocks[succ as usize].pc as u64)),
-                    ("site", Val::U(site as u64)),
-                ],
-            );
-        }
-    }
-
-    /// Insert a freshly translated block into the arena and, with
-    /// chaining enabled, link it to already-translated neighbors in both
-    /// directions.
-    fn insert_block(&mut self, mut block: CachedBlock) -> u32 {
-        let pc = block.pc;
-        if block.guest_bytes > 0 {
-            block.csum = guest_csum(&self.state.mem, pc, block.guest_bytes);
-            // Mark the pages holding the translated bytes so the store
-            // fast path reports writes into them (SMC protection).
-            if self.smc {
-                self.state.mem.mark_code(pc, block.guest_bytes);
-            }
-        }
-        debug_assert!(
-            block.exits.iter().all(|&(at, _)| matches!(block.code.get(at), Some(X86Instr::Ret))),
-            "declared exits must point at ret stubs"
-        );
-        #[cfg(debug_assertions)]
-        {
-            // Blocks must start from the env: reading any host register
-            // (beyond %esp) or EFLAGS before writing it would make block
-            // behavior depend on unspecified entry state — and would
-            // break the superblock optimizer's scratch assumption (see
-            // `sb::entry_reads`).
-            let (regs, flags) = crate::sb::entry_reads(&block.code);
-            debug_assert!(
-                regs & !(1 << Gpr::Esp.index()) == 0 && flags == 0,
-                "block at {pc:#x} reads host entry state (regs {regs:#010b}, flags {flags:#06b})"
-            );
-        }
-        let id = self.blocks.len() as u32;
-        self.blocks.push(block);
-        self.map.insert(pc, id);
-        if !self.chaining {
-            return id;
-        }
-        // Predecessors waiting for this pc.
-        if self.blocks[id as usize].chainable() {
-            for (pred, site) in self.pending.remove(&pc).unwrap_or_default() {
-                let p = &self.blocks[pred as usize];
-                if p.dead || !matches!(p.code.get(site), Some(X86Instr::Ret)) {
-                    continue;
-                }
-                self.patch_link(pred, site, id);
-            }
-        }
-        // This block's own direct exits.
-        let exits = self.blocks[id as usize].exits.clone();
-        for (site, target) in exits {
-            match self.map.get(&target) {
-                Some(&tid) if self.blocks[tid as usize].chainable() => {
-                    self.patch_link(id, site, tid);
-                }
-                _ => self.pending.entry(target).or_default().push((id, site)),
-            }
-        }
-        id
-    }
-
-    /// Purge a translation: unlink chained predecessors (their exit
-    /// stubs fall back to `ret` and re-queue as pending links), detach
-    /// from successors, drop the dispatch-map and IBTC entries, and
-    /// tombstone the arena slot.
-    fn purge_block(&mut self, id: u32) {
-        if self.blocks[id as usize].dead {
-            return;
-        }
-        // Regions holding a clone of this block must die with it.
-        self.invalidate_regions_of(id);
-        let pc = self.blocks[id as usize].pc;
-        let links_in = std::mem::take(&mut self.blocks[id as usize].links_in);
-        for (pred, site) in links_in {
-            if self.blocks[pred as usize].dead {
-                continue;
-            }
-            // Unlinking re-patches the predecessor's code, so its region
-            // clones go stale too.
-            self.invalidate_regions_of(pred);
-            let code = Rc::make_mut(&mut self.blocks[pred as usize].code);
-            debug_assert!(matches!(code[site], X86Instr::ChainJmp { .. }));
-            code[site] = X86Instr::Ret;
-            self.blocks[pred as usize].links_out.retain(|&(s, t)| !(s == site && t == id));
-            // The predecessor still branches to `pc`: let a future
-            // retranslation re-link it.
-            self.pending.entry(pc).or_default().push((pred, site));
-            self.stats.bump(DbtCtr::ChainUnlinks);
-            if trace::enabled(Scope::Exec) {
-                trace::emit(
-                    Scope::Exec,
-                    "chain_unlink",
-                    &[
-                        ("pred_pc", Val::U(self.blocks[pred as usize].pc as u64)),
-                        ("succ_pc", Val::U(pc as u64)),
-                        ("site", Val::U(site as u64)),
-                    ],
-                );
-            }
-        }
-        let links_out = std::mem::take(&mut self.blocks[id as usize].links_out);
-        for (site, succ) in links_out {
-            self.blocks[succ as usize].links_in.retain(|&(p, s)| !(p == id && s == site));
-        }
-        if self.map.get(&pc) == Some(&id) {
-            self.map.remove(&pc);
-        }
-        for e in self.ibtc.iter_mut() {
-            if e.1 == id {
-                *e = (0, NO_BLOCK);
-            }
-        }
-        let b = &mut self.blocks[id as usize];
-        b.dead = true;
-        b.code = Rc::new(Vec::new());
-        b.hits = Rc::from(Vec::new());
-        b.exits.clear();
-        if trace::enabled(Scope::Exec) {
-            trace::emit(
-                Scope::Exec,
-                "purge",
-                &[("pc", Val::U(pc as u64)), ("id", Val::U(id as u64))],
-            );
-        }
+    fn invalidate(&mut self, victims: Vec<u32>, reason: InvalidateReason) {
+        self.cache.invalidate(&victims, reason, &self.state.mem, &self.stats);
     }
 
     /// Drain the guest-store hit log and invalidate every live block
-    /// whose guest byte range a logged store overlapped. The protection
-    /// bitmap is page-granular and sticky, so a logged span is only a
-    /// *candidate*; the exact range check here drops stores that merely
-    /// landed near code. Purging goes through [`Engine::purge_block`],
-    /// so chained predecessors unlink (and re-queue as pending links),
-    /// IBTC slots scrub, and superblock regions holding a clone of the
-    /// victim die with it — the pc retranslates from the rewritten
-    /// bytes at its next dispatch.
+    /// whose guest byte range a logged store overlapped; the pc
+    /// retranslates from the rewritten bytes at its next dispatch.
+    #[inline(always)]
     fn handle_smc(&mut self) {
-        if !self.state.mem.has_code_writes() {
-            return;
+        if self.state.mem.has_code_writes() {
+            let spans = self.state.mem.take_code_writes();
+            self.invalidate(self.cache.overlapping(&spans), InvalidateReason::Smc);
         }
-        let spans = self.state.mem.take_code_writes();
-        let mut victims: Vec<u32> = Vec::new();
-        for &(ws, wl) in &spans {
-            let (ws, we) = (ws as u64, ws as u64 + wl as u64);
-            for (id, b) in self.blocks.iter().enumerate() {
-                if b.dead || b.guest_bytes == 0 {
-                    continue;
-                }
-                let (bs, be) = (b.pc as u64, b.pc as u64 + b.guest_bytes as u64);
-                if ws < be && bs < we {
-                    victims.push(id as u32);
-                }
-            }
-        }
-        victims.sort_unstable();
-        victims.dedup();
-        for id in victims {
-            if self.blocks[id as usize].dead {
-                continue;
-            }
-            self.stats.bump(DbtCtr::SmcInvalidations);
-            if trace::enabled(Scope::Exec) {
-                trace::emit(
-                    Scope::Exec,
-                    "smc_invalidate",
-                    &[
-                        ("pc", Val::U(self.blocks[id as usize].pc as u64)),
-                        ("id", Val::U(id as u64)),
-                    ],
-                );
-            }
-            self.purge_block(id);
-        }
+    }
+
+    /// Dispatcher-entry generation poll (serve mode): adopt a rule
+    /// generation published by another tenant and invalidate exactly the
+    /// translations whose rule applications went stale, so any block
+    /// dispatched from here on never runs a rule that was tombstoned or
+    /// replaced in the adopted generation.
+    #[inline(always)]
+    fn sync_rules(&mut self) {
+        let Some(h) = self.rules.as_mut() else { return };
+        let Some((from_gen, stale)) = h.adopt(self.cache.hit_keys()) else { return };
+        exec_event!("rules_adopt", from_gen = from_gen, to_gen = h.gen, stale_keys = stale.len());
+        self.invalidate(self.cache.hitting(&stale), InvalidateReason::Adoption);
     }
 
     /// Resolve a trap exit from translated code into a [`RunOutcome`].
@@ -747,297 +281,83 @@ impl Engine {
             TrapCause::Mem(addr) => (block_pc, TrapKind::Mem(addr)),
         };
         self.stats.bump(DbtCtr::Traps);
-        if trace::enabled(Scope::Exec) {
-            let (name, detail) = match kind {
-                TrapKind::Svc(n) => ("svc", n as u64),
-                TrapKind::Undef => ("undef", 0),
-                TrapKind::Mem(a) => ("mem", a as u64),
-            };
-            trace::emit(
-                Scope::Exec,
-                "trap",
-                &[("pc", Val::U(pc as u64)), ("cause", Val::S(name)), ("detail", Val::U(detail))],
-            );
-        }
+        let (name, detail) = match kind {
+            TrapKind::Svc(n) => ("svc", n as u64),
+            TrapKind::Undef => ("undef", 0),
+            TrapKind::Mem(a) => ("mem", a as u64),
+        };
+        exec_event!("trap", pc = pc, cause = name, detail = detail);
         RunOutcome::Trap { pc, cause: kind }
     }
 
-    /// Emit a `translate` trace event (one per code-cache fill).
-    fn trace_translate(pc: u32, kind: &str, guest_len: u64, covered: u64) {
-        if trace::enabled(Scope::Exec) {
-            trace::emit(
-                Scope::Exec,
-                "translate",
-                &[
-                    ("pc", Val::U(pc as u64)),
-                    ("kind", Val::S(kind)),
-                    ("guest_len", Val::U(guest_len)),
-                    ("covered", Val::U(covered)),
-                ],
-            );
+    /// Lower `block` through the learned rules, when rule translation is
+    /// active, supports the block, and no quarantine forced it onto TCG.
+    fn translate_with_rules(&mut self, pc: u32, block: &GuestBlock) -> Option<CachedBlock> {
+        let h = self.rules.as_ref()?;
+        if !block_supported(block) || self.guardian.forces_tcg(pc) {
+            return None;
         }
-    }
-
-    /// The installed rule set and lazy-flag mode, when rule translation
-    /// is active (a pointer-bump `Arc` clone of the cached generation).
-    fn rules_cfg(&self) -> Option<(Arc<RuleSet>, bool)> {
-        match &self.translator {
-            Translator::Rules(r) => Some((Arc::clone(r), true)),
-            Translator::RulesNoLazyFlags(r) => Some((Arc::clone(r), false)),
-            _ => None,
+        let fault = self.guardian.fault;
+        let low =
+            lower_block_with_rules_fault(&self.state.mem, block, &h.rules, h.lazy_flags, fault);
+        let covered = low.covered.iter().filter(|c| **c).count() as u64;
+        self.stats.exec.translation_cycles += self.tcost.block_base
+            + self.tcost.per_lookup * low.lookups as u64
+            + self.tcost.per_rule_instr * low.rule_instrs as u64
+            + self.tcost.per_tcg_op * low.tcg_ops as u64;
+        self.stats.add(DbtCtr::RuleLookups, low.lookups as u64);
+        self.stats.add(DbtCtr::GuestStaticCovered, covered);
+        // Hit-rule aggregation happens once here, not per dispatch
+        // (a translated block is always dispatched at least once).
+        for &(len, key) in &low.hits {
+            self.stats.hit_rules.insert(key, len);
         }
-    }
-
-    /// Publish a rule-set mutation as a new shared generation and adopt
-    /// it immediately (this engine caused the change, so its cached
-    /// snapshot moves with it; other tenants adopt at their next
-    /// dispatcher entry). Returns `None` on non-rules translators.
-    fn publish_rules<R>(&mut self, f: impl FnOnce(&mut RuleSet) -> R) -> Option<R> {
-        let cell = Arc::clone(self.rule_cell.as_ref()?);
-        let (rules, gen, out) = cell.publish_with(f);
-        match &mut self.translator {
-            Translator::Rules(r) | Translator::RulesNoLazyFlags(r) => *r = rules,
-            _ => unreachable!("rule_cell implies a rules translator"),
-        }
-        self.rules_gen = gen;
-        Some(out)
-    }
-
-    /// Dispatcher-entry generation poll: if another tenant published a
-    /// newer rule generation, adopt it. One atomic load on the no-change
-    /// path — readers never lock.
-    fn sync_rules(&mut self) {
-        let Some(cell) = &self.rule_cell else { return };
-        if cell.generation() == self.rules_gen {
-            return;
-        }
-        let (rules, gen) = cell.load();
-        self.adopt_rules(rules, gen);
-    }
-
-    /// Install a foreign rule generation: swap the cached snapshot and
-    /// purge exactly the translated blocks whose rule applications went
-    /// stale (the rule was tombstoned, replaced with different host code,
-    /// or removed). Blocks whose rules are unchanged keep running — the
-    /// generations are behaviorally identical for them.
-    fn adopt_rules(&mut self, new: Arc<RuleSet>, gen: u64) {
-        let old = match &mut self.translator {
-            Translator::Rules(r) | Translator::RulesNoLazyFlags(r) => {
-                std::mem::replace(r, Arc::clone(&new))
-            }
-            _ => {
-                self.rules_gen = gen;
-                return;
-            }
-        };
-        let old_gen = self.rules_gen;
-        self.rules_gen = gen;
-        // Which of the rule keys applied in live blocks changed meaning?
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut changed: HashSet<u64> = HashSet::new();
-        for b in self.blocks.iter().filter(|b| !b.dead) {
-            for &(_, key) in b.hits.iter() {
-                if !seen.insert(key) {
-                    continue;
-                }
-                let stale = new.is_tombstoned(key)
-                    || match (old.find_by_key(key), new.find_by_key(key)) {
-                        (Some(a), Some(b)) => a != b,
-                        (Some(_), None) => true,
-                        (None, _) => false,
-                    };
-                if stale {
-                    changed.insert(key);
-                }
-            }
-        }
-        if trace::enabled(Scope::Exec) {
-            trace::emit(
-                Scope::Exec,
-                "rules_adopt",
-                &[
-                    ("from_gen", Val::U(old_gen)),
-                    ("to_gen", Val::U(gen)),
-                    ("stale_keys", Val::U(changed.len() as u64)),
-                ],
-            );
-        }
-        if changed.is_empty() {
-            return;
-        }
-        let victims: Vec<u32> = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.dead && b.hits.iter().any(|(_, k)| changed.contains(k)))
-            .map(|(i, _)| i as u32)
-            .collect();
-        for id in victims {
-            self.purge_block(id);
-        }
-    }
-
-    /// Apply install-time fault corruption (`imm-skew` / `operand-swap`)
-    /// to the installed rule set, once, at the first translation. The
-    /// corrupted rule keeps its stable key, so everything downstream —
-    /// hit attribution, quarantine, repair — handles it like any other
-    /// (wrong) rule. `rule-corrupt` stays a lowering-time clobber and is
-    /// untouched here.
-    fn install_fault_corruption(&mut self) {
-        if self.fault_installed {
-            return;
-        }
-        self.fault_installed = true;
-        let Some(plan) = self.fault else { return };
-        if !matches!(plan.site, FaultSite::ImmSkew | FaultSite::OperandSwap) {
-            return;
-        }
-        if let Some(Some(key)) =
-            self.publish_rules(move |rules| ldbt_learn::corrupt_ruleset(rules, plan))
-        {
-            if trace::enabled(Scope::Exec) {
-                trace::emit(
-                    Scope::Exec,
-                    "fault_install",
-                    &[("site", Val::S(plan.site.name())), ("rule", Val::U(key))],
-                );
-            }
-        }
+        let guest_len = block.instrs.len() as u64;
+        Some(CachedBlock::new(pc, guest_len, covered, low.code, low.hits, low.exits))
     }
 
     /// Translate the block at `pc` into the code cache; returns its id.
     fn translate(&mut self, pc: u32) -> u32 {
-        self.install_fault_corruption();
+        self.guardian.install_fault(self.rules.as_mut());
         let block = decode_block(&self.state.mem, pc);
         self.stats.bump(DbtCtr::Blocks);
-        let empty_hits: Rc<[(usize, u64)]> = Rc::from(Vec::new());
-        if block.instrs.is_empty() {
+        let (kind, cached) = if block.instrs.is_empty() {
             // Undecodable: a trap block. Executing it reports an
             // undefined-instruction trap at this pc — exactly what the
             // interpreter does — instead of faulting the engine. It
             // still covers the word it failed to decode, so a store
             // rewriting that word invalidates it and the retranslation
             // sees the fresh bytes.
-            Self::trace_translate(pc, "trap", 0, 0);
-            return self.insert_block(CachedBlock {
-                pc,
-                guest_bytes: 4,
-                csum: 0,
-                code: Rc::new(vec![X86Instr::mov_imm(Gpr::Eax, pc as i32), X86Instr::Trap]),
-                guest_len: 0,
-                covered: 0,
-                execs: 0,
-                interp_one: false,
-                hits: empty_hits,
-                exits: Vec::new(),
-                links_out: Vec::new(),
-                links_in: Vec::new(),
-                dead: false,
-                sb_head: NO_SB,
-            });
-        }
-        // Rule-based translation path.
-        if let Some((rules, lazy_flags)) = self.rules_cfg() {
-            if block_supported(&block) && !self.force_tcg.contains(&pc) {
-                let low = crate::rules::lower_block_with_rules_fault(
-                    &self.state.mem,
-                    &block,
-                    &rules,
-                    lazy_flags,
-                    self.fault,
-                );
-                let covered = low.covered.iter().filter(|c| **c).count() as u64;
-                self.stats.exec.translation_cycles += self.tcost.block_base
-                    + self.tcost.per_lookup * low.lookups as u64
-                    + self.tcost.per_rule_instr * low.rule_instrs as u64
-                    + self.tcost.per_tcg_op * low.tcg_ops as u64;
-                self.stats.add(DbtCtr::RuleLookups, low.lookups as u64);
-                self.stats.add(DbtCtr::GuestStatic, block.instrs.len() as u64);
-                self.stats.add(DbtCtr::GuestStaticCovered, covered);
-                // Hit-rule aggregation happens once here, not per dispatch
-                // (a translated block is always dispatched at least once).
-                for &(len, key) in &low.hits {
-                    self.stats.hit_rules.insert(key, len);
-                }
-                Self::trace_translate(pc, "rules", block.instrs.len() as u64, covered);
-                return self.insert_block(CachedBlock {
-                    pc,
-                    guest_bytes: 4 * block.instrs.len() as u32,
-                    csum: 0,
-                    code: Rc::new(low.code),
-                    guest_len: block.instrs.len() as u64,
-                    covered,
-                    execs: 0,
-                    interp_one: false,
-                    hits: Rc::from(low.hits),
-                    exits: low.exits,
-                    links_out: Vec::new(),
-                    links_in: Vec::new(),
-                    dead: false,
-                    sb_head: NO_SB,
-                });
-            }
-        }
-        // TCG / JIT path.
-        let tcg = translate_block(&self.state.mem, &block);
-        if tcg.unsupported_at == Some(0) {
-            // The first instruction needs the interpreter helper.
-            self.stats.add(DbtCtr::GuestStatic, 1);
-            Self::trace_translate(pc, "interp_one", 1, 0);
-            return self.insert_block(CachedBlock {
-                pc,
-                guest_bytes: 4,
-                csum: 0,
-                code: Rc::new(Vec::new()),
-                guest_len: 1,
-                covered: 0,
-                execs: 0,
-                interp_one: true,
-                hits: empty_hits,
-                exits: Vec::new(),
-                links_out: Vec::new(),
-                links_in: Vec::new(),
-                dead: false,
-                sb_head: NO_SB,
-            });
-        }
-        let translated_len = match tcg.unsupported_at {
-            Some(k) => k as u64,
-            None => block.instrs.len() as u64,
-        };
-        let (lowered, kind) = match self.translator {
-            Translator::Jit => {
-                let opt = optimize_block(&tcg);
-                let lowered = crate::backend::lower_block_opts(&opt, true, 3);
-                self.stats.exec.translation_cycles +=
-                    self.tcost.jit_block_base + self.tcost.jit_per_op * tcg.ops.len() as u64;
-                (lowered, "jit")
-            }
-            _ => {
-                let lowered = lower_block(&tcg);
-                self.stats.exec.translation_cycles +=
-                    self.tcost.block_base + self.tcost.per_tcg_op * tcg.ops.len() as u64;
-                (lowered, "tcg")
+            let code = vec![X86Instr::mov_imm(Gpr::Eax, pc as i32), X86Instr::Trap];
+            ("trap", CachedBlock::new(pc, 0, 0, code, Vec::new(), Vec::new()))
+        } else if let Some(cached) = self.translate_with_rules(pc, &block) {
+            ("rules", cached)
+        } else {
+            let tcg = translate_block(&self.state.mem, &block);
+            let translated_len = tcg.unsupported_at.unwrap_or(block.instrs.len()) as u64;
+            if translated_len == 0 {
+                // The first instruction needs the interpreter helper.
+                ("interp_one", CachedBlock::helper(pc))
+            } else {
+                let (kind, base, per_op, low) = if self.jit {
+                    let low = lower_block_opts(&optimize_block(&tcg), true, 3);
+                    ("jit", self.tcost.jit_block_base, self.tcost.jit_per_op, low)
+                } else {
+                    ("tcg", self.tcost.block_base, self.tcost.per_tcg_op, lower_block(&tcg))
+                };
+                self.stats.exec.translation_cycles += base + per_op * tcg.ops.len() as u64;
+                (kind, CachedBlock::new(pc, translated_len, 0, low.code, Vec::new(), low.exits))
             }
         };
-        self.stats.add(DbtCtr::GuestStatic, translated_len);
-        Self::trace_translate(pc, kind, translated_len, 0);
-        self.insert_block(CachedBlock {
-            pc,
-            guest_bytes: 4 * translated_len as u32,
-            csum: 0,
-            code: Rc::new(lowered.code),
-            guest_len: translated_len,
-            covered: 0,
-            execs: 0,
-            interp_one: false,
-            hits: empty_hits,
-            exits: lowered.exits,
-            links_out: Vec::new(),
-            links_in: Vec::new(),
-            dead: false,
-            sb_head: NO_SB,
-        })
+        self.stats.add(DbtCtr::GuestStatic, cached.guest_len);
+        exec_event!(
+            "translate",
+            pc = pc,
+            kind = kind,
+            guest_len = cached.guest_len,
+            covered = cached.covered
+        );
+        self.cache.insert(cached, &mut self.state.mem, &self.stats)
     }
 
     /// Interpret a single guest instruction against the env (the "helper"
@@ -1045,87 +365,119 @@ impl Engine {
     fn helper_step(&mut self, pc: u32) -> Result<u32, RunOutcome> {
         let word = self.state.mem.read(pc, Width::W32);
         let Ok(instr) = decode(word) else { return Err(RunOutcome::Fault) };
-        // Build an ArmState view over the env.
-        let mem = std::mem::take(&mut self.state.mem);
-        let mut arm = ArmState {
-            regs: [0; 16],
-            flags: Default::default(),
-            trap_limit: Some(GUEST_MEM_LIMIT),
-            mem,
-        };
-        for r in ArmReg::ALL {
-            arm.regs[r.index()] = arm.mem.read(ENV_BASE + 4 * r.index() as u32, Width::W32);
+        let mut arm = load_guest(std::mem::take(&mut self.state.mem));
+        let step = step_guest(&mut arm, &instr, pc).map(|(next, _)| next);
+        // A halt or trap writes the registers back and leaves the flags.
+        self.state.mem = store_guest(&mut arm, step.is_ok());
+        match step {
+            Ok(_) => {
+                self.stats.exec.exec_cycles += self.tcost.helper;
+                self.stats.bump(DbtCtr::HelperSteps);
+            }
+            Err(RunOutcome::Trap { .. }) => self.stats.bump(DbtCtr::Traps),
+            Err(_) => {}
         }
-        arm.flags.n = arm.mem.read(ENV_BASE + FlagId::N.offset(), Width::W32) != 0;
-        arm.flags.z = arm.mem.read(ENV_BASE + FlagId::Z.offset(), Width::W32) != 0;
-        arm.flags.c = arm.mem.read(ENV_BASE + FlagId::C.offset(), Width::W32) != 0;
-        arm.flags.v = arm.mem.read(ENV_BASE + FlagId::V.offset(), Width::W32) != 0;
-        let event = arm.exec(&instr);
-        let next = pc.wrapping_add(4);
-        let next_pc = match event {
-            ArmEvent::Next => next,
-            ArmEvent::Branch(off) => next.wrapping_add((off as u32).wrapping_mul(4)),
-            ArmEvent::Call(off) => {
-                arm.set_reg(ArmReg::Lr, next);
-                next.wrapping_add((off as u32).wrapping_mul(4))
+        step
+    }
+
+    /// Unit prologue, shared by the plain and the region loop: count one
+    /// execution of block `bid` and ask the watchdog whether to sample
+    /// it. Returns the block's pc, its execution count, and the verdict.
+    /// (`inline(always)` on the unit helpers: under plain `#[inline]` the
+    /// dispatcher-heavy paths measured ~4% slower than the parent's
+    /// hand-inlined loops.)
+    #[inline(always)]
+    fn begin_unit(&mut self, bid: u32) -> (u32, u64, bool) {
+        let b = self.cache.enter(bid);
+        self.stats.bump(DbtCtr::BlockExecs);
+        self.stats.add(DbtCtr::GuestDyn, b.guest_len);
+        self.stats.add(DbtCtr::GuestDynCovered, b.covered);
+        (b.pc, b.execs, self.guardian.sample(!b.hits.is_empty()))
+    }
+
+    /// Run one unit's code and classify the exit. A continuing exit sets
+    /// the guest pc and yields the block it chained to (`None`: a `ret`
+    /// to the dispatcher); running off the end of the code continues at
+    /// `seam` (a region part's stripped seam: falling off the end *is*
+    /// the chained jump to the next part). Anything else ends the run.
+    /// Like `Halted`, a trap ends the run before the watchdog sees it (a
+    /// sampled snapshot is dropped unused; the tick already advanced,
+    /// keeping parity across configurations).
+    #[inline(always)]
+    fn exec_unit(
+        &mut self,
+        code: &[X86Instr],
+        block_pc: u32,
+        fuel: u64,
+        seam: Option<u32>,
+    ) -> Result<Option<u32>, RunOutcome> {
+        let remaining = fuel - self.stats.exec.host_instrs;
+        let next = match run_seq(&mut self.state, code, remaining, &self.cost, &mut self.stats.exec)
+        {
+            SeqExit::Chained(next) => next,
+            SeqExit::Returned => {
+                self.pc = self.state.reg(Gpr::Eax);
+                return Ok(None);
             }
-            ArmEvent::Indirect(a) => a,
-            ArmEvent::Syscall(0) => {
-                // Halt: write back and signal.
-                for r in ArmReg::ALL {
-                    arm.mem.write(ENV_BASE + 4 * r.index() as u32, arm.regs[r.index()], Width::W32);
-                }
-                self.state.mem = std::mem::take(&mut arm.mem);
-                return Err(RunOutcome::Halted);
-            }
-            ArmEvent::Syscall(n) => {
-                // Trap instruction: write back and report, pc at the
-                // trapping instruction — the interpreter's contract.
-                for r in ArmReg::ALL {
-                    arm.mem.write(ENV_BASE + 4 * r.index() as u32, arm.regs[r.index()], Width::W32);
-                }
-                self.state.mem = std::mem::take(&mut arm.mem);
-                self.stats.bump(DbtCtr::Traps);
-                return Err(RunOutcome::Trap { pc, cause: TrapKind::Svc(n) });
-            }
-            ArmEvent::Trap(a) => {
-                // Out-of-range access. The interpreter checks before
-                // accessing, so the faulting instruction had no side
-                // effect; registers are still the pre-instruction ones.
-                for r in ArmReg::ALL {
-                    arm.mem.write(ENV_BASE + 4 * r.index() as u32, arm.regs[r.index()], Width::W32);
-                }
-                self.state.mem = std::mem::take(&mut arm.mem);
-                self.stats.bump(DbtCtr::Traps);
-                return Err(RunOutcome::Trap { pc, cause: TrapKind::Mem(a) });
-            }
+            SeqExit::FellThrough => seam.ok_or(RunOutcome::Fault)?,
+            SeqExit::Halted => return Err(RunOutcome::Halted),
+            SeqExit::OutOfFuel => return Err(RunOutcome::OutOfFuel),
+            SeqExit::Trapped(cause) => return Err(self.trap_outcome(block_pc, cause)),
+            SeqExit::JumpedOut(_) | SeqExit::Faulted => return Err(RunOutcome::Fault),
         };
-        for r in ArmReg::ALL {
-            arm.mem.write(ENV_BASE + 4 * r.index() as u32, arm.regs[r.index()], Width::W32);
+        self.pc = self.cache.block(next).pc;
+        Ok(Some(next))
+    }
+
+    /// Unit epilogue: cross-check a sampled unit of block `bid` (`pre`:
+    /// its pre-dispatch memory snapshot) against the interpreter, then
+    /// drain SMC. `Ok(false)`: the watchdog rewound a divergence and
+    /// invalidated translations, so control must go back through the
+    /// dispatcher.
+    #[inline(always)]
+    fn end_unit(&mut self, bid: u32, pre: Option<Memory>) -> Result<bool, RunOutcome> {
+        if let Some(pre) = pre {
+            let b = self.cache.block(bid);
+            // The `Rc` clone is a pointer bump.
+            let (block_pc, hits) = (b.pc, Rc::clone(&b.hits));
+            let mut cx = GuardCx {
+                mem: &mut self.state.mem,
+                pc: &mut self.pc,
+                cache: &mut self.cache,
+                rules: self.rules.as_mut(),
+                stats: &self.stats,
+            };
+            if !self.guardian.check(&mut cx, block_pc, &hits, pre)? {
+                return Ok(false);
+            }
         }
-        arm.mem.write(ENV_BASE + FlagId::N.offset(), arm.flags.n as u32, Width::W32);
-        arm.mem.write(ENV_BASE + FlagId::Z.offset(), arm.flags.z as u32, Width::W32);
-        arm.mem.write(ENV_BASE + FlagId::C.offset(), arm.flags.c as u32, Width::W32);
-        arm.mem.write(ENV_BASE + FlagId::V.offset(), arm.flags.v as u32, Width::W32);
-        arm.mem.write(ENV_BASE + crate::env::FLAGMODE_OFFSET, 0, Width::W32);
-        self.state.mem = std::mem::take(&mut arm.mem);
-        self.stats.exec.exec_cycles += self.tcost.helper;
-        self.stats.bump(DbtCtr::HelperSteps);
-        Ok(next_pc)
+        // Stores from this unit may have rewritten translated code:
+        // invalidate before control flows into a stale translation —
+        // possibly the chained successor itself, or this very block
+        // re-entered via a loop.
+        self.handle_smc();
+        Ok(true)
+    }
+
+    /// A chained transition: mirror the dispatcher-entry fuel check so
+    /// chained accounting is bit-identical.
+    #[inline(always)]
+    fn chain_step(&mut self, fuel: u64) -> Result<(), RunOutcome> {
+        if self.stats.exec.host_instrs >= fuel {
+            return Err(RunOutcome::OutOfFuel);
+        }
+        self.stats.bump(DbtCtr::ChainedExecs);
+        Ok(())
     }
 
     /// Run until the guest halts or `fuel` host instructions have been
     /// executed.
     pub fn run(&mut self, fuel: u64) -> RunOutcome {
         self.state.set_reg(Gpr::Esp, HOST_STACK_TOP);
-        'dispatch: loop {
+        loop {
             if self.stats.exec.host_instrs >= fuel {
                 return RunOutcome::OutOfFuel;
             }
-            // Serve mode: adopt a rule generation published by another
-            // tenant. One atomic load when nothing changed; any block
-            // dispatched from here on never runs a rule that was
-            // tombstoned or replaced in the adopted generation.
             self.sync_rules();
             // Helper steps and watchdog adoption write guest memory on
             // paths that re-enter here directly: drain any code-page
@@ -1133,676 +485,88 @@ impl Engine {
             // from possibly-rewritten bytes).
             self.handle_smc();
             let pc = self.pc;
-            let mut id = self.lookup_or_translate(pc);
-            // Chained fast loop: no map probes until control leaves the
-            // chain (indirect branch, halt, or an unlinked exit).
-            loop {
-                // A block heading a live region runs the region instead;
-                // its per-block accounting happens inside, part by part.
-                let sbid = self.blocks[id as usize].sb_head;
-                if sbid != NO_SB {
-                    match self.run_superblock(sbid, fuel) {
-                        SbStep::Continue(next) => {
-                            // An SMC purge inside the region may have
-                            // killed the escape target.
-                            if self.blocks[next as usize].dead {
-                                continue 'dispatch;
-                            }
-                            id = next;
-                            continue;
-                        }
-                        SbStep::Dispatch => continue 'dispatch,
-                        SbStep::Done(out) => return out,
-                    }
-                }
-                let b = &mut self.blocks[id as usize];
-                b.execs += 1;
-                let execs_now = b.execs;
-                let block_pc = b.pc;
-                let interp_one = b.interp_one;
-                self.stats.bump(DbtCtr::BlockExecs);
-                self.stats.add(DbtCtr::GuestDyn, b.guest_len);
-                self.stats.add(DbtCtr::GuestDynCovered, b.covered);
-                if interp_one {
-                    match self.helper_step(block_pc) {
-                        Ok(next) => {
-                            self.pc = next;
-                            continue 'dispatch;
-                        }
-                        Err(out) => return out,
-                    }
-                }
-                // Formation trigger: every `threshold`-th execution of a
-                // block, try to grow a region from the hot chain through
-                // it. This execution still runs the plain code; the
-                // region takes over at the next entry. Forming only
-                // clones and specializes already-translated code, so no
-                // translation counters move and accounting parity with
-                // `LDBT_NOSB` holds.
-                if let Some(threshold) = self.sb_cfg {
-                    if self.chaining && execs_now.is_multiple_of(threshold) {
-                        self.try_form_superblock(id);
-                    }
-                }
-                let b = &self.blocks[id as usize];
-                if b.code.is_empty() {
-                    return RunOutcome::Fault;
-                }
-                // Watchdog: sample every Nth dispatch of a rule-covered
-                // block; snapshot the pre-state so the block can be re-run
-                // through the ARM interpreter afterwards.
-                let check_now = match self.watchdog {
-                    Some(period) if !b.hits.is_empty() => {
-                        self.watchdog_tick += 1;
-                        self.watchdog_tick.is_multiple_of(period)
-                    }
-                    _ => false,
-                };
-                // The `Rc` clones are pointer bumps; the memory snapshot
-                // is only taken on a sampled dispatch.
-                let code = Rc::clone(&b.code);
-                let wd = if check_now {
-                    Some((Rc::clone(&b.hits), self.state.mem.clone()))
-                } else {
-                    None
-                };
-                let remaining = fuel - self.stats.exec.host_instrs;
-                let exit =
-                    run_seq(&mut self.state, &code, remaining, &self.cost, &mut self.stats.exec);
-                let next_chain = match exit {
-                    SeqExit::Chained(next) => {
-                        self.pc = self.blocks[next as usize].pc;
-                        Some(next)
-                    }
-                    SeqExit::Returned => {
-                        self.pc = self.state.reg(Gpr::Eax);
-                        None
-                    }
-                    SeqExit::Halted => return RunOutcome::Halted,
-                    SeqExit::OutOfFuel => return RunOutcome::OutOfFuel,
-                    // Like `Halted`, a trap ends the run before the
-                    // watchdog sees it (the sampled snapshot is dropped
-                    // unused; the tick already advanced, keeping parity
-                    // across configurations).
-                    SeqExit::Trapped(cause) => return self.trap_outcome(block_pc, cause),
-                    SeqExit::JumpedOut(_) | SeqExit::FellThrough | SeqExit::Faulted => {
-                        return RunOutcome::Fault
-                    }
-                };
-                if let Some((hits, pre)) = wd {
-                    match self.watchdog_check(block_pc, &hits, pre) {
-                        WdVerdict::Clean => {}
-                        WdVerdict::Diverged => continue 'dispatch,
-                        WdVerdict::End(out) => return out,
-                    }
-                }
-                // Stores from this dispatch may have rewritten
-                // translated code: invalidate before control flows into
-                // a stale translation — possibly the chained successor
-                // itself, or this very block re-entered via a loop.
-                self.handle_smc();
-                match next_chain {
-                    Some(next) => {
-                        if self.blocks[next as usize].dead {
-                            // The SMC purge killed the successor; its
-                            // pc retranslates through the dispatcher.
-                            continue 'dispatch;
-                        }
-                        // Mirror the dispatcher-entry fuel check so
-                        // chained accounting is bit-identical.
-                        if self.stats.exec.host_instrs >= fuel {
-                            return RunOutcome::OutOfFuel;
-                        }
-                        self.stats.bump(DbtCtr::ChainedExecs);
-                        id = next;
-                    }
-                    None => continue 'dispatch,
-                }
+            let id = match self.cache.lookup(pc, &self.stats) {
+                Some(id) => id,
+                None => self.translate(pc),
+            };
+            if let Err(out) = self.run_chain(id, fuel) {
+                return out;
             }
         }
     }
 
-    /// Re-execute a rule-covered block from its pre-dispatch memory
-    /// snapshot through the ARM interpreter and compare architectural
-    /// state. On mismatch, attribute the divergence to a single rule
-    /// application by bisection replay and try to repair that rule from
-    /// the counterexample (`LDBT_REPAIR`, on by default): a repaired rule
-    /// is hot-republished and the stale translations re-translate against
-    /// it. When repair is off, attribution fails, or repair fails, the
-    /// culprit (or, conservatively, every rule applied in the block) is
-    /// quarantined — tombstoned in the rule set — the affected
-    /// translations are purged from the code cache, unlinking any blocks
-    /// chained into them, and this block is forced onto the TCG path.
-    /// Either way the engine adopts the interpreter's (correct) state so
-    /// execution continues unharmed.
-    fn watchdog_check(&mut self, pc: u32, hits: &[(usize, u64)], pre: Memory) -> WdVerdict {
-        self.stats.bump(DbtCtr::WatchdogChecks);
-        let block = decode_block(&pre, pc);
-        if block.instrs.is_empty() {
-            return WdVerdict::Clean;
-        }
-        // The repair path replays the block from the pristine
-        // pre-dispatch snapshot; the reference interpreter consumes
-        // `pre`, so keep a copy while repair could still need one.
-        let pre_snap = self.repair.then(|| pre.clone());
-        // Interpreter reference run over the snapshot.
-        let mut arm = ArmState {
-            regs: [0; 16],
-            flags: Default::default(),
-            trap_limit: Some(GUEST_MEM_LIMIT),
-            mem: pre,
-        };
-        for r in ArmReg::ALL {
-            arm.regs[r.index()] = arm.mem.read(ENV_BASE + 4 * r.index() as u32, Width::W32);
-        }
-        let flagmode = arm.mem.read(ENV_BASE + FLAGMODE_OFFSET, Width::W32);
-        if flagmode & 1 != 0 {
-            // §5 lazy flag save pending: the env NZCV slots are stale and
-            // the live flags sit in the saved host EFLAGS word. Materialize
-            // them the way the flag-mode dispatch stub does (N↔SF, Z↔ZF,
-            // V↔OF; mode bit 1 selects the carry polarity).
-            let w = arm.mem.read(ENV_BASE + crate::env::HOSTFLAGS_OFFSET, Width::W32);
-            let f = ldbt_x86::EFlags::from_word(w);
-            arm.flags.n = f.sf;
-            arm.flags.z = f.zf;
-            arm.flags.v = f.of;
-            arm.flags.c = if flagmode & 2 != 0 { f.cf } else { !f.cf };
-        } else {
-            arm.flags.n = arm.mem.read(ENV_BASE + FlagId::N.offset(), Width::W32) != 0;
-            arm.flags.z = arm.mem.read(ENV_BASE + FlagId::Z.offset(), Width::W32) != 0;
-            arm.flags.c = arm.mem.read(ENV_BASE + FlagId::C.offset(), Width::W32) != 0;
-            arm.flags.v = arm.mem.read(ENV_BASE + FlagId::V.offset(), Width::W32) != 0;
-        }
-        let mut halted = false;
-        let mut trapped: Option<(u32, TrapKind)> = None;
-        let mut next_pc = pc;
-        for (idx, instr) in block.instrs.iter().enumerate() {
-            let at = pc.wrapping_add(4 * idx as u32);
-            let fallthrough = at.wrapping_add(4);
-            next_pc = fallthrough;
-            match arm.exec(instr) {
-                ArmEvent::Next => {}
-                ArmEvent::Syscall(0) => {
-                    halted = true;
-                    break;
+    /// Chained fast loop from block `id`: no map probes until control
+    /// leaves the chain (indirect branch, an unlinked exit, or an
+    /// invalidation) — `Ok`: the dispatcher continues at the guest pc.
+    #[inline(always)]
+    fn run_chain(&mut self, mut id: u32, fuel: u64) -> Result<(), RunOutcome> {
+        loop {
+            // A block heading a live region runs the region instead;
+            // its per-block accounting happens inside, part by part.
+            let sbid = self.cache.block(id).sb_head;
+            if sbid != NO_SB {
+                match self.run_region(sbid, fuel)? {
+                    // An SMC purge inside the region may have killed
+                    // the escape target.
+                    Some(next) if !self.cache.block(next).dead => id = next,
+                    _ => return Ok(()),
                 }
-                // The reference stops at a trap, pc on the trapping
-                // instruction — exactly the machine interpreter's
-                // contract. A translated dispatch that trapped never
-                // reaches the watchdog (the run returns first, like a
-                // halt), so a reference trap here is itself a
-                // divergence to rewind.
-                ArmEvent::Syscall(n) => {
-                    trapped = Some((at, TrapKind::Svc(n)));
-                    break;
-                }
-                ArmEvent::Trap(a) => {
-                    trapped = Some((at, TrapKind::Mem(a)));
-                    break;
-                }
-                ArmEvent::Branch(off) => {
-                    next_pc = fallthrough.wrapping_add((off as u32).wrapping_mul(4));
-                    break;
-                }
-                ArmEvent::Call(off) => {
-                    arm.set_reg(ArmReg::Lr, fallthrough);
-                    next_pc = fallthrough.wrapping_add((off as u32).wrapping_mul(4));
-                    break;
-                }
-                ArmEvent::Indirect(a) => {
-                    next_pc = a;
-                    break;
+                continue;
+            }
+            let (block_pc, execs_now, sampled) = self.begin_unit(id);
+            if self.cache.block(id).interp_one {
+                self.pc = self.helper_step(block_pc)?;
+                return Ok(());
+            }
+            // Formation trigger: every `threshold`-th execution of a
+            // block, try to grow a region from the hot chain through
+            // it. This execution still runs the plain code; the
+            // region takes over at the next entry. Forming only
+            // clones and specializes already-translated code, so no
+            // translation counters move and accounting parity with
+            // `LDBT_NOSB` holds.
+            if let Some(threshold) = self.sb_cfg {
+                if self.cache.chaining && execs_now.is_multiple_of(threshold) {
+                    self.try_form_region(id);
                 }
             }
-        }
-        // Compare guest-visible state: r0–r14 env slots, the next PC, and
-        // guest memory. Flags are excluded (the translated side may hold
-        // them in host EFLAGS legitimately); the env + host-stack region
-        // is host-private and also excluded.
-        let regs_ok = ArmReg::ALL.iter().all(|r| {
-            matches!(r, ArmReg::Pc)
-                || self.state.mem.read(ENV_BASE + 4 * r.index() as u32, Width::W32)
-                    == arm.regs[r.index()]
-        });
-        let pc_ok = !halted && trapped.is_none() && self.pc == next_pc;
-        let mem_ok = self
-            .state
-            .mem
-            .first_difference(&arm.mem, |addr| addr >= HOST_STACK_TOP - 0x1_0000)
-            .is_none();
-        if regs_ok && pc_ok && mem_ok {
-            return WdVerdict::Clean;
-        }
-        // Mismatch. With repair enabled, first attribute the divergence
-        // to a candidate set of rule applications by bisection, then run
-        // the repair loop candidate by candidate; tombstoning is the
-        // fallback, not the default. When suppressing more than one
-        // application fixes the block the bisection alone is ambiguous,
-        // but the counterexample-gated repair rejects healthy rules, so
-        // the first candidate whose repair survives the trial replay is
-        // the culprit.
-        let candidates = match &pre_snap {
-            Some(p) => self.attribute(pc, hits, p, &arm, halted, next_pc),
-            None => None,
-        };
-        let mut repaired = false;
-        let mut newly: HashSet<u64> = HashSet::new();
-        if let Some(cands) = candidates {
-            let unique = cands.len() == 1;
-            let mut culprit: Option<u64> = None;
-            for (k, binding) in &cands {
-                let key = hits[*k].1;
-                let attempts = *self.repair_attempts.get(&key).unwrap_or(&0);
-                if attempts >= REPAIR_ATTEMPT_CAP {
-                    if trace::enabled(Scope::Exec) {
-                        trace::emit(
-                            Scope::Exec,
-                            "repair_capped",
-                            &[
-                                ("pc", Val::U(pc as u64)),
-                                ("rule", Val::U(key)),
-                                ("attempts", Val::U(attempts as u64)),
-                            ],
-                        );
-                    }
-                    continue;
-                }
-                self.repair_attempts.insert(key, attempts + 1);
-                self.stats.bump(DbtCtr::WdRepairAttempts);
-                let p = pre_snap.as_ref().expect("attribution implies a snapshot");
-                if self.try_repair(pc, key, binding, p, &arm, halted, next_pc) {
-                    repaired = true;
-                    culprit = Some(key);
-                    self.stats.bump(DbtCtr::WdRepaired);
-                    break;
-                }
-                self.stats.bump(DbtCtr::WdRepairFailed);
+            let code = Rc::clone(&self.cache.block(id).code);
+            if code.is_empty() {
+                return Err(RunOutcome::Fault);
             }
-            // A unique bisection survivor is attributed outright; an
-            // ambiguous set only counts as attributed once a repair
-            // singles out the culprit.
-            if unique || repaired {
-                self.stats.bump(DbtCtr::WdAttributed);
+            // The memory snapshot is only taken on a sampled dispatch.
+            let pre = sampled.then(|| self.state.mem.clone());
+            let next = self.exec_unit(&code, block_pc, fuel, None)?;
+            if !self.end_unit(id, pre)? {
+                return Ok(());
             }
-            if repaired {
-                // Purge (and re-translate) every block holding the stale
-                // instantiation, but keep the rule alive: no tombstone,
-                // no TCG forcing.
-                newly.insert(culprit.expect("repaired implies a culprit key"));
-            } else {
-                // Quarantine the candidate set: the bisection proved the
-                // other applications in this block innocent. A unique
-                // survivor is an attributed quarantine; an ambiguous set
-                // that no repair could split is collateral. Tombstoning
-                // publishes a new shared generation — other tenants stop
-                // translating with these rules at their next dispatch.
-                let keys: Vec<u64> = cands.iter().map(|(k, _)| hits[*k].1).collect();
-                let tombstoned = self
-                    .publish_rules(move |rs| {
-                        keys.into_iter().filter(|&key| rs.tombstone(key)).collect::<Vec<u64>>()
-                    })
-                    .unwrap_or_default();
-                for key in tombstoned {
-                    newly.insert(key);
-                    self.stats.bump(if unique {
-                        DbtCtr::QuarantinedRules
-                    } else {
-                        DbtCtr::WdCollateral
-                    });
-                }
-            }
-        } else {
-            // No attribution: quarantine every rule applied in the block.
-            // With repair enabled these are *collateral* tombstones,
-            // counted apart from attributed quarantines so the accounting
-            // no longer overstates how many rules were proven wrong.
-            let collateral = self.repair;
-            let keys: Vec<u64> = hits.iter().map(|&(_, key)| key).collect();
-            let tombstoned = self
-                .publish_rules(move |rs| {
-                    keys.into_iter().filter(|&key| rs.tombstone(key)).collect::<Vec<u64>>()
-                })
-                .unwrap_or_default();
-            for key in tombstoned {
-                newly.insert(key);
-                self.stats.bump(if collateral {
-                    DbtCtr::WdCollateral
-                } else {
-                    DbtCtr::QuarantinedRules
-                });
-            }
-        }
-        if trace::enabled(Scope::Exec) {
-            trace::emit(
-                Scope::Exec,
-                "quarantine",
-                &[
-                    ("pc", Val::U(pc as u64)),
-                    ("rules", Val::U(newly.len() as u64)),
-                    ("repaired", Val::B(repaired)),
-                    ("regs_ok", Val::B(regs_ok)),
-                    ("pc_ok", Val::B(pc_ok)),
-                    ("mem_ok", Val::B(mem_ok)),
-                ],
-            );
-        }
-        if !repaired {
-            self.force_tcg.insert(pc);
-        }
-        let victims: Vec<u32> = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.dead && b.hits.iter().any(|&(_, k)| newly.contains(&k)))
-            .map(|(i, _)| i as u32)
-            .collect();
-        for id in victims {
-            self.purge_block(id);
-        }
-        if let Some(&id) = self.map.get(&pc) {
-            self.purge_block(id);
-        }
-        // Adopt the interpreter's state: write its registers and flags
-        // back into the env and take its memory.
-        for r in ArmReg::ALL {
-            arm.mem.write(ENV_BASE + 4 * r.index() as u32, arm.regs[r.index()], Width::W32);
-        }
-        arm.mem.write(ENV_BASE + FlagId::N.offset(), arm.flags.n as u32, Width::W32);
-        arm.mem.write(ENV_BASE + FlagId::Z.offset(), arm.flags.z as u32, Width::W32);
-        arm.mem.write(ENV_BASE + FlagId::C.offset(), arm.flags.c as u32, Width::W32);
-        arm.mem.write(ENV_BASE + FlagId::V.offset(), arm.flags.v as u32, Width::W32);
-        arm.mem.write(ENV_BASE + FLAGMODE_OFFSET, 0, Width::W32);
-        self.state.mem = std::mem::take(&mut arm.mem);
-        if halted {
-            return WdVerdict::End(RunOutcome::Halted);
-        }
-        if let Some((tpc, cause)) = trapped {
-            // The reference trapped where the translated block ran on:
-            // the corrected outcome of the run is the trap itself.
-            self.stats.bump(DbtCtr::Traps);
-            return WdVerdict::End(RunOutcome::Trap { pc: tpc, cause });
-        }
-        self.pc = next_pc;
-        WdVerdict::Diverged
-    }
-
-    /// Attribute a watchdog divergence to a candidate set of rule
-    /// applications by bisection replay: re-lower the divergent block
-    /// with each application individually suppressed (its guest
-    /// instructions forced onto the TCG path) and re-execute from the
-    /// pre-dispatch snapshot. Every suppression that makes the
-    /// divergence vanish yields a candidate `(hit index, Binding)` —
-    /// usually exactly one, but a wrong write can be masked such that
-    /// suppressing a neighbouring application also corrects the block;
-    /// the caller splits such ties with the counterexample-gated repair.
-    /// A single-application block needs no probing — its one rule is the
-    /// only suspect.
-    fn attribute(
-        &self,
-        pc: u32,
-        hits: &[(usize, u64)],
-        pre: &Memory,
-        arm: &ArmState,
-        halted: bool,
-        ref_next_pc: u32,
-    ) -> Option<Vec<(usize, Binding)>> {
-        let (rules, lazy_flags) = self.rules_cfg()?;
-        let block = decode_block(pre, pc);
-        if block.instrs.is_empty() {
-            return None;
-        }
-        let full = crate::rules::lower_block_with_rules_suppress(
-            pre, &block, &rules, lazy_flags, self.fault, None,
-        );
-        let bail = |why: &'static str| {
-            if trace::enabled(Scope::Exec) {
-                trace::emit(
-                    Scope::Exec,
-                    "attr_bail",
-                    &[("pc", Val::U(pc as u64)), ("why", Val::S(why))],
-                );
-            }
-            None
-        };
-        // Sanity: the replayed plan must be the plan the cached block
-        // actually ran; anything else means the world changed under us
-        // and attribution would blame the wrong application.
-        if full.hits.as_slice() != hits {
-            return bail("plan-mismatch");
-        }
-        if hits.len() == 1 {
-            return Some(vec![(0, full.bindings[0].clone())]);
-        }
-        if hits.len() > ATTRIBUTION_MAX_HITS {
-            return bail("too-many-applications");
-        }
-        let mut candidates = Vec::new();
-        for k in 0..hits.len() {
-            let low = crate::rules::lower_block_with_rules_suppress(
-                pre,
-                &block,
-                &rules,
-                lazy_flags,
-                self.fault,
-                Some(k),
-            );
-            if self.probe_matches(&low.code, pre, arm, halted, ref_next_pc) {
-                candidates.push((k, full.bindings[k].clone()));
-            }
-        }
-        if candidates.is_empty() {
-            return bail("no-suppression-fixes");
-        }
-        if candidates.len() > 1 && trace::enabled(Scope::Exec) {
-            // Ambiguous bisection: more than one suppression fixes the
-            // block. The caller disambiguates via the repair gate.
-            trace::emit(
-                Scope::Exec,
-                "attr_ambiguous",
-                &[("pc", Val::U(pc as u64)), ("candidates", Val::U(candidates.len() as u64))],
-            );
-        }
-        Some(candidates)
-    }
-
-    /// Execute probe code from the pre-dispatch snapshot on a scratch
-    /// host state and compare the result against the interpreter
-    /// reference — the same surface the watchdog compares: env registers
-    /// r0–r14, the continuation pc, and guest memory.
-    fn probe_matches(
-        &self,
-        code: &[X86Instr],
-        pre: &Memory,
-        arm: &ArmState,
-        halted: bool,
-        ref_next_pc: u32,
-    ) -> bool {
-        let mut st = X86State::new();
-        st.mem = pre.clone();
-        st.set_reg(Gpr::Esp, HOST_STACK_TOP);
-        let mut scratch = ExecStats::new();
-        let exit = run_seq(&mut st, code, PROBE_FUEL, &self.cost, &mut scratch);
-        // A fresh lowering exits through `ret` stubs (no chaining), so
-        // only `Returned` and `Halted` are well-formed probe exits.
-        match exit {
-            SeqExit::Returned if !halted && st.reg(Gpr::Eax) == ref_next_pc => {}
-            SeqExit::Halted if halted => {}
-            _ => return false,
-        }
-        ArmReg::ALL.iter().all(|r| {
-            matches!(r, ArmReg::Pc)
-                || st.mem.read(ENV_BASE + 4 * r.index() as u32, Width::W32) == arm.regs[r.index()]
-        }) && st.mem.first_difference(&arm.mem, |addr| addr >= HOST_STACK_TOP - 0x1_0000).is_none()
-    }
-
-    /// Run the localize → re-verify → hot-publish repair loop for the
-    /// attributed rule. Publication is gated on a full trial replay: the
-    /// divergent block is re-lowered against a trial rule set holding the
-    /// repaired rule and re-executed from the pre-dispatch snapshot; only
-    /// a trial that matches the interpreter reference is published (via
-    /// `RuleSet::replace` + `RuleSet::revive`, the key is unchanged).
-    #[allow(clippy::too_many_arguments)]
-    fn try_repair(
-        &mut self,
-        pc: u32,
-        key: u64,
-        binding: &Binding,
-        pre: &Memory,
-        arm: &ArmState,
-        halted: bool,
-        ref_next_pc: u32,
-    ) -> bool {
-        let Some((rules, lazy_flags)) = self.rules_cfg() else { return false };
-        let Some(quarantined) = rules.find_by_key(key) else { return false };
-        // The counterexample: the binding the block applied the rule
-        // under, plus the registers the translated run got wrong.
-        let divergent: Vec<(ArmReg, u32, u32)> = ArmReg::ALL
-            .iter()
-            .filter(|r| !matches!(r, ArmReg::Pc))
-            .filter_map(|r| {
-                let observed = self.state.mem.read(ENV_BASE + 4 * r.index() as u32, Width::W32);
-                let expected = arm.regs[r.index()];
-                (observed != expected).then_some((*r, observed, expected))
-            })
-            .collect();
-        let cex = Counterexample { block_pc: pc, binding: binding.clone(), divergent };
-        let report = match ldbt_learn::repair(quarantined, &cex, &ldbt_learn::repair_budget()) {
-            Ok(report) => report,
-            Err(fail) => {
-                if trace::enabled(Scope::Exec) {
-                    let why = match fail {
-                        ldbt_learn::RepairFail::NoMappings => "no-mappings",
-                        ldbt_learn::RepairFail::NoCandidate { .. } => "no-candidate",
-                    };
-                    trace::emit(
-                        Scope::Exec,
-                        "repair_fail",
-                        &[("pc", Val::U(pc as u64)), ("rule", Val::U(key)), ("why", Val::S(why))],
-                    );
-                }
-                return false;
-            }
-        };
-        // Trial replay gate: the repaired rule must make this very block
-        // agree with the interpreter before it goes live.
-        let block = decode_block(pre, pc);
-        let mut trial = (*rules).clone();
-        if !trial.replace(key, report.rule.clone()) {
-            return false;
-        }
-        trial.revive(key);
-        let low = crate::rules::lower_block_with_rules_suppress(
-            pre, &block, &trial, lazy_flags, self.fault, None,
-        );
-        if !self.probe_matches(&low.code, pre, arm, halted, ref_next_pc) {
-            if trace::enabled(Scope::Exec) {
-                trace::emit(
-                    Scope::Exec,
-                    "repair_fail",
-                    &[
-                        ("pc", Val::U(pc as u64)),
-                        ("rule", Val::U(key)),
-                        ("why", Val::S("trial-replay-mismatch")),
-                    ],
-                );
-            }
-            return false;
-        }
-        // Hot-publish: overwrite the rule (same stable key), clear any
-        // tombstone on it, and publish the result as a new shared
-        // generation so other tenants re-translate with the repaired
-        // rule instead of the divergent one.
-        let repaired_rule = report.rule;
-        let published = self
-            .publish_rules(move |rs| {
-                if !rs.replace(key, repaired_rule) {
-                    return false;
-                }
-                rs.revive(key);
-                true
-            })
-            .unwrap_or(false);
-        if !published {
-            return false;
-        }
-        if trace::enabled(Scope::Exec) {
-            trace::emit(
-                Scope::Exec,
-                "repair",
-                &[
-                    ("pc", Val::U(pc as u64)),
-                    ("rule", Val::U(key)),
-                    ("candidates", Val::U(report.candidates_tried as u64)),
-                ],
-            );
-        }
-        true
-    }
-
-    /// Try to form a superblock region headed at block `head`: follow the
-    /// hottest chained successor from each block (up to [`SB_MAX_PARTS`];
-    /// revisits are allowed, so a self-loop unrolls), specialize each
-    /// member's code clone against the seam state its predecessor leaves
-    /// behind, and strip provably dead seam exit pairs. Forming never
-    /// re-translates — it only clones and deletes — so translation-side
-    /// statistics are untouched.
-    fn try_form_superblock(&mut self, head: u32) {
-        if self.blocks[head as usize].sb_head != NO_SB || !self.blocks[head as usize].chainable() {
-            return;
-        }
-        let mut path: Vec<u32> = vec![head];
-        let mut cur = head;
-        while path.len() < SB_MAX_PARTS {
-            // Hottest chainable successor; ties break to the smaller id
-            // so formation is deterministic.
-            let next = self.blocks[cur as usize]
-                .links_out
-                .iter()
-                .map(|&(_, succ)| succ)
-                .filter(|&s| self.blocks[s as usize].chainable())
-                .max_by_key(|&s| (self.blocks[s as usize].execs, std::cmp::Reverse(s)));
             match next {
-                Some(n) => {
-                    path.push(n);
-                    cur = n;
+                // (An SMC purge may have killed the successor; its pc
+                // retranslates through the dispatcher.)
+                Some(next) if !self.cache.block(next).dead => {
+                    self.chain_step(fuel)?;
+                    id = next;
                 }
-                None => break,
+                _ => return Ok(()),
             }
         }
-        if path.len() < 2 {
-            return;
-        }
-        // Prefer a path whose final chain target is the head: the
-        // backedge then stays resident (the pinned registers live around
-        // the loop) instead of paying writeback stubs plus the entry
-        // preamble on every traversal. The walk unrolls the loop up to
-        // SB_MAX_PARTS, which rarely lands on a whole number of cycles —
-        // truncate back to the last revisit of the head so it does. The
-        // dropped tail parts lose nothing: execution reaches them again
-        // on the next resident trip around the region.
-        let hottest = |bid: u32| {
-            self.blocks[bid as usize]
-                .links_out
-                .iter()
-                .map(|&(_, succ)| succ)
-                .filter(|&s| self.blocks[s as usize].chainable())
-                .max_by_key(|&s| (self.blocks[s as usize].execs, std::cmp::Reverse(s)))
-        };
-        if hottest(*path.last().unwrap()) != Some(head) {
-            if let Some(cut) = (2..path.len()).rev().find(|&i| path[i] == head) {
-                path.truncate(cut);
-            }
-        }
+    }
+
+    /// Try to form a superblock region headed at block `head` from the
+    /// hot chain through it: specialize each member's code clone against
+    /// the seam state its predecessor leaves behind, and strip provably
+    /// dead seam exit pairs. Forming never re-translates — it only
+    /// clones and deletes — so translation-side statistics are untouched.
+    fn try_form_region(&mut self, head: u32) {
+        let Some(path) = self.cache.hot_path(head) else { return };
         let mut st = SeamState::entry();
         let mut parts: Vec<SbPart> = Vec::with_capacity(path.len());
-        let mut pcs: Vec<u32> = Vec::with_capacity(path.len());
-        for &bid in &path {
-            let b = &self.blocks[bid as usize];
-            let (code, exit) = specialize_part(&b.code, &st);
+        for &id in &path {
+            let (code, exit) = specialize_part(&self.cache.block(id).code, &st);
             st = exit;
-            parts.push(SbPart { id: bid, code: Rc::new(code), fallthrough_seam: false });
-            pcs.push(b.pc);
+            parts.push(SbPart { id, code: Rc::new(code), fallthrough_seam: false });
         }
+        let pcs: Vec<u32> = path.iter().map(|&id| self.cache.block(id).pc).collect();
         strip_seam_exits(&mut parts, &pcs);
         optimize_region(&mut parts);
         // Region-wide passes: memory access fusion first (its dead-store
@@ -1810,103 +574,28 @@ impl Engine {
         // allocation, then one more cleanup sweep with the pinned
         // registers held live across seams.
         let fused = if self.fusion { fuse_region(&mut parts) } else { 0 };
-        if fused > 0 {
-            self.stats.add(DbtCtr::FuseElim, fused);
-        }
-        let ra = if self.region_alloc {
-            allocate_region(&mut parts, &crate::backend::POOL)
-        } else {
-            Vec::new()
-        };
-        if !ra.is_empty() {
-            self.stats.add(DbtCtr::RaPromoted, ra.len() as u64);
-        }
+        let ra = if self.region_alloc { allocate_region(&mut parts, &POOL) } else { Vec::new() };
+        self.stats.add(DbtCtr::FuseElim, fused);
+        self.stats.add(DbtCtr::RaPromoted, ra.len() as u64);
         if fused > 0 || !ra.is_empty() {
             optimize_region_pinned(&mut parts, &ra);
         }
-        debug_assert!(
-            region_contract(&parts, &ra),
-            "superblock region allocation contract violated"
-        );
-        let rid = self.superblocks.len() as u32;
-        let mut seen: HashSet<u32> = HashSet::new();
-        for &bid in &path {
-            if seen.insert(bid) {
-                self.sb_members.entry(bid).or_default().push(rid);
-            }
-        }
-        self.blocks[head as usize].sb_head = rid;
-        let preamble = Rc::new(ra_preamble(&ra));
-        self.superblocks.push(Superblock { head, parts, ra, preamble, dead: false });
-        self.stats.bump(DbtCtr::SbFormed);
-        if trace::enabled(Scope::Exec) {
-            trace::emit(
-                Scope::Exec,
-                "sb_form",
-                &[
-                    ("head_pc", Val::U(pcs[0] as u64)),
-                    ("region", Val::U(rid as u64)),
-                    ("parts", Val::U(path.len() as u64)),
-                ],
-            );
-        }
-    }
-
-    /// Invalidate every region block `bid` is a member of: the region
-    /// goes dead, the head's dispatch redirect is removed, and the other
-    /// members forget the region. Called whenever `bid`'s code is purged
-    /// or re-patched (the region holds clones of it). The head re-forms
-    /// a fresh region — without any purged member — the next time it
-    /// crosses the formation threshold.
-    fn invalidate_regions_of(&mut self, bid: u32) {
-        let Some(rids) = self.sb_members.remove(&bid) else { return };
-        for rid in rids {
-            if self.superblocks[rid as usize].dead {
-                continue;
-            }
-            self.superblocks[rid as usize].dead = true;
-            let head = self.superblocks[rid as usize].head;
-            let members: Vec<u32> =
-                self.superblocks[rid as usize].parts.iter().map(|p| p.id).collect();
-            // Drop the cloned code; dead regions are never entered again.
-            self.superblocks[rid as usize].parts = Vec::new();
-            if self.blocks[head as usize].sb_head == rid {
-                self.blocks[head as usize].sb_head = NO_SB;
-            }
-            for m in members {
-                if m == bid {
-                    continue;
-                }
-                if let Some(v) = self.sb_members.get_mut(&m) {
-                    v.retain(|&r| r != rid);
-                    if v.is_empty() {
-                        self.sb_members.remove(&m);
-                    }
-                }
-            }
-            self.stats.bump(DbtCtr::SbInvalidated);
-            if trace::enabled(Scope::Exec) {
-                trace::emit(
-                    Scope::Exec,
-                    "sb_invalidate",
-                    &[
-                        ("head_pc", Val::U(self.blocks[head as usize].pc as u64)),
-                        ("region", Val::U(rid as u64)),
-                        ("member_pc", Val::U(self.blocks[bid as usize].pc as u64)),
-                    ],
-                );
-            }
-        }
+        debug_assert!(region_contract(&parts, &ra), "region allocation contract violated");
+        self.cache.install_region(parts, ra, &self.stats);
     }
 
     /// Execute region `rid` from its head. Every counter the plain path
-    /// maintains per block execution is maintained here per part — same
-    /// order, same values — so a run's `DbtStats` accounting is
-    /// bit-identical with superblocks on or off; only the host
-    /// instruction count (the thing regions exist to shrink) differs.
-    fn run_superblock(&mut self, rid: u32, fuel: u64) -> SbStep {
+    /// maintains per block execution is maintained here per part by the
+    /// same unit code, so a run's `DbtStats` accounting is bit-identical
+    /// with superblocks on or off; only the host instruction count (the
+    /// thing regions exist to shrink) differs. `Ok(Some(next))`: a side
+    /// exit chained to a block outside the region — continue the fast
+    /// loop there (mirrors a plain chained transition). `Ok(None)`:
+    /// control left the chain (indirect branch or a watchdog rewind) —
+    /// go back through the dispatcher.
+    fn run_region(&mut self, rid: u32, fuel: u64) -> Result<Option<u32>, RunOutcome> {
         let (ra, preamble, head_id) = {
-            let sb = &self.superblocks[rid as usize];
+            let sb = self.cache.region(rid);
             (sb.ra.clone(), Rc::clone(&sb.preamble), sb.parts[0].id)
         };
         let mut k = 0usize;
@@ -1919,40 +608,25 @@ impl Engine {
         let mut resident = false;
         loop {
             let (bid, code, ft_seam, next_id) = {
-                let sb = &self.superblocks[rid as usize];
+                let sb = self.cache.region(rid);
                 let part = &sb.parts[k];
                 let next = sb.parts.get(k + 1).map(|p| p.id);
                 (part.id, Rc::clone(&part.code), part.fallthrough_seam, next)
             };
-            let b = &mut self.blocks[bid as usize];
-            b.execs += 1;
-            let block_pc = b.pc;
             self.stats.bump(DbtCtr::SbExecs);
-            self.stats.bump(DbtCtr::BlockExecs);
-            self.stats.add(DbtCtr::GuestDyn, b.guest_len);
-            self.stats.add(DbtCtr::GuestDynCovered, b.covered);
-            // Watchdog sampling mirrors the plain path exactly: same
-            // tick sequence, same snapshots, and the comparison surface
-            // (env registers, next pc, guest memory) is untouched by
-            // part specialization.
-            let b = &self.blocks[bid as usize];
-            let check_now = match self.watchdog {
-                Some(period) if !b.hits.is_empty() => {
-                    self.watchdog_tick += 1;
-                    self.watchdog_tick.is_multiple_of(period)
-                }
-                _ => false,
-            };
+            // Watchdog sampling is the plain path's: same tick sequence,
+            // same snapshots, and the comparison surface (env registers,
+            // next pc, guest memory) is untouched by part specialization.
+            let (block_pc, _, sampled) = self.begin_unit(bid);
             // While resident the pinned registers are authoritative and
             // the env homes stale: materialize before snapshotting so the
             // watchdog's reference interpretation starts from the true
             // guest state. Before the preamble has run, env is already
             // authoritative.
-            let hits = Rc::clone(&b.hits);
-            if check_now && resident {
+            if sampled && resident {
                 self.materialize_ra(&ra);
             }
-            let wd = if check_now { Some((hits, self.state.mem.clone())) } else { None };
+            let pre = sampled.then(|| self.state.mem.clone());
             // First entry into the region body: load the pinned registers
             // from their env homes. The preamble only reads env, so it is
             // transparent to the watchdog snapshot taken just above.
@@ -1960,113 +634,69 @@ impl Engine {
                 let left = fuel - self.stats.exec.host_instrs;
                 match run_seq(&mut self.state, &preamble, left, &self.cost, &mut self.stats.exec) {
                     SeqExit::FellThrough => {}
-                    _ => return SbStep::Done(RunOutcome::OutOfFuel),
+                    _ => return Err(RunOutcome::OutOfFuel),
                 }
                 resident = true;
             }
-            let remaining = fuel - self.stats.exec.host_instrs;
-            let exit = run_seq(&mut self.state, &code, remaining, &self.cost, &mut self.stats.exec);
-            // None = back to the dispatcher; Some((next, kind)) with
-            // kind 1 = seam to the next part, kind 2 = resident backedge
-            // to the region head, kind 0 = escape out of the region.
-            let step = match exit {
-                SeqExit::Halted => return SbStep::Done(RunOutcome::Halted),
-                SeqExit::Trapped(cause) => return SbStep::Done(self.trap_outcome(block_pc, cause)),
-                SeqExit::OutOfFuel => return SbStep::Done(RunOutcome::OutOfFuel),
-                SeqExit::JumpedOut(_) | SeqExit::Faulted => return SbStep::Done(RunOutcome::Fault),
-                SeqExit::FellThrough => match (ft_seam, next_id) {
-                    // The stripped seam: falling off the end of the part
-                    // *is* the chained jump to the next part.
-                    (true, Some(n)) => {
-                        self.pc = self.blocks[n as usize].pc;
-                        Some((n, 1u8))
-                    }
-                    _ => return SbStep::Done(RunOutcome::Fault),
-                },
-                SeqExit::Chained(next) => {
-                    self.pc = self.blocks[next as usize].pc;
-                    // Seam takes precedence over backedge: in an unrolled
-                    // self-loop every part *is* the head, and mid-unroll
-                    // chains are seams; only the last part's chain back to
-                    // the head closes the loop.
-                    let kind = if next_id == Some(next) {
-                        1u8
-                    } else if next == head_id {
-                        2u8
-                    } else {
-                        0u8
-                    };
-                    Some((next, kind))
-                }
-                SeqExit::Returned => {
-                    self.pc = self.state.reg(Gpr::Eax);
-                    None
-                }
-            };
-            if let Some((hits, pre)) = wd {
-                // The comparison surface is env: materialize the pinned
-                // registers, but only when the part continued *in-region*
-                // (a seam carries guest state in pinned registers). After
-                // an escape the writeback stubs already materialized env,
-                // and later cleanup may have renamed a writeback's source
-                // away from the pinned register — overwriting env from it
-                // then would corrupt guest state.
-                if matches!(step, Some((_, 1 | 2))) {
-                    self.materialize_ra(&ra);
-                }
-                match self.watchdog_check(block_pc, &hits, pre) {
-                    WdVerdict::Clean => {}
-                    // The divergence rewind purged blocks — possibly this
-                    // very region — so control must leave it.
-                    WdVerdict::Diverged => return SbStep::Dispatch,
-                    WdVerdict::End(out) => return SbStep::Done(out),
-                }
+            // Where the part handed control: `None` = back to the
+            // dispatcher, else a seam to the next part, the resident
+            // backedge to the region head, or an escape out of the region.
+            // Seam takes precedence over backedge: in an unrolled
+            // self-loop every part *is* the head, and mid-unroll
+            // chains are seams; only the last part's chain back to
+            // the head closes the loop.
+            let next = self.exec_unit(&code, block_pc, fuel, next_id.filter(|_| ft_seam))?;
+            let seam = next.is_some() && next == next_id;
+            let in_region = seam || next == Some(head_id);
+            // The comparison surface is env: materialize the pinned
+            // registers, but only when the part continued *in-region*
+            // (a seam carries guest state in pinned registers). After
+            // an escape the writeback stubs already materialized env,
+            // and later cleanup may have renamed a writeback's source
+            // away from the pinned register — overwriting env from it
+            // then would corrupt guest state.
+            if pre.is_some() && in_region {
+                self.materialize_ra(&ra);
+            }
+            // (A divergence rewind purged blocks — possibly this very
+            // region — so control must leave it.)
+            if !self.end_unit(bid, pre)? {
+                return Ok(None);
             }
             // Stores from this part may have rewritten a member of this
             // very region (a self-modifying loop): the purge killed the
             // region and its remaining clones are stale. Materialize
             // the pins (on an in-region step they are authoritative)
             // and fall back at the pc the part already handed over.
-            self.handle_smc();
-            if self.superblocks[rid as usize].dead {
-                if matches!(step, Some((_, 1 | 2))) {
+            if self.cache.region(rid).dead {
+                if in_region {
                     self.materialize_ra(&ra);
                 }
-                return match step {
-                    Some((next, 0)) if !self.blocks[next as usize].dead => SbStep::Continue(next),
-                    _ => SbStep::Dispatch,
-                };
+                return Ok(next.filter(|_| !in_region));
             }
-            match step {
-                Some((next, kind)) => {
-                    // Mirror the chained-transition fuel check and
-                    // accounting of the plain path.
-                    if self.stats.exec.host_instrs >= fuel {
-                        return SbStep::Done(RunOutcome::OutOfFuel);
-                    }
-                    self.stats.bump(DbtCtr::ChainedExecs);
-                    match kind {
-                        // Seam: on to the next part, pins stay resident.
-                        1 => k += 1,
-                        // Resident backedge: around the loop without
-                        // leaving the region — no writebacks ran, no
-                        // preamble will re-run, pins stay authoritative.
-                        2 => k = 0,
-                        // Escape: the writeback stubs materialized env on
-                        // the way out; hand control back to the chainer.
-                        _ => return SbStep::Continue(next),
-                    }
-                }
-                None => return SbStep::Dispatch,
+            let Some(next) = next else { return Ok(None) };
+            self.chain_step(fuel)?;
+            if seam {
+                // On to the next part, pins stay resident.
+                k += 1;
+            } else if in_region {
+                // Resident backedge: around the loop without leaving the
+                // region — no writebacks ran, no preamble will re-run,
+                // pins stay authoritative.
+                k = 0;
+            } else {
+                // Escape: the writeback stubs materialized env on the way
+                // out; hand control back to the chainer.
+                return Ok(Some(next));
             }
         }
     }
 
     /// Write every pinned register's current value to its guest env home
-    /// ([`Superblock::ra`]). Called only at in-region part boundaries
-    /// ahead of a watchdog snapshot or comparison — there the pinned
-    /// register is authoritative and the env home stale. Never called
-    /// after an escape: the region's writeback stubs have already
+    /// ([`crate::sb::Superblock::ra`]). Called only at in-region part
+    /// boundaries ahead of a watchdog snapshot or comparison — there the
+    /// pinned register is authoritative and the env home stale. Never
+    /// called after an escape: the region's writeback stubs have already
     /// materialized env.
     fn materialize_ra(&mut self, ra: &[(u8, Gpr)]) {
         for &(s, p) in ra {
@@ -2082,82 +712,43 @@ impl Engine {
     /// different image, or the finished run itself modified its code —
     /// so every live block's guest bytes are revalidated against the
     /// checksum recorded at translation time and stale blocks are
-    /// purged. This runs even under `LDBT_NOSMC`: it is the coherence
-    /// floor for cache reuse, not a hot-path optimization.
+    /// invalidated. This runs even under `LDBT_NOSMC`: it is the
+    /// coherence floor for cache reuse, not a hot-path optimization.
     pub fn reset(&mut self) {
         self.pc = self.entry;
         // The checksum sweep subsumes any pending store-hit log.
         let _ = self.state.mem.take_code_writes();
-        let mut stale: Vec<u32> = Vec::new();
-        for (id, b) in self.blocks.iter().enumerate() {
-            if !b.dead
-                && b.guest_bytes > 0
-                && guest_csum(&self.state.mem, b.pc, b.guest_bytes) != b.csum
-            {
-                stale.push(id as u32);
-            }
-        }
-        for id in stale {
-            self.stats.bump(DbtCtr::SmcInvalidations);
-            if trace::enabled(Scope::Exec) {
-                trace::emit(
-                    Scope::Exec,
-                    "smc_invalidate",
-                    &[
-                        ("pc", Val::U(self.blocks[id as usize].pc as u64)),
-                        ("id", Val::U(id as u64)),
-                    ],
-                );
-            }
-            self.purge_block(id);
-        }
+        self.invalidate(self.cache.stale(&self.state.mem), InvalidateReason::Reset);
     }
 
     /// Number of live translated blocks in the code cache.
     pub fn cache_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| !b.dead).count()
+        self.cache.live_blocks()
     }
 
     /// Number of chained (patched) block-to-block links currently live.
     pub fn live_links(&self) -> usize {
-        self.blocks.iter().filter(|b| !b.dead).map(|b| b.links_out.len()).sum()
+        self.cache.live_links()
     }
 
     /// Number of live superblock regions.
     pub fn live_regions(&self) -> usize {
-        self.superblocks.iter().filter(|s| !s.dead).count()
+        self.cache.live_regions()
+    }
+
+    /// Check the code-cache invariants (links, dispatch map, IBTC,
+    /// pending back-patches, regions, code-page marks), reporting the
+    /// first violation. Debug builds assert this after every mutation.
+    pub fn check_cache(&self) -> Result<(), String> {
+        self.cache.check(&self.state.mem)
     }
 
     /// Execution-hotness and rule-attribution profile, computed from the
     /// code-cache arena at snapshot time. The dispatch hot path pays
     /// nothing for this beyond the per-block `execs` counter it already
-    /// maintains; purged blocks drop out of the attribution with their
-    /// cleared `hits`.
+    /// maintains.
     pub fn profile(&self) -> ExecProfile {
-        let mut rules: BTreeMap<u64, RuleProfile> = BTreeMap::new();
-        let mut hot: Vec<BlockProfile> = Vec::new();
-        let hist = Hist::new();
-        for b in self.blocks.iter().filter(|b| !b.dead) {
-            hist.record(b.execs);
-            hot.push(BlockProfile {
-                pc: b.pc,
-                execs: b.execs,
-                guest_len: b.guest_len,
-                covered: b.covered,
-            });
-            for &(len, key) in b.hits.iter() {
-                let r = rules.entry(key).or_insert(RuleProfile { key, len, blocks: 0, execs: 0 });
-                r.blocks += 1;
-                r.execs += b.execs;
-            }
-        }
-        hot.sort_by(|a, b| b.execs.cmp(&a.execs).then(a.pc.cmp(&b.pc)));
-        hot.truncate(ExecProfile::HOT_BLOCKS);
-        ExecProfile {
-            rules: rules.into_values().collect(),
-            hot_blocks: hot,
-            hotness: hist.snapshot(),
-        }
+        self.cache.profile()
     }
 
     /// The env slot address of a guest register (for tests/diagnostics).
@@ -2455,149 +1046,5 @@ int main() {
         assert_eq!(e.guest_reg(ArmReg::R0), 0);
         assert!(e.stats.sb_formed() > 0);
         assert!(e.stats.sb_execs() > 0);
-    }
-
-    /// A program whose cold first call translates every exit path, so a
-    /// hot second call forms regions over *stable* links that survive to
-    /// the end of the run.
-    const TWO_PHASE: &str = "
-int work(int n) {
-  int s = 0;
-  for (int i = 0; i < n; i += 1) { s = s + ((i & 3) ^ n); }
-  return s;
-}
-int main() { int a = work(3); int b = work(5000); return (a + b) & 0xffff; }";
-
-    #[test]
-    fn purging_a_member_invalidates_the_region() {
-        let image = build_arm_image(TWO_PHASE, &Options::o2()).unwrap();
-        let mut e =
-            Engine::new(&image, Translator::Tcg).with_chaining(true).with_superblocks(Some(4));
-        assert_eq!(e.run(50_000_000), RunOutcome::Halted);
-        assert!(e.stats.sb_formed() > 0);
-        assert!(e.live_regions() > 0, "stable-link regions survive the run");
-        // Purge a block that is a member of some live region.
-        let (&member, rids) = e.sb_members.iter().next().expect("live regions have members");
-        let rid = rids[0];
-        let head = e.superblocks[rid as usize].head;
-        let invalidated_before = e.stats.sb_invalidated();
-        e.purge_block(member);
-        assert!(e.superblocks[rid as usize].dead, "region died with its member");
-        assert_eq!(e.blocks[head as usize].sb_head, NO_SB, "head redirect removed");
-        assert!(e.stats.sb_invalidated() > invalidated_before);
-        assert!(
-            e.superblocks[rid as usize].parts.is_empty(),
-            "dead region dropped its code clones"
-        );
-    }
-
-    /// A synthetic non-exit block for chaining tests: code that *looks
-    /// like* an exit stub (`mov $imm, %eax; ret` — e.g. a constant-folded
-    /// indirect branch) but declares no patchable exits.
-    fn mov_ret_block(pc: u32, target: u32, exits: Vec<(usize, u32)>) -> CachedBlock {
-        CachedBlock {
-            pc,
-            guest_bytes: 4,
-            csum: 0,
-            code: Rc::new(vec![X86Instr::mov_imm(Gpr::Eax, target as i32), X86Instr::Ret]),
-            guest_len: 1,
-            covered: 0,
-            execs: 0,
-            interp_one: false,
-            hits: Rc::from(Vec::new()),
-            exits,
-            links_out: Vec::new(),
-            links_in: Vec::new(),
-            dead: false,
-            sb_head: NO_SB,
-        }
-    }
-
-    #[test]
-    fn literal_mov_ret_is_not_a_patchable_exit() {
-        // Regression: the engine used to pattern-match any
-        // `mov $imm32, %eax; ret` pair as a chainable direct exit, which
-        // would silently mis-patch a coincidental literal in rule- or
-        // JIT-emitted code into a ChainJmp. Exits are now declared by the
-        // lowerer; an undeclared lookalike must stay a plain `ret`.
-        let image = build_arm_image("int main() { return 0; }", &Options::o2()).unwrap();
-        let mut e = Engine::new(&image, Translator::Tcg).with_chaining(true);
-        let target_pc = image.entry;
-        let tid = e.lookup_or_translate(target_pc);
-        let amb = e.insert_block(mov_ret_block(0x0900_0000, target_pc, Vec::new()));
-        assert!(
-            e.blocks[amb as usize].links_out.is_empty(),
-            "undeclared mov/ret lookalike must not be linked"
-        );
-        assert!(matches!(e.blocks[amb as usize].code[1], X86Instr::Ret));
-        // Control: an identical block that *declares* the exit chains.
-        let decl = e.insert_block(mov_ret_block(0x0a00_0000, target_pc, vec![(1, target_pc)]));
-        assert_eq!(e.blocks[decl as usize].links_out, vec![(1, tid)]);
-        assert!(
-            matches!(e.blocks[decl as usize].code[1], X86Instr::ChainJmp { block } if block == tid)
-        );
-    }
-
-    #[test]
-    fn ibtc_never_dispatches_a_purged_block() {
-        // Regression: translate → purge → re-dispatch at a pc whose IBTC
-        // slot still names the purged entry. The purge scrubs the IBTC,
-        // and — the release-build invariant this test pins — even a stale
-        // slot that survived (the bug used to be a debug_assert only)
-        // must not dispatch a tombstoned block.
-        let image = build_arm_image(LOOPY, &Options::o2()).unwrap();
-        let mut e = Engine::new(&image, Translator::Tcg).with_chaining(true);
-        assert_eq!(e.run(50_000_000), RunOutcome::Halted);
-        let (slot, (pc, id)) = e
-            .ibtc
-            .iter()
-            .copied()
-            .enumerate()
-            .find(|&(_, (_, id))| id != NO_BLOCK)
-            .expect("a hot run leaves IBTC entries");
-        e.purge_block(id);
-        assert_eq!(e.ibtc[slot], (0, NO_BLOCK), "purge scrubs the IBTC by id");
-        // Adversarially resurrect the stale entry, as a missed scrub
-        // would leave it, then re-dispatch at an aliasing pc.
-        e.ibtc[slot] = (pc, id);
-        let fresh = e.lookup_or_translate(pc);
-        assert_ne!(fresh, id, "dead block must not be served from the IBTC");
-        assert!(!e.blocks[fresh as usize].dead);
-        assert_eq!(e.blocks[fresh as usize].pc, pc);
-        assert_eq!(e.ibtc[slot], (pc, fresh), "stale entry replaced on miss");
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        /// IBTC slot aliasing: pcs `IBTC_SIZE*4` apart map to the same
-        /// direct-mapped slot; repeated dispatches of both must round-trip
-        /// to their own blocks without cross-contamination, chained and
-        /// unchained.
-        #[test]
-        fn ibtc_slot_aliasing_round_trips(
-            base in 0u32..1024,
-            k in 1u32..8,
-            chained in proptest::prelude::any::<bool>(),
-        ) {
-            let image = build_arm_image("int main() { return 0; }", &Options::o2()).unwrap();
-            let mut e = Engine::new(&image, Translator::Tcg).with_chaining(chained);
-            let pc_a = 0x0100_0000 + base * 4;
-            let pc_b = pc_a + k * (IBTC_SIZE as u32) * 4;
-            proptest::prop_assert_eq!(
-                ((pc_a >> 2) as usize) & (IBTC_SIZE - 1),
-                ((pc_b >> 2) as usize) & (IBTC_SIZE - 1),
-                "aliasing precondition"
-            );
-            let a1 = e.lookup_or_translate(pc_a);
-            let b1 = e.lookup_or_translate(pc_b);
-            let a2 = e.lookup_or_translate(pc_a);
-            let b2 = e.lookup_or_translate(pc_b);
-            proptest::prop_assert_eq!(a1, a2, "pc_a round-trips");
-            proptest::prop_assert_eq!(b1, b2, "pc_b round-trips");
-            proptest::prop_assert_ne!(a1, b1, "aliasing pcs get distinct blocks");
-            proptest::prop_assert_eq!(e.blocks[a1 as usize].pc, pc_a);
-            proptest::prop_assert_eq!(e.blocks[b1 as usize].pc, pc_b);
-        }
     }
 }

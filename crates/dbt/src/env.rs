@@ -6,14 +6,15 @@
 //! into host registers on demand and writes dirty ones back at block
 //! boundaries.
 //!
-//! The knob parsers (`LDBT_WATCHDOG`, `LDBT_NOCHAIN`, `LDBT_NOSB`,
-//! `LDBT_SB_THRESHOLD`, `LDBT_NORA`, `LDBT_NOFUSE`, `LDBT_REPAIR`) live
-//! here too so every engine default follows one documented convention:
-//! unset / empty / `0` / garbage always resolve to the knob's default,
-//! never to a surprise mode.
+//! The engine's `LDBT_*` knobs live here too, as one table ([`KNOBS`])
+//! with one parser, so every engine default follows one documented
+//! convention: unset / empty / garbage always resolve to the knob's
+//! default, never to a surprise mode.
 
-use ldbt_arm::ArmReg;
-use ldbt_x86::X86Mem;
+use crate::api::{RunOutcome, TrapKind};
+use ldbt_arm::{ArmEvent, ArmInstr, ArmReg, ArmState, Flags};
+use ldbt_isa::{Memory, Width};
+use ldbt_x86::{EFlags, X86Mem};
 use std::sync::OnceLock;
 
 /// Base address of the env block.
@@ -98,158 +99,193 @@ pub fn flag_mem(f: FlagId) -> X86Mem {
     env_mem(f.offset())
 }
 
+/// Read the guest register file and condition flags out of the env in
+/// `mem` into an interpreter state that takes ownership of the memory.
+/// With a §5 lazy flag save pending (flag-mode bit 0) the NZCV slots are
+/// stale and the live flags sit in the saved host EFLAGS word:
+/// materialize them the way the flag-mode dispatch stub does (N↔SF, Z↔ZF,
+/// V↔OF; mode bit 1 selects the carry polarity).
+pub(crate) fn load_guest(mem: Memory) -> ArmState {
+    let word = |offset: u32| mem.read(ENV_BASE + offset, Width::W32);
+    let regs = ArmReg::ALL.map(|r| word(reg_offset(r)));
+    let flagmode = word(FLAGMODE_OFFSET);
+    let flags = if flagmode & 1 != 0 {
+        let f = EFlags::from_word(word(HOSTFLAGS_OFFSET));
+        Flags { n: f.sf, z: f.zf, c: if flagmode & 2 != 0 { f.cf } else { !f.cf }, v: f.of }
+    } else {
+        let slot = |f: FlagId| word(f.offset()) != 0;
+        Flags { n: slot(FlagId::N), z: slot(FlagId::Z), c: slot(FlagId::C), v: slot(FlagId::V) }
+    };
+    ArmState { regs, flags, trap_limit: Some(GUEST_MEM_LIMIT), mem }
+}
+
+/// Write an interpreter state's registers — and, with `flags`, its
+/// condition flags into the NZCV slots, which become authoritative (flag
+/// mode 0) — back into the env, and hand the memory back.
+pub(crate) fn store_guest(arm: &mut ArmState, flags: bool) -> Memory {
+    for r in ArmReg::ALL {
+        arm.mem.write(ENV_BASE + reg_offset(r), arm.regs[r.index()], Width::W32);
+    }
+    if flags {
+        let f = arm.flags;
+        for (id, on) in [(FlagId::N, f.n), (FlagId::Z, f.z), (FlagId::C, f.c), (FlagId::V, f.v)] {
+            arm.mem.write(ENV_BASE + id.offset(), on as u32, Width::W32);
+        }
+        arm.mem.write(ENV_BASE + FLAGMODE_OFFSET, 0, Width::W32);
+    }
+    std::mem::take(&mut arm.mem)
+}
+
+/// Execute one guest instruction, located at `pc`, on the interpreter:
+/// the pc execution continues at and whether control transferred there,
+/// or how the instruction ended the run. A trap reports the pc of the
+/// trapping instruction — the interpreter's contract; an out-of-range
+/// access is checked before it happens, so the faulting instruction had
+/// no side effect and the registers are still the pre-instruction ones.
+pub(crate) fn step_guest(
+    arm: &mut ArmState,
+    instr: &ArmInstr,
+    pc: u32,
+) -> Result<(u32, bool), RunOutcome> {
+    let next = pc.wrapping_add(4);
+    let target = |off: i32| next.wrapping_add((off as u32).wrapping_mul(4));
+    match arm.exec(instr) {
+        ArmEvent::Next => Ok((next, false)),
+        ArmEvent::Branch(off) => Ok((target(off), true)),
+        ArmEvent::Call(off) => {
+            arm.set_reg(ArmReg::Lr, next);
+            Ok((target(off), true))
+        }
+        ArmEvent::Indirect(a) => Ok((a, true)),
+        ArmEvent::Syscall(0) => Err(RunOutcome::Halted),
+        ArmEvent::Syscall(n) => Err(RunOutcome::Trap { pc, cause: TrapKind::Svc(n) }),
+        ArmEvent::Trap(a) => Err(RunOutcome::Trap { pc, cause: TrapKind::Mem(a) }),
+    }
+}
+
 /// Default superblock formation threshold: a chain head must be
 /// dispatched this many times before the engine forms a region from it.
 pub const SB_THRESHOLD_DEFAULT: u64 = 64;
+/// Default tenant count for serve-mode drivers (`LDBT_TENANTS`).
+pub const TENANTS_DEFAULT: usize = 2;
 
-/// Parse table for `LDBT_WATCHDOG` (the sampling period of the
-/// differential cross-check):
+/// How a knob's raw environment value resolves to a number. Values are
+/// trimmed first; every kind sends unset and `""` to the knob's default,
+/// never to a surprise mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KnobKind {
+    /// Kill switch spelled negatively (`LDBT_NO*`): unset, `""`, `0` and
+    /// `off` keep the feature **on** (1); any other value, garbage
+    /// included, turns it off (0) — an unrecognized value fails toward
+    /// the measurement mode the user was reaching for.
+    Disabler,
+    /// Default-on switch spelled positively: only an explicit `0`/`off`
+    /// turns it off (0); garbage keeps the default (1).
+    Enabler,
+    /// Sampling period: `on` is 1, an integer N > 0 is N; unset, `""`,
+    /// `0`, `off` and garbage disable (0) — garbage is not a period.
+    Period,
+    /// Positive integer; unset, `""`, `0`, garbage and overflow all
+    /// resolve to the default.
+    Count,
+}
+
+/// Every engine knob as `(variable, kind, default)`, in [`EngineEnv`]
+/// field order:
 ///
-/// | value                 | behavior                                  |
-/// |-----------------------|-------------------------------------------|
-/// | unset / `""` / `0` / `off` | watchdog disabled                    |
-/// | `on` / `1`            | check every rule-covered dispatch         |
-/// | `N` (integer > 0)     | check every Nth rule-covered dispatch     |
-/// | anything else         | watchdog disabled (garbage is not a period) |
-pub fn parse_watchdog(raw: Option<&str>) -> Option<u64> {
-    match raw.map(str::trim) {
-        None | Some("" | "0" | "off") => None,
-        Some("on") => Some(1),
-        Some(s) => s.parse::<u64>().ok().filter(|n| *n > 0),
+/// | variable            | effect                                           |
+/// |---------------------|--------------------------------------------------|
+/// | `LDBT_WATCHDOG`     | differential cross-check every Nth rule-covered dispatch (default off) |
+/// | `LDBT_NOCHAIN`      | block-chaining kill switch for A/B measurement   |
+/// | `LDBT_NOSB`         | superblock-formation kill switch                 |
+/// | `LDBT_SB_THRESHOLD` | dispatches of a chain head before a region forms |
+/// | `LDBT_NORA`         | region register-allocation kill switch (superblocks still form, env accesses stay through home slots) |
+/// | `LDBT_NOFUSE`       | guest memory-access fusion kill switch (superblocks still form, every guest memory access stays explicit) |
+/// | `LDBT_NOSMC`        | self-modifying-code protection kill switch (guest stores into translated code go unnoticed until the next engine reset, which checksum-revalidates the cache) |
+/// | `LDBT_REPAIR`       | counterexample-guided rule repair, default **on** — repair only runs after a watchdog mismatch, so a clean run pays nothing for it; off, a mismatch quarantines |
+/// | `LDBT_TENANTS`      | tenant count of serve-mode drivers such as `serve_throughput` |
+pub(crate) const KNOBS: [(&str, KnobKind, u64); 9] = [
+    ("LDBT_WATCHDOG", KnobKind::Period, 0),
+    ("LDBT_NOCHAIN", KnobKind::Disabler, 1),
+    ("LDBT_NOSB", KnobKind::Disabler, 1),
+    ("LDBT_SB_THRESHOLD", KnobKind::Count, SB_THRESHOLD_DEFAULT),
+    ("LDBT_NORA", KnobKind::Disabler, 1),
+    ("LDBT_NOFUSE", KnobKind::Disabler, 1),
+    ("LDBT_NOSMC", KnobKind::Disabler, 1),
+    ("LDBT_REPAIR", KnobKind::Enabler, 1),
+    ("LDBT_TENANTS", KnobKind::Count, TENANTS_DEFAULT as u64),
+];
+
+/// Resolve one knob from its raw environment value.
+pub(crate) fn parse(kind: KnobKind, default: u64, raw: Option<&str>) -> u64 {
+    let Some(s) = raw.map(str::trim).filter(|s| !s.is_empty()) else { return default };
+    let positive = s.parse::<u64>().ok().filter(|n| *n > 0);
+    match kind {
+        KnobKind::Disabler => matches!(s, "0" | "off") as u64,
+        KnobKind::Enabler => !matches!(s, "0" | "off") as u64,
+        KnobKind::Period if s == "on" => 1,
+        KnobKind::Period => positive.unwrap_or(0),
+        KnobKind::Count => positive.unwrap_or(default),
     }
+}
+
+/// The resolved engine knobs; [`KNOBS`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EngineEnv {
+    /// Watchdog sampling period, `None` when disabled.
+    pub(crate) watchdog: Option<u64>,
+    pub(crate) chaining: bool,
+    /// Superblock formation threshold (`LDBT_SB_THRESHOLD`), `None`
+    /// when superblocks are disabled (`LDBT_NOSB`).
+    pub(crate) superblocks: Option<u64>,
+    pub(crate) region_alloc: bool,
+    pub(crate) fusion: bool,
+    pub(crate) smc: bool,
+    pub(crate) repair: bool,
+    pub(crate) tenants: usize,
+}
+
+impl EngineEnv {
+    /// Resolve every knob through `raw` (variable name → raw value).
+    pub(crate) fn resolve(raw: impl Fn(&str) -> Option<String>) -> EngineEnv {
+        let v = KNOBS.map(|(var, kind, default)| parse(kind, default, raw(var).as_deref()));
+        EngineEnv {
+            watchdog: (v[0] > 0).then_some(v[0]),
+            chaining: v[1] != 0,
+            superblocks: (v[2] != 0).then_some(v[3]),
+            region_alloc: v[4] != 0,
+            fusion: v[5] != 0,
+            smc: v[6] != 0,
+            repair: v[7] != 0,
+            tenants: v[8] as usize,
+        }
+    }
+}
+
+/// The process environment's knobs, read once.
+pub(crate) fn engine_env() -> &'static EngineEnv {
+    static ENV: OnceLock<EngineEnv> = OnceLock::new();
+    ENV.get_or_init(|| EngineEnv::resolve(|var| std::env::var(var).ok()))
 }
 
 /// Cached `LDBT_WATCHDOG` parse.
 pub fn watchdog_from_env() -> Option<u64> {
-    static WATCHDOG: OnceLock<Option<u64>> = OnceLock::new();
-    *WATCHDOG.get_or_init(|| parse_watchdog(std::env::var("LDBT_WATCHDOG").ok().as_deref()))
-}
-
-/// Parse table for `LDBT_NOCHAIN` (block-chaining kill switch for A/B
-/// measurement): unset, `""`, `0`, and `off` keep chaining **on**; any
-/// other value (including garbage) turns it off — the knob is a
-/// disabler, so an unrecognized value fails toward the measurement mode
-/// the user was reaching for.
-pub fn parse_chaining(raw: Option<&str>) -> bool {
-    matches!(raw.map(str::trim), None | Some("" | "0" | "off"))
-}
-
-/// Cached `LDBT_NOCHAIN` parse.
-pub fn chaining_from_env() -> bool {
-    static NOCHAIN: OnceLock<bool> = OnceLock::new();
-    *NOCHAIN.get_or_init(|| parse_chaining(std::env::var("LDBT_NOCHAIN").ok().as_deref()))
-}
-
-/// Parse table for `LDBT_NOSB` (superblock-formation kill switch): the
-/// same disabler convention as `LDBT_NOCHAIN` — unset, `""`, `0`, and
-/// `off` keep superblocks **on**; anything else turns them off.
-pub fn parse_superblocks(raw: Option<&str>) -> bool {
-    matches!(raw.map(str::trim), None | Some("" | "0" | "off"))
-}
-
-/// Parse table for `LDBT_NORA` (region register-allocation kill switch):
-/// the same disabler convention as `LDBT_NOSB` — unset, `""`, `0`, and
-/// `off` keep region register allocation **on**; anything else turns it
-/// off (superblocks still form, env accesses stay through home slots).
-pub fn parse_region_alloc(raw: Option<&str>) -> bool {
-    matches!(raw.map(str::trim), None | Some("" | "0" | "off"))
-}
-
-/// Cached `LDBT_NORA` parse.
-pub fn region_alloc_from_env() -> bool {
-    static NORA: OnceLock<bool> = OnceLock::new();
-    *NORA.get_or_init(|| parse_region_alloc(std::env::var("LDBT_NORA").ok().as_deref()))
-}
-
-/// Parse table for `LDBT_NOFUSE` (guest memory-access fusion kill
-/// switch): the same disabler convention as `LDBT_NOSB` — unset, `""`,
-/// `0`, and `off` keep fusion **on**; anything else turns it off
-/// (superblocks still form, every guest memory access stays explicit).
-pub fn parse_fusion(raw: Option<&str>) -> bool {
-    matches!(raw.map(str::trim), None | Some("" | "0" | "off"))
-}
-
-/// Cached `LDBT_NOFUSE` parse.
-pub fn fusion_from_env() -> bool {
-    static NOFUSE: OnceLock<bool> = OnceLock::new();
-    *NOFUSE.get_or_init(|| parse_fusion(std::env::var("LDBT_NOFUSE").ok().as_deref()))
-}
-
-/// Parse table for `LDBT_NOSMC` (self-modifying-code protection kill
-/// switch): the same disabler convention as `LDBT_NOCHAIN` — unset,
-/// `""`, `0`, and `off` keep SMC protection **on**; anything else turns
-/// it off (guest stores into translated code go unnoticed until the
-/// next engine reset, which checksum-revalidates the cache).
-pub fn parse_smc(raw: Option<&str>) -> bool {
-    matches!(raw.map(str::trim), None | Some("" | "0" | "off"))
-}
-
-/// Cached `LDBT_NOSMC` parse.
-pub fn smc_from_env() -> bool {
-    static NOSMC: OnceLock<bool> = OnceLock::new();
-    *NOSMC.get_or_init(|| parse_smc(std::env::var("LDBT_NOSMC").ok().as_deref()))
-}
-
-/// Parse table for `LDBT_SB_THRESHOLD` (superblock formation hotness
-/// threshold): a positive integer overrides the default; unset, `""`,
-/// `0`, and garbage all resolve to [`SB_THRESHOLD_DEFAULT`].
-pub fn parse_sb_threshold(raw: Option<&str>) -> u64 {
-    raw.map(str::trim)
-        .and_then(|s| s.parse::<u64>().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(SB_THRESHOLD_DEFAULT)
-}
-
-/// Parse table for `LDBT_REPAIR` (counterexample-guided rule repair,
-/// default **on** — repair only runs after a watchdog mismatch, so a
-/// clean run pays nothing for it):
-///
-/// | value                  | behavior                                 |
-/// |------------------------|------------------------------------------|
-/// | unset / anything else  | repair enabled (the default)             |
-/// | `0` / `off`            | repair disabled — mismatch quarantines   |
-///
-/// The knob is a disabler like `LDBT_NOCHAIN`, but spelled positively:
-/// only an explicit `0`/`off` turns the repair loop off; garbage keeps
-/// the default.
-pub fn parse_repair(raw: Option<&str>) -> bool {
-    !matches!(raw.map(str::trim), Some("0" | "off"))
+    engine_env().watchdog
 }
 
 /// Cached `LDBT_REPAIR` parse.
 pub fn repair_from_env() -> bool {
-    static REPAIR: OnceLock<bool> = OnceLock::new();
-    *REPAIR.get_or_init(|| parse_repair(std::env::var("LDBT_REPAIR").ok().as_deref()))
+    engine_env().repair
 }
 
-/// Default tenant count for serve-mode drivers (`LDBT_TENANTS`).
-pub const TENANTS_DEFAULT: usize = 2;
-
-/// Parse table for `LDBT_TENANTS` (tenant count of serve-mode drivers
-/// such as the `serve_throughput` benchmark): a positive integer
-/// overrides the default; unset, `""`, `0`, and garbage all resolve to
-/// [`TENANTS_DEFAULT`].
-pub fn parse_tenants(raw: Option<&str>) -> usize {
-    raw.map(str::trim)
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(TENANTS_DEFAULT)
+/// Cached `LDBT_NOSMC` parse.
+pub fn smc_from_env() -> bool {
+    engine_env().smc
 }
 
 /// Cached `LDBT_TENANTS` parse.
 pub fn tenants_from_env() -> usize {
-    static TENANTS: OnceLock<usize> = OnceLock::new();
-    *TENANTS.get_or_init(|| parse_tenants(std::env::var("LDBT_TENANTS").ok().as_deref()))
-}
-
-/// Cached combined `LDBT_NOSB` / `LDBT_SB_THRESHOLD` parse: `None` when
-/// superblocks are disabled, `Some(threshold)` otherwise.
-pub fn superblocks_from_env() -> Option<u64> {
-    static SB: OnceLock<Option<u64>> = OnceLock::new();
-    *SB.get_or_init(|| {
-        parse_superblocks(std::env::var("LDBT_NOSB").ok().as_deref())
-            .then(|| parse_sb_threshold(std::env::var("LDBT_SB_THRESHOLD").ok().as_deref()))
-    })
+    engine_env().tenants
 }
 
 #[cfg(test)]
@@ -296,110 +332,76 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_parse_table() {
-        assert_eq!(parse_watchdog(None), None, "unset disables");
-        for v in ["", "0", "off", "garbage", "-3", "3x", " off ", "on1"] {
-            assert_eq!(parse_watchdog(Some(v)), None, "{v:?} disables");
-        }
-        assert_eq!(parse_watchdog(Some("on")), Some(1));
-        assert_eq!(parse_watchdog(Some("1")), Some(1));
-        assert_eq!(parse_watchdog(Some(" 250 ")), Some(250));
-    }
-
-    #[test]
-    fn chaining_parse_table() {
-        assert!(parse_chaining(None), "unset keeps chaining on");
-        for v in ["", "0", "off", " 0 "] {
-            assert!(parse_chaining(Some(v)), "{v:?} keeps chaining on");
-        }
-        for v in ["1", "on", "garbage"] {
-            assert!(!parse_chaining(Some(v)), "{v:?} disables chaining");
-        }
-    }
-
-    #[test]
-    fn superblock_parse_table() {
-        assert!(parse_superblocks(None), "unset keeps superblocks on");
-        for v in ["", "0", "off", " 0 "] {
-            assert!(parse_superblocks(Some(v)), "{v:?} keeps superblocks on");
-        }
-        for v in ["1", "on", "garbage"] {
-            assert!(!parse_superblocks(Some(v)), "{v:?} disables superblocks");
-        }
-    }
-
-    #[test]
-    fn region_alloc_parse_table() {
-        assert!(parse_region_alloc(None), "unset keeps region allocation on");
-        for v in ["", "0", "off", " 0 ", " off "] {
-            assert!(parse_region_alloc(Some(v)), "{v:?} keeps region allocation on");
-        }
-        for v in ["1", "on", "garbage", "ON", "no"] {
-            assert!(!parse_region_alloc(Some(v)), "{v:?} disables region allocation");
-        }
-    }
-
-    #[test]
-    fn fusion_parse_table() {
-        assert!(parse_fusion(None), "unset keeps fusion on");
-        for v in ["", "0", "off", " 0 ", " off "] {
-            assert!(parse_fusion(Some(v)), "{v:?} keeps fusion on");
-        }
-        for v in ["1", "on", "garbage", "ON", "no"] {
-            assert!(!parse_fusion(Some(v)), "{v:?} disables fusion");
+    fn knob_parse_table() {
+        const D: u64 = SB_THRESHOLD_DEFAULT;
+        const T: u64 = TENANTS_DEFAULT as u64;
+        let max = u64::MAX.to_string();
+        // (variable, raw values, resolved value)
+        let rows: &[(&str, &[&str], u64)] = &[
+            // Period: garbage is not a period.
+            ("LDBT_WATCHDOG", &["", "0", "off", "garbage", "-3", "3x", " off ", "on1"], 0),
+            ("LDBT_WATCHDOG", &["on", "1"], 1),
+            ("LDBT_WATCHDOG", &[" 250 "], 250),
+            // Disablers: 1 = the feature stays on.
+            ("LDBT_NOCHAIN", &["", "0", "off", " 0 "], 1),
+            ("LDBT_NOCHAIN", &["1", "on", "garbage"], 0),
+            ("LDBT_NOSB", &["", "0", "off", " 0 "], 1),
+            ("LDBT_NOSB", &["1", "on", "garbage"], 0),
+            ("LDBT_NORA", &["", "0", "off", " 0 ", " off "], 1),
+            ("LDBT_NORA", &["1", "on", "garbage", "ON", "no"], 0),
+            ("LDBT_NOFUSE", &["", "0", "off", " 0 ", " off "], 1),
+            ("LDBT_NOFUSE", &["1", "on", "garbage", "ON", "no"], 0),
+            ("LDBT_NOSMC", &["", "0", "off", " 0 ", " off "], 1),
+            ("LDBT_NOSMC", &["1", "on", "garbage", "ON", "no"], 0),
+            // Enabler: only an explicit 0/off disables.
+            ("LDBT_REPAIR", &["", "1", "on", "garbage", " on "], 1),
+            ("LDBT_REPAIR", &["0", "off", " off ", " 0 "], 0),
+            // Counts. An explicit 0 resolves to the default — a raw
+            // threshold of 0 would make the engine's `is_multiple_of(0)`
+            // trigger never fire (no first-execution region, no division)
+            // — the max value parses verbatim, and one past it is
+            // garbage, not a wrap.
+            ("LDBT_TENANTS", &["", "0", "off", "garbage", "-2", "2x", " 0 "], T),
+            ("LDBT_TENANTS", &["1"], 1),
+            ("LDBT_TENANTS", &[" 8 "], 8),
+            ("LDBT_SB_THRESHOLD", &["", "0", "off", "garbage", "-8", "8x", " 0 "], D),
+            ("LDBT_SB_THRESHOLD", &["18446744073709551616"], D),
+            ("LDBT_SB_THRESHOLD", &["1"], 1),
+            ("LDBT_SB_THRESHOLD", &[" 128 "], 128),
+            ("LDBT_SB_THRESHOLD", &[&max], u64::MAX),
+        ];
+        for &(var, raws, want) in rows {
+            let &(_, kind, default) = KNOBS.iter().find(|k| k.0 == var).expect("row names a knob");
+            assert_eq!(parse(kind, default, None), default, "{var} unset takes the default");
+            for raw in raws {
+                assert_eq!(parse(kind, default, Some(raw)), want, "{var}={raw:?}");
+            }
         }
     }
 
     #[test]
-    fn smc_parse_table() {
-        assert!(parse_smc(None), "unset keeps SMC protection on");
-        for v in ["", "0", "off", " 0 ", " off "] {
-            assert!(parse_smc(Some(v)), "{v:?} keeps SMC protection on");
+    fn engine_env_resolves_each_variable_into_its_own_field() {
+        let unset = EngineEnv::resolve(|_| None);
+        assert_eq!(unset.superblocks, Some(SB_THRESHOLD_DEFAULT));
+        assert_eq!((unset.watchdog, unset.tenants), (None, TENANTS_DEFAULT));
+        let switches = |e: &EngineEnv| [e.chaining, e.region_alloc, e.fusion, e.smc, e.repair];
+        assert_eq!(switches(&unset), [true; 5]);
+        // Setting one variable moves exactly its field.
+        for (i, (var, _, _)) in KNOBS.iter().enumerate() {
+            let raw = if *var == "LDBT_REPAIR" { "off" } else { "7" };
+            let set = EngineEnv::resolve(|v| (v == *var).then(|| raw.to_string()));
+            let want = match i {
+                0 => EngineEnv { watchdog: Some(7), ..unset },
+                1 => EngineEnv { chaining: false, ..unset },
+                2 => EngineEnv { superblocks: None, ..unset },
+                3 => EngineEnv { superblocks: Some(7), ..unset },
+                4 => EngineEnv { region_alloc: false, ..unset },
+                5 => EngineEnv { fusion: false, ..unset },
+                6 => EngineEnv { smc: false, ..unset },
+                7 => EngineEnv { repair: false, ..unset },
+                _ => EngineEnv { tenants: 7, ..unset },
+            };
+            assert_eq!(set, want, "{var}");
         }
-        for v in ["1", "on", "garbage", "ON", "no"] {
-            assert!(!parse_smc(Some(v)), "{v:?} disables SMC protection");
-        }
-    }
-
-    #[test]
-    fn repair_parse_table() {
-        assert!(parse_repair(None), "unset keeps repair on");
-        for v in ["", "1", "on", "garbage", " on "] {
-            assert!(parse_repair(Some(v)), "{v:?} keeps repair on");
-        }
-        for v in ["0", "off", " off ", " 0 "] {
-            assert!(!parse_repair(Some(v)), "{v:?} disables repair");
-        }
-    }
-
-    #[test]
-    fn tenants_parse_table() {
-        assert_eq!(parse_tenants(None), TENANTS_DEFAULT, "unset takes the default");
-        for v in ["", "0", "off", "garbage", "-2", "2x", " 0 "] {
-            assert_eq!(parse_tenants(Some(v)), TENANTS_DEFAULT, "{v:?} takes default");
-        }
-        assert_eq!(parse_tenants(Some("1")), 1);
-        assert_eq!(parse_tenants(Some(" 8 ")), 8);
-    }
-
-    #[test]
-    fn sb_threshold_parse_table() {
-        assert_eq!(parse_sb_threshold(None), SB_THRESHOLD_DEFAULT, "unset takes the default");
-        for v in ["", "0", "off", "garbage", "-8", "8x", " 0 "] {
-            assert_eq!(parse_sb_threshold(Some(v)), SB_THRESHOLD_DEFAULT, "{v:?} takes default");
-        }
-        assert_eq!(parse_sb_threshold(Some("1")), 1);
-        assert_eq!(parse_sb_threshold(Some(" 128 ")), 128);
-        // Edge cases: an explicit 0 resolves to the default — a raw
-        // threshold of 0 would make the engine's `is_multiple_of(0)`
-        // trigger never fire (no first-execution region, no division) —
-        // and the max value parses verbatim; one past it is garbage.
-        assert_eq!(parse_sb_threshold(Some("0")), SB_THRESHOLD_DEFAULT, "0 is the default");
-        assert_eq!(parse_sb_threshold(Some(&u64::MAX.to_string())), u64::MAX);
-        assert_eq!(
-            parse_sb_threshold(Some("18446744073709551616")),
-            SB_THRESHOLD_DEFAULT,
-            "overflow is garbage, not a wrap"
-        );
     }
 }

@@ -15,14 +15,32 @@
 //!   cleaned up (value numbering, dead get/put removal) before lowering,
 //!   at a much higher modeled translation cost.
 //!
-//! The [`engine`] owns the code cache and the dispatcher (QEMU
+//! The [`engine`] is the executor: it owns the dispatcher (QEMU
 //! convention: a translated block returns the next guest PC in `%eax`)
 //! and runs translated code on the `ldbt-x86` interpreter, accumulating
-//! the cycle-model statistics every experiment consumes.
+//! the cycle-model statistics every experiment consumes. Translations
+//! live in the code cache (`cache`: one `insert`, one `invalidate`); the
+//! watchdog, attribution and repair live in the guardian (`guardian`).
 
+/// Emit one exec-scope trace event, `tracing`-style:
+/// `exec_event!("purge", pc = pc, id = id)`. Dropped, like any
+/// `trace::emit`, when exec tracing is off.
+macro_rules! exec_event {
+    ($name:literal $(, $key:ident = $val:expr)* $(,)?) => {
+        ldbt_obs::trace::emit(
+            ldbt_obs::trace::Scope::Exec,
+            $name,
+            &[$((stringify!($key), ldbt_obs::trace::Val::from($val))),*],
+        )
+    };
+}
+
+mod api;
 pub mod backend;
+mod cache;
 pub mod engine;
 pub mod env;
+mod guardian;
 pub mod jit;
 pub mod rules;
 pub mod sb;

@@ -28,9 +28,9 @@
 //! `run_seq` calls, so a straightened region keeps them hot through
 //! every seam.
 //!
-//! The engine (see `engine.rs`) owns formation triggers, region
-//! dispatch, the two-way link bookkeeping, and invalidation; this module
-//! is the pure code-transformation layer.
+//! The engine (see `engine.rs`) owns formation triggers and region
+//! dispatch, the code cache (`cache.rs`) the two-way link bookkeeping and
+//! invalidation; this module is the pure code-transformation layer.
 
 use crate::env::{ENV_BASE, FLAGMODE_OFFSET};
 use ldbt_isa::{CostModel, Width};

@@ -14,6 +14,7 @@
 //! not (see the trait probes in this module's tests).
 
 use ldbt_learn::RuleSet;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -70,6 +71,68 @@ impl RuleCell {
         let gen = self.gen.load(Ordering::Acquire) + 1;
         self.gen.store(gen, Ordering::Release);
         (next, gen, out)
+    }
+}
+
+/// One engine's cached view of a [`RuleCell`]: the `Arc` here is the
+/// engine's *cached* snapshot of the generation it translates with,
+/// compared against the cell's counter at every dispatcher entry. A solo
+/// engine owns a private cell, serve-mode tenants share one, so the
+/// mutation paths (fault install, quarantine, repair) are identical.
+pub(crate) struct RuleHandle {
+    pub(crate) rules: Arc<RuleSet>,
+    /// The §5 lazy host-flag save is enabled (`Translator::Rules`).
+    pub(crate) lazy_flags: bool,
+    pub(crate) cell: Arc<RuleCell>,
+    pub(crate) gen: u64,
+}
+
+impl RuleHandle {
+    /// A handle on a private cell holding `rules` as generation 0.
+    pub(crate) fn new(rules: Arc<RuleSet>, lazy_flags: bool) -> RuleHandle {
+        let cell = Arc::new(RuleCell::from_arc(Arc::clone(&rules)));
+        RuleHandle { rules, lazy_flags, cell, gen: 0 }
+    }
+
+    /// Publish a rule-set mutation as a new shared generation and adopt
+    /// it immediately (this engine caused the change, so its cached
+    /// snapshot moves with it; other tenants adopt at their next
+    /// dispatcher entry).
+    pub(crate) fn publish<R>(&mut self, f: impl FnOnce(&mut RuleSet) -> R) -> R {
+        let (rules, gen, out) = self.cell.publish_with(f);
+        (self.rules, self.gen) = (rules, gen);
+        out
+    }
+
+    /// Dispatcher-entry generation poll: if another tenant published a
+    /// newer generation, swap the cached snapshot and report which of
+    /// `live_keys` (the rule keys applied in live translations) went
+    /// stale — the rule was tombstoned, replaced with different host
+    /// code, or removed — as `(previous generation, stale keys)`.
+    /// Translations applying only unchanged rules keep running: the
+    /// generations are behaviorally identical for them. One atomic load
+    /// on the no-change path — readers never lock.
+    #[inline]
+    pub(crate) fn adopt(
+        &mut self,
+        live_keys: impl Iterator<Item = u64>,
+    ) -> Option<(u64, HashSet<u64>)> {
+        if self.cell.generation() == self.gen {
+            return None;
+        }
+        let (new, gen) = self.cell.load();
+        let old = std::mem::replace(&mut self.rules, new);
+        let old_gen = std::mem::replace(&mut self.gen, gen);
+        let mut seen: HashSet<u64> = HashSet::new();
+        let stale = |key: &u64| {
+            self.rules.is_tombstoned(*key)
+                || match (old.find_by_key(*key), self.rules.find_by_key(*key)) {
+                    (Some(a), Some(b)) => a != b,
+                    (Some(_), None) => true,
+                    (None, _) => false,
+                }
+        };
+        Some((old_gen, live_keys.filter(|&key| seen.insert(key)).filter(stale).collect()))
     }
 }
 

@@ -201,6 +201,13 @@ impl Memory {
         }
     }
 
+    /// Whether every page overlapped by `[addr, addr + len)` is marked
+    /// (the code cache's invariant checker reads marks back through this).
+    pub fn code_marked(&self, addr: u32, len: u32) -> bool {
+        let last = addr.wrapping_add(len.saturating_sub(1)) >> PAGE_SHIFT;
+        len == 0 || ((addr >> PAGE_SHIFT)..=last).all(|p| self.page_marked(p))
+    }
+
     /// Whether any page is marked as containing translated code.
     pub fn has_code_marks(&self) -> bool {
         self.code_bitmap.iter().any(|w| *w != 0)

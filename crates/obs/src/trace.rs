@@ -89,6 +89,25 @@ pub enum Val<'a> {
     B(bool),
 }
 
+/// Lossless conversions into a field value, so event sites can pass ids,
+/// pcs, counts and flags as they are.
+macro_rules! val_from {
+    ($($ty:ty => $variant:ident),*) => {$(
+        impl From<$ty> for Val<'_> {
+            fn from(v: $ty) -> Self {
+                Val::$variant(v as _)
+            }
+        }
+    )*};
+}
+val_from!(u32 => U, u64 => U, usize => U, bool => B);
+
+impl<'a> From<&'a str> for Val<'a> {
+    fn from(s: &'a str) -> Self {
+        Val::S(s)
+    }
+}
+
 /// Render one NDJSON line (no trailing newline). Pure, unit-testable.
 pub fn render_event(ts_us: u64, scope: Scope, ev: &str, fields: &[(&str, Val)]) -> String {
     let mut out = String::with_capacity(64 + 16 * fields.len());

@@ -409,6 +409,137 @@ int main() {
     assert!(e.stats.guest_dyn_covered() > 0, "the repaired rule keeps applying");
 }
 
+/// One table, five reasons: every way a translation can be invalidated —
+/// quarantine, repair, adoption of a foreign rule generation, a guest
+/// store into translated code, reset-time revalidation — is driven on a
+/// chained, region-forming rules engine, and must leave the same
+/// postconditions: the cache invariants hold (`check_cache`; debug builds
+/// also assert them at the instant of every invalidation), the guest
+/// result is the ARM interpreter's, the victims are dead, and the blocks
+/// that were not touched keep their links.
+#[test]
+fn every_invalidation_reason_leaves_a_consistent_cache() {
+    use ldbt_arm::{encode, ArmMachine, ArmStop};
+    use ldbt_compiler::ArmImage;
+    use ldbt_dbt::RuleCell;
+
+    fn interpret(image: &ArmImage) -> u32 {
+        let mut m = ArmMachine::new();
+        image.load_into(&mut m.state.mem);
+        m.state.regs[15] = image.entry;
+        assert_eq!(m.run(50_000_000), ArmStop::Halt);
+        m.state.reg(ArmReg::R0)
+    }
+    // Same guest structure as the superblock eviction tests above: the
+    // reset at `i == 1500` makes the tail comparable although the lazy
+    // watchdog lets a few corrupted iterations through before the catch.
+    let src = "
+int main() {
+  int s = 0;
+  for (int i = 0; i < 2000; i += 1) {
+    s = s + i;
+    s = s ^ 3;
+    if (i == 1500) { s = 7; }
+  }
+  return s & 0xffff;
+}";
+    let image = build_arm_image(src, &Options::o2()).unwrap();
+    let rule = learn_one(
+        vec![ArmInstr::dp(DpOp::Eor, ArmReg::R0, ArmReg::R0, Operand2::Imm(3))],
+        vec![X86Instr::alu_ri(AluOp::Xor, Gpr::Ecx, 3)],
+    )
+    .expect("the eor/xor rule verifies");
+    let mut rules = RuleSet::new();
+    rules.insert(rule);
+    let rules = Arc::new(rules);
+    let engine = |image: &ArmImage, fault: Option<&str>, watchdog: Option<u64>| {
+        Engine::new(image, Translator::Rules(Arc::clone(&rules)))
+            .with_chaining(true)
+            .with_superblocks(Some(8))
+            .with_smc(true)
+            .with_watchdog(watchdog)
+            .with_fault(fault.and_then(FaultPlan::parse))
+    };
+
+    for reason in ["quarantine", "repair", "adoption", "smc", "reset"] {
+        let (e, want) = match reason {
+            "quarantine" => {
+                let mut e = engine(&image, Some("rule-corrupt:0"), Some(50)).with_repair(false);
+                assert_eq!(e.run(10_000_000), RunOutcome::Halted);
+                assert_eq!(e.stats.quarantined_rules(), 1, "{reason}");
+                (e, interpret(&image))
+            }
+            "repair" => {
+                let mut e = engine(&image, Some("imm-skew:0"), Some(50)).with_repair(true);
+                assert_eq!(e.run(10_000_000), RunOutcome::Halted);
+                assert_eq!(
+                    (e.stats.wd_repaired(), e.stats.quarantined_rules()),
+                    (1, 0),
+                    "{reason}"
+                );
+                (e, interpret(&image))
+            }
+            "adoption" => {
+                // A tenant pauses mid-loop with blocks, links and a region
+                // built on the shared generation; a second tenant then
+                // quarantines the rule, and the first adopts the tombstone
+                // at its next dispatcher entry.
+                let cell = Arc::new(RuleCell::from_arc(Arc::clone(&rules)));
+                let mut e = engine(&image, None, None).with_rule_cell(Arc::clone(&cell));
+                assert_eq!(e.run(5_000), RunOutcome::OutOfFuel);
+                assert!(e.live_regions() > 0 && e.stats.guest_dyn_covered() > 0, "{reason}");
+                let mut other = engine(&image, Some("rule-corrupt:0"), Some(1))
+                    .with_repair(false)
+                    .with_rule_cell(Arc::clone(&cell));
+                assert_eq!(other.run(10_000_000), RunOutcome::Halted);
+                assert!(cell.generation() > e.rules_generation(), "{reason}: a tombstone went out");
+                assert_eq!(e.run(10_000_000), RunOutcome::Halted);
+                assert_eq!(e.rules_generation(), cell.generation(), "{reason}");
+                (e, interpret(&image))
+            }
+            "smc" => {
+                let image = ldbt_workloads::asm::smc_image();
+                let mut e = engine(&image, None, None);
+                assert_eq!(e.run(10_000_000), RunOutcome::Halted);
+                assert!(e.stats.smc_invalidations() > 0, "{reason}");
+                (e, interpret(&image))
+            }
+            _ => {
+                // Rewrite a code word behind the engine's back between two
+                // runs: `s ^ 3` becomes `s ^ 5`.
+                let mut e = engine(&image, None, None);
+                assert_eq!(e.run(10_000_000), RunOutcome::Halted);
+                let mut patched = image.clone();
+                let is_eor3 = |w: &[u8]| {
+                    let word = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+                    matches!(
+                        encode::decode(word),
+                        Ok(ArmInstr::Dp { op: DpOp::Eor, op2: Operand2::Imm(3), .. })
+                    )
+                };
+                let at = patched.bytes.chunks(4).position(is_eor3).expect("the loop body xors 3");
+                patched.bytes[4 * at] ^= 3 ^ 5;
+                patched.load_into(&mut e.state.mem);
+                let (blocks, links) = (e.cache_blocks(), e.live_links());
+                e.reset();
+                // At the instant of the invalidation: only the rewritten
+                // translations died, the rest of the cache kept its links.
+                assert_eq!(e.check_cache(), Ok(()), "{reason}");
+                assert!(e.stats.smc_invalidations() > 0 && e.cache_blocks() < blocks, "{reason}");
+                assert!(e.cache_blocks() > 0 && (1..links).contains(&e.live_links()), "{reason}");
+                assert_eq!(e.run(20_000_000), RunOutcome::Halted);
+                (e, interpret(&patched))
+            }
+        };
+        assert_eq!(e.check_cache(), Ok(()), "{reason}");
+        assert_eq!(e.guest_reg(ArmReg::R0), want, "{reason}: the interpreter's result");
+        assert!(e.stats.blocks() > e.cache_blocks() as u64, "{reason}: the victims are dead");
+        assert!(e.stats.chain_unlinks() > 0, "{reason}: links into the victims were severed");
+        assert!(e.stats.sb_invalidated() > 0, "{reason}: regions over the victims died");
+        assert!(e.live_links() > 0, "{reason}: untouched blocks keep their links");
+    }
+}
+
 /// The repair synthesizer's output is itself verified: a snippet whose
 /// scratch materialization cannot be expressed as mov/lea is rejected,
 /// not silently mistranslated.
