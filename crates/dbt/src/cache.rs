@@ -22,6 +22,7 @@ use ldbt_obs::registry::Hist;
 use ldbt_x86::{Gpr, X86Instr};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
+use std::time::Instant;
 
 /// Number of entries in the direct-mapped indirect-branch target cache.
 const IBTC_SIZE: usize = 1024;
@@ -515,10 +516,14 @@ impl CodeCache {
     /// Install a formed region over its parts' blocks: the head block's
     /// dispatch now enters the region, and every member remembers it so
     /// that invalidating or re-patching the member kills the region.
+    /// `cost` is what formation took, for the `sb_form` event: the host
+    /// instructions of the member blocks it started from and, when exec
+    /// tracing is on (the engine reads no clock otherwise), when it began.
     pub(crate) fn install_region(
         &mut self,
         parts: Vec<SbPart>,
         ra: Vec<(u8, Gpr)>,
+        cost: (usize, Option<Instant>),
         stats: &DbtStats,
     ) {
         let rid = self.superblocks.len() as u32;
@@ -534,10 +539,13 @@ impl CodeCache {
             "sb_form",
             head_pc = self.blocks[head as usize].pc,
             region = rid,
-            parts = parts.len()
+            parts = parts.len(),
+            dur_us = cost.1.map_or(0, |t0| t0.elapsed().as_micros() as u64),
+            host_instrs_in = cost.0,
+            host_instrs_out = parts.iter().map(|p| p.code.len()).sum::<usize>()
         );
         let preamble = Rc::new(ra_preamble(&ra));
-        self.superblocks.push(Superblock { head, parts, ra, preamble, dead: false });
+        self.superblocks.push(Superblock { head, parts, ra: ra.into(), preamble, dead: false });
         stats.bump(DbtCtr::SbFormed);
     }
 
@@ -697,7 +705,7 @@ mod tests {
         let part =
             |&id: &u32| SbPart { id, code: Rc::clone(&c.block(id).code), fallthrough_seam: false };
         let parts: Vec<SbPart> = path.iter().map(part).collect();
-        c.install_region(parts, Vec::new(), &stats);
+        c.install_region(parts, Vec::new(), (0, None), &stats);
         assert_eq!(c.live_regions(), 1);
         assert_eq!(c.check(&mem), Ok(()));
         let rid = c.block(a).sb_head;

@@ -31,10 +31,7 @@ use crate::env::{
 use crate::guardian::{GuardCx, Guardian};
 use crate::jit::optimize_block;
 use crate::rules::{block_supported, lower_block_with_rules_fault};
-use crate::sb::{
-    allocate_region, fuse_region, optimize_region, optimize_region_pinned, region_contract,
-    specialize_part, strip_seam_exits, SbPart, SeamState, NO_SB,
-};
+use crate::sb::{form_region, region_contract, specialize_part, SbPart, SeamState, NO_SB};
 use crate::share::{RuleCell, RuleHandle};
 use crate::stats::{DbtCtr, DbtStats, ExecProfile};
 use crate::tcg::{decode_block, translate_block, GuestBlock};
@@ -46,6 +43,7 @@ use ldbt_x86::interp::{run_seq, SeqExit};
 use ldbt_x86::{Gpr, TrapCause, X86Instr, X86State};
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The dynamic binary translator.
 pub struct Engine {
@@ -558,6 +556,9 @@ impl Engine {
     /// dead seam exit pairs. Forming never re-translates — it only
     /// clones and deletes — so translation-side statistics are untouched.
     fn try_form_region(&mut self, head: u32) {
+        // The `sb_form` event reports what formation took; the clock is
+        // read only when someone is listening.
+        let t0 = ldbt_obs::trace::enabled(ldbt_obs::trace::Scope::Exec).then(Instant::now);
         let Some(path) = self.cache.hot_path(head) else { return };
         let mut st = SeamState::entry();
         let mut parts: Vec<SbPart> = Vec::with_capacity(path.len());
@@ -567,21 +568,13 @@ impl Engine {
             parts.push(SbPart { id, code: Rc::new(code), fallthrough_seam: false });
         }
         let pcs: Vec<u32> = path.iter().map(|&id| self.cache.block(id).pc).collect();
-        strip_seam_exits(&mut parts, &pcs);
-        optimize_region(&mut parts);
-        // Region-wide passes: memory access fusion first (its dead-store
-        // sinking must run before writeback stubs exist), then register
-        // allocation, then one more cleanup sweep with the pinned
-        // registers held live across seams.
-        let fused = if self.fusion { fuse_region(&mut parts) } else { 0 };
-        let ra = if self.region_alloc { allocate_region(&mut parts, &POOL) } else { Vec::new() };
+        let pool = self.region_alloc.then_some(&POOL[..]);
+        let (fused, ra) = form_region(&mut parts, &pcs, self.fusion, pool);
         self.stats.add(DbtCtr::FuseElim, fused);
         self.stats.add(DbtCtr::RaPromoted, ra.len() as u64);
-        if fused > 0 || !ra.is_empty() {
-            optimize_region_pinned(&mut parts, &ra);
-        }
         debug_assert!(region_contract(&parts, &ra), "region allocation contract violated");
-        self.cache.install_region(parts, ra, &self.stats);
+        let host_instrs_in = path.iter().map(|&id| self.cache.block(id).code.len()).sum();
+        self.cache.install_region(parts, ra, (host_instrs_in, t0), &self.stats);
     }
 
     /// Execute region `rid` from its head. Every counter the plain path
@@ -596,7 +589,7 @@ impl Engine {
     fn run_region(&mut self, rid: u32, fuel: u64) -> Result<Option<u32>, RunOutcome> {
         let (ra, preamble, head_id) = {
             let sb = self.cache.region(rid);
-            (sb.ra.clone(), Rc::clone(&sb.preamble), sb.parts[0].id)
+            (Rc::clone(&sb.ra), Rc::clone(&sb.preamble), sb.parts[0].id)
         };
         let mut k = 0usize;
         // Whether the pinned registers currently hold guest state. Set
@@ -645,7 +638,17 @@ impl Engine {
             // self-loop every part *is* the head, and mid-unroll
             // chains are seams; only the last part's chain back to
             // the head closes the loop.
-            let next = self.exec_unit(&code, block_pc, fuel, next_id.filter(|_| ft_seam))?;
+            let next = match self.exec_unit(&code, block_pc, fuel, next_id.filter(|_| ft_seam)) {
+                // A memory access trapped mid-part, where no writeback
+                // stub has run: the pins are the guest registers, and the
+                // run ends here. (An instruction trap is preceded by its
+                // stub, like every other way out of the region.)
+                Err(out @ RunOutcome::Trap { cause: TrapKind::Mem(_), .. }) if resident => {
+                    self.materialize_ra(&ra);
+                    return Err(out);
+                }
+                unit => unit?,
+            };
             let seam = next.is_some() && next == next_id;
             let in_region = seam || next == Some(head_id);
             // The comparison surface is env: materialize the pinned
@@ -694,10 +697,11 @@ impl Engine {
 
     /// Write every pinned register's current value to its guest env home
     /// ([`crate::sb::Superblock::ra`]). Called only at in-region part
-    /// boundaries ahead of a watchdog snapshot or comparison — there the
-    /// pinned register is authoritative and the env home stale. Never
-    /// called after an escape: the region's writeback stubs have already
-    /// materialized env.
+    /// boundaries ahead of a watchdog snapshot or comparison, and when a
+    /// memory access traps mid-part — there the pinned register is
+    /// authoritative and the env home stale. Never called after an
+    /// escape: the region's writeback stubs have already materialized
+    /// env.
     fn materialize_ra(&mut self, ra: &[(u8, Gpr)]) {
         for &(s, p) in ra {
             let v = self.state.reg(p);
@@ -1032,6 +1036,61 @@ int main() {
             sb.stats.exec.host_instrs,
             plain.stats.exec.host_instrs
         );
+    }
+
+    /// A trap inside a register-allocated region leaves the guest
+    /// registers in their env homes, with the pins resident (r4 and r5
+    /// live in pinned host registers across the A → B seam) and on every
+    /// trip: an `svc` through the writeback stub before it, a wild store
+    /// through the engine, which no stub precedes.
+    #[test]
+    fn trap_inside_allocated_region_keeps_guest_registers() {
+        use ldbt_arm::{AddrMode, ArmMachine, ArmStop, ArmTrapCause, Cond, DpOp, Operand2};
+        use ldbt_compiler::link::CODE_BASE;
+        use ArmReg::{R4, R5, R6};
+        let add = |rd, op2| ArmInstr::dp(DpOp::Add, rd, rd, op2);
+        let (a_pc, trap_pc, wild) = (CODE_BASE + 4 * 2, CODE_BASE + 4 * 5, GUEST_MEM_LIMIT);
+        for (trap, want, got) in [
+            (ArmInstr::Svc { imm: 1, cond: Cond::Al }, ArmTrapCause::Svc(1), TrapKind::Svc(1)),
+            (ArmInstr::str(R6, AddrMode::Imm(R6, 0)), ArmTrapCause::Mem(wild), TrapKind::Mem(wild)),
+        ] {
+            let prog = [
+                /* 0 */ ArmInstr::mov(R4, Operand2::Imm(0)),
+                /* 1 */ ArmInstr::mov(R5, Operand2::Imm(0)),
+                /* 2: A */ add(R4, Operand2::Imm(1)),
+                /* 3 */ add(R5, Operand2::Reg(R4)),
+                /* 4 */ ArmInstr::B { offset: 0, cond: Cond::Al },
+                /* 5: B */ trap,
+                /* 6 */ ArmInstr::Svc { imm: 0, cond: Cond::Al },
+            ];
+            let image = ArmImage {
+                bytes: ldbt_arm::encode::assemble(&prog).unwrap(),
+                base: CODE_BASE,
+                entry: CODE_BASE,
+                func_addrs: Vec::new(),
+                meta: Vec::new(),
+                globals: Vec::new(),
+            };
+            let mut m = ArmMachine::new();
+            image.load_into(&mut m.state.mem);
+            (m.state.regs[15], m.state.regs[6], m.state.trap_limit) =
+                (image.entry, wild, Some(wild));
+            let mut e =
+                Engine::new(&image, Translator::Tcg).with_chaining(true).with_superblocks(Some(2));
+            e.set_guest_reg(R6, wild);
+            for trip in 0..30 {
+                assert_eq!(m.run(1_000), ArmStop::Trap { pc: trap_pc, cause: want });
+                assert_eq!(e.run(1_000_000), RunOutcome::Trap { pc: trap_pc, cause: got });
+                for r in &ArmReg::ALL[..15] {
+                    assert_eq!(e.guest_reg(*r), m.state.reg(*r), "{r:?} on trip {trip}");
+                }
+                // The handler sends the guest around again: back to A,
+                // which heads the region once it is hot.
+                m.state.regs[15] = a_pc;
+                e.set_guest_pc(a_pc);
+            }
+            assert!(e.stats.sb_execs() > 0 && e.stats.ra_promoted() > 0, "the trap ran pinned");
+        }
     }
 
     #[test]

@@ -28,13 +28,18 @@
 //! `run_seq` calls, so a straightened region keeps them hot through
 //! every seam.
 //!
+//! Every pass after specialization walks one private representation
+//! ([`Region`]: the parts' code concatenated), with each instruction's
+//! control flow classified in one place ([`Flow`]).
+//!
 //! The engine (see `engine.rs`) owns formation triggers and region
 //! dispatch, the code cache (`cache.rs`) the two-way link bookkeeping and
 //! invalidation; this module is the pure code-transformation layer.
 
 use crate::env::{ENV_BASE, FLAGMODE_OFFSET};
 use ldbt_isa::{CostModel, Width};
-use ldbt_x86::{AluOp, Cc, Gpr, Operand, ShiftOp, UnOp, X86Instr, X86Mem};
+use ldbt_x86::semantics::{eval_alu, eval_shift, eval_un};
+use ldbt_x86::{AluOp, Cc, EFlags, Gpr, Operand, X86Instr, X86Mem};
 use std::rc::Rc;
 
 /// Sentinel: block is not the head of any live region.
@@ -67,8 +72,9 @@ pub struct Superblock {
     /// pairs. Inside the region the pinned register is the guest
     /// register; the env home is refreshed by writeback stubs at every
     /// escape and by the engine at in-region part boundaries before a
-    /// watchdog snapshot (see [`allocate_region`]).
-    pub ra: Vec<(u8, Gpr)>,
+    /// watchdog snapshot (see [`allocate_region`]). Shared, so a region
+    /// entry takes a reference instead of a copy.
+    pub ra: Rc<[(u8, Gpr)]>,
     /// Region-entry preamble: loads each pinned register from its env
     /// home. Run by the engine once per region entry — not on the loop
     /// backedge, where the pinned registers (not env) are authoritative.
@@ -104,6 +110,95 @@ impl SeamState {
     }
 }
 
+// ---------------------------------------------------------------------
+// Control flow and per-instruction facts: classified once, here.
+// ---------------------------------------------------------------------
+
+/// Where control goes after one instruction of a region part, and — the
+/// liveness contract of the whole optimizer, stated once — what is live
+/// on that edge (`exit` is `{%eax, %esp}` plus a region allocation's
+/// pinned registers: after `ret` the dispatcher reads the next guest pc
+/// from `%eax`, `%esp` is the host stack, and every other register and
+/// all EFLAGS are scratch, because translated blocks start from the env,
+/// see [`entry_reads`]):
+///
+/// | kind       | instruction                          | live-out                          |
+/// |------------|--------------------------------------|-----------------------------------|
+/// | `Next`     | anything that is not a transfer      | live-in of `i + 1`                |
+/// | `Jump`     | `jmp` (intra-part, relative)         | live-in of the target             |
+/// | `Branch`   | `jcc` (intra-part, relative)         | target ∪ `i + 1`                  |
+/// | `Seam`     | `chain` to the next part's block     | live-in of the next part ∪ pins   |
+/// | `Backedge` | `chain` to the region head           | `exit`                            |
+/// | `Escape`   | `ret`, `jmp *`, `chain` elsewhere    | `exit`                            |
+/// | `Trap`     | guest trap sentinel                  | `exit`                            |
+/// | `Halt`     | `hlt`                                | `exit` without `%eax`             |
+/// | `Call`     | `call`                               | everything                        |
+///
+/// Running off the end of part `k` *is* arriving at part `k + 1` (the
+/// stripped seam), so `Next`, `Jump` and `Branch` need no seam case.
+/// `Engine::run_region` follows a `Seam` straight into the next part with
+/// host registers intact — and that part may have been specialized to
+/// read them — so it is no escape; it wins over `Backedge` because in an
+/// unrolled self-loop every part *is* the head. A `Backedge` re-enters
+/// part 0, which reads nothing but the pins. `Trap` keeps `%eax` live
+/// (`Engine::trap_outcome` reads the trapping pc from it), `Halt` does
+/// not (nothing consults it once the guest has exited), and a `Call`
+/// hands control to code this analysis cannot see and expects it to
+/// return: keep everything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flow {
+    Next,
+    Jump(i32),
+    Branch(i32),
+    Seam,
+    Backedge,
+    Escape,
+    Trap,
+    Halt,
+    Call,
+}
+
+impl Flow {
+    /// Control leaves the region for good (not a seam, not the resident
+    /// backedge): a region allocation must have written every pinned
+    /// register back to its env home by here.
+    fn leaves(self) -> bool {
+        matches!(self, Flow::Escape | Flow::Trap | Flow::Halt)
+    }
+}
+
+/// Classify `ins` inside a part whose successor on the path is block
+/// `seam` in a region headed by block `head` (both `None` outside a
+/// region). With [`Region::retarget`] the only place that matches
+/// control-transfer instruction kinds.
+fn flow(ins: &X86Instr, seam: Option<u32>, head: Option<u32>) -> Flow {
+    match *ins {
+        X86Instr::Jmp { target } => Flow::Jump(target),
+        X86Instr::Jcc { target, .. } => Flow::Branch(target),
+        X86Instr::ChainJmp { block } if Some(block) == seam => Flow::Seam,
+        X86Instr::ChainJmp { block } if Some(block) == head => Flow::Backedge,
+        X86Instr::Ret | X86Instr::JmpInd { .. } | X86Instr::ChainJmp { .. } => Flow::Escape,
+        X86Instr::Trap => Flow::Trap,
+        X86Instr::Halt => Flow::Halt,
+        X86Instr::Call { .. } => Flow::Call,
+        _ => Flow::Next,
+    }
+}
+
+/// Whether `ins` moves `%esp` without reporting it as a `def`: every
+/// `%esp`-relative address names other bytes afterwards.
+fn moves_esp(ins: &X86Instr) -> bool {
+    matches!(
+        ins,
+        X86Instr::Push { .. }
+            | X86Instr::Pop { .. }
+            | X86Instr::Pushfd
+            | X86Instr::Popfd
+            | X86Instr::Call { .. }
+            | X86Instr::Ret
+    )
+}
+
 /// Classify an absolute env address.
 enum EnvSlot {
     /// A guest register slot r0–r14 (index).
@@ -117,10 +212,8 @@ enum EnvSlot {
 }
 
 fn classify(m: &X86Mem) -> EnvSlot {
-    if m.base.is_some() || m.index.is_some() {
-        return EnvSlot::NotEnv; // dynamic: handled by the caller as "may alias anything"
-    }
-    let a = m.disp as u32;
+    // Dynamic: handled by the caller as "may alias anything".
+    let Some(a) = abs_addr(m) else { return EnvSlot::NotEnv };
     if a == ENV_BASE + FLAGMODE_OFFSET {
         return EnvSlot::FlagMode;
     }
@@ -133,11 +226,386 @@ fn classify(m: &X86Mem) -> EnvSlot {
     EnvSlot::NotEnv
 }
 
-/// Whether `m` is a memory operand that could alias a guest-register env
-/// slot at runtime (any base/index addressing must be assumed to).
-fn dynamic_addr(m: &X86Mem) -> bool {
-    m.base.is_some() || m.index.is_some()
+/// The absolute address of a register-free address expression. `None`:
+/// a dynamic address, which could alias a guest-register env slot at
+/// runtime (any base/index addressing must be assumed to).
+fn abs_addr(m: &X86Mem) -> Option<u32> {
+    (m.base.is_none() && m.index.is_none()).then_some(m.disp as u32)
 }
+
+/// Whether the address expression `m` reads register `r`.
+fn addr_uses(m: &X86Mem, r: Gpr) -> bool {
+    m.base == Some(r) || m.index.is_some_and(|(x, _)| x == r)
+}
+
+/// The memory `ins` writes and its byte width, if any (stack pushes
+/// report an `%esp`-based store; a memory-destination `cmp`/`test` is
+/// reported as a store too, which over-kills but never under-kills).
+fn store_mem(ins: &X86Instr) -> Option<(X86Mem, u32)> {
+    match *ins {
+        X86Instr::Mov { dst: Operand::Mem(m), .. }
+        | X86Instr::Alu { dst: Operand::Mem(m), .. }
+        | X86Instr::Shift { dst: Operand::Mem(m), .. }
+        | X86Instr::Un { dst: Operand::Mem(m), .. }
+        | X86Instr::Pop { dst: Operand::Mem(m) } => Some((m, 4)),
+        X86Instr::MovStore { width, dst, .. } => Some((dst, width.bits() / 8)),
+        X86Instr::Push { .. } | X86Instr::Pushfd | X86Instr::Call { .. } => {
+            // Stack pushes: dynamic addresses (through %esp).
+            Some((X86Mem::base(Gpr::Esp), 4))
+        }
+        _ => None,
+    }
+}
+
+/// The memory `ins` *reads* and its byte width, if any (an instruction
+/// has one memory operand at most). Complements [`store_mem`]:
+/// read-modify-write ALU destinations (and `cmp` with a memory
+/// destination) read their bytes, and stack pops read through `%esp`.
+fn load_mem(ins: &X86Instr) -> Option<(X86Mem, u32)> {
+    match *ins {
+        X86Instr::Mov { src: Operand::Mem(m), .. }
+        | X86Instr::Alu { src: Operand::Mem(m), .. }
+        | X86Instr::Imul { src: Operand::Mem(m), .. }
+        | X86Instr::Push { src: Operand::Mem(m) }
+        | X86Instr::JmpInd { src: Operand::Mem(m) }
+        | X86Instr::Alu { dst: Operand::Mem(m), .. }
+        | X86Instr::Shift { dst: Operand::Mem(m), .. }
+        | X86Instr::Un { dst: Operand::Mem(m), .. } => Some((m, 4)),
+        X86Instr::Movx { src: Operand::Mem(m), width, .. } => Some((m, width.bits() / 8)),
+        X86Instr::Pop { .. } | X86Instr::Popfd | X86Instr::Ret => Some((X86Mem::base(Gpr::Esp), 4)),
+        _ => None,
+    }
+}
+
+/// What the walks need to know about one instruction, computed once when
+/// it enters the region and again only when a pass rewrites it.
+#[derive(Debug, Clone, Copy)]
+struct Info {
+    /// Index of the part the instruction belongs to.
+    part: u8,
+    flow: Flow,
+    /// Register written / registers read (bit per [`Gpr::index`]).
+    def: u8,
+    uses: u8,
+    /// EFLAGS read / written ([`X86Instr::flags_written`] mask layout).
+    flags_read: u8,
+    flags_written: u8,
+    store: Option<(X86Mem, u32)>,
+    load: Option<(X86Mem, u32)>,
+}
+
+/// Register liveness (bit per [`Gpr::index`]) plus EFLAGS liveness (the
+/// [`X86Instr::flags_written`] mask layout) at one program point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Live {
+    regs: u8,
+    flags: u8,
+}
+
+impl Live {
+    const NONE: Live = Live { regs: 0, flags: 0 };
+    const ALL: Live = Live { regs: 0xFF, flags: 0b1111 };
+}
+
+fn bit(r: Gpr) -> u8 {
+    1u8 << r.index()
+}
+
+/// The registers a region allocation pins, as a mask.
+fn pin_mask(ra: &[(u8, Gpr)]) -> u8 {
+    ra.iter().fold(0u8, |acc, &(_, p)| acc | bit(p))
+}
+
+/// The `exit` of [`Flow`]'s table: what is live when control escapes a
+/// region to foreign code, plus the `pinned` registers.
+fn exit_live(pinned: u8) -> Live {
+    Live { regs: bit(Gpr::Eax) | bit(Gpr::Esp) | pinned, flags: 0 }
+}
+
+// ---------------------------------------------------------------------
+// The region: every part's code, concatenated.
+// ---------------------------------------------------------------------
+
+/// A region's code as the passes see it: the parts concatenated into one
+/// instruction vector. Jumps are intra-part and relative, so flattening
+/// moves no target, and "one past the end of part `k`" is the first
+/// instruction of part `k + 1` — the stripped fallthrough seam is an
+/// ordinary edge. Passes mutate the region in place; `code` and `info`
+/// stay index-aligned through [`Region::set`], [`Region::compact`] and
+/// [`Region::insert_before`].
+#[derive(Default)]
+struct Region {
+    code: Vec<X86Instr>,
+    info: Vec<Info>,
+    /// Part `k` is `code[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    /// Arena block id of each part.
+    ids: Vec<u32>,
+    /// Per part: the trailing seam exit pair was stripped.
+    ft_seam: Vec<bool>,
+}
+
+impl Region {
+    fn of<'a>(pieces: impl IntoIterator<Item = (u32, bool, &'a [X86Instr])>) -> Region {
+        let mut r = Region { starts: vec![0], ..Region::default() };
+        for (id, ft, code) in pieces {
+            r.ids.push(id);
+            r.ft_seam.push(ft);
+            r.code.extend_from_slice(code);
+            r.starts.push(r.code.len());
+        }
+        for k in 0..r.ids.len() {
+            for i in r.starts[k]..r.starts[k + 1] {
+                let info = r.info_of(&r.code[i], k);
+                r.info.push(info);
+            }
+        }
+        r
+    }
+
+    /// Flatten `parts`. `None` when some jump lands outside `[0, len]` of
+    /// its own part (`len` itself is the past-the-end fallthrough): such
+    /// a jump would fault at runtime, and every pass refuses to touch
+    /// such code.
+    fn flatten(parts: &[SbPart]) -> Option<Region> {
+        let r = Region::of(parts.iter().map(|p| (p.id, p.fallthrough_seam, &p.code[..])));
+        let stray = |i: usize| match r.info[i].flow {
+            Flow::Jump(t) | Flow::Branch(t) => r.dest(i, t) as i64 != i as i64 + 1 + t as i64,
+            _ => false,
+        };
+        let ok = !(0..r.code.len()).any(stray);
+        ok.then_some(r)
+    }
+
+    /// Run `pass` over the flattened `parts` and write the result back.
+    fn with<T: Default>(parts: &mut [SbPart], pass: impl FnOnce(&mut Region) -> T) -> T {
+        let Some(mut r) = Region::flatten(parts) else { return T::default() };
+        let out = pass(&mut r);
+        for (k, part) in parts.iter_mut().enumerate() {
+            part.code = Rc::new(r.code[r.starts[k]..r.starts[k + 1]].to_vec());
+            part.fallthrough_seam = r.ft_seam[k];
+        }
+        out
+    }
+
+    fn info_of(&self, ins: &X86Instr, k: usize) -> Info {
+        Info {
+            part: k as u8,
+            flow: flow(ins, self.ids.get(k + 1).copied(), self.ids.first().copied()),
+            def: ins.def().map_or(0, bit),
+            uses: ins.uses().into_iter().fold(0, |m, r| m | bit(r)),
+            flags_read: ins.flags_read(),
+            flags_written: ins.flags_written(),
+            store: store_mem(ins),
+            load: load_mem(ins),
+        }
+    }
+
+    /// Replace instruction `i`, refreshing its facts.
+    fn set(&mut self, i: usize, ins: X86Instr) {
+        self.info[i] = self.info_of(&ins, self.info[i].part as usize);
+        self.code[i] = ins;
+    }
+
+    /// One past the last instruction of the part holding `i`.
+    fn end(&self, i: usize) -> usize {
+        self.starts[self.info[i].part as usize + 1]
+    }
+
+    /// Whether `i` is the first instruction of its part.
+    fn is_start(&self, i: usize) -> bool {
+        i == self.starts[self.info[i].part as usize]
+    }
+
+    /// The instruction a jump at `i` with relative target `t` lands on —
+    /// the only place a relative target is resolved. Clamped to the
+    /// jump's own part (its end is the seam), which only matters for
+    /// the unchecked code [`entry_reads`] sees.
+    fn dest(&self, i: usize, t: i32) -> usize {
+        let k = self.info[i].part as usize;
+        (i as i64 + 1 + t as i64).clamp(self.starts[k] as i64, self.starts[k + 1] as i64) as usize
+    }
+
+    /// Where the jump at `i`, if it is one, lands.
+    fn jump_dest(&self, i: usize) -> Option<usize> {
+        match self.info[i].flow {
+            Flow::Jump(t) | Flow::Branch(t) => Some(self.dest(i, t)),
+            _ => None,
+        }
+    }
+
+    /// Point the jump at `i` at relative target `t`.
+    fn retarget(&mut self, i: usize, t: i32) {
+        if let X86Instr::Jmp { target } | X86Instr::Jcc { target, .. } = &mut self.code[i] {
+            *target = t;
+        }
+        self.set(i, self.code[i]);
+    }
+
+    /// Instructions some jump lands on: join points, where every forward
+    /// walk drops what it knows (the set is computed before the walk, so
+    /// backward edges join correctly). A jump to the end of its own part
+    /// is a seam edge, not a join inside the next part.
+    fn targets(&self) -> Vec<bool> {
+        let mut is_target = vec![false; self.code.len()];
+        for i in 0..self.code.len() {
+            if let Some(d) = self.jump_dest(i).filter(|&d| d < self.end(i)) {
+                is_target[d] = true;
+            }
+        }
+        is_target
+    }
+
+    /// Keep only instructions with `keep[i]`, re-encoding the relative
+    /// jump targets around the holes and moving the part boundaries. A
+    /// target that pointed at a removed instruction lands on the next
+    /// kept one.
+    fn compact(&mut self, keep: &[bool]) {
+        // pos[i]: where instruction `i` (or the next kept one) ends up.
+        let mut pos = vec![0usize; keep.len() + 1];
+        for (i, &k) in keep.iter().enumerate() {
+            pos[i + 1] = pos[i] + k as usize;
+        }
+        for i in 0..keep.len() {
+            if let Flow::Jump(t) | Flow::Branch(t) = self.info[i].flow {
+                let new = pos[self.dest(i, t)] as i32 - pos[i] as i32 - 1;
+                if keep[i] && new != t {
+                    self.retarget(i, new);
+                }
+            }
+        }
+        let mut kept = keep.iter();
+        self.code.retain(|_| *kept.next().expect("one flag per instruction"));
+        let mut kept = keep.iter();
+        self.info.retain(|_| *kept.next().expect("one flag per instruction"));
+        for s in &mut self.starts {
+            *s = pos[*s];
+        }
+    }
+
+    /// Insert `block` before position `p` (into `p`'s part), stretching
+    /// relative jump targets that cross the insertion point. A jump
+    /// landing exactly *at* `p` keeps its target: after insertion it
+    /// lands on the first inserted instruction, so an escape reached by
+    /// jump still runs the writebacks inserted before it. Backward jumps
+    /// are refused region-wide before this is ever called.
+    fn insert_before(&mut self, p: usize, block: &[X86Instr]) {
+        let k = self.info[p].part as usize;
+        for a in self.starts[k]..p {
+            if let Flow::Jump(t) | Flow::Branch(t) = self.info[a].flow {
+                if self.dest(a, t) > p {
+                    self.retarget(a, t + block.len() as i32);
+                }
+            }
+        }
+        let facts: Vec<Info> = block.iter().map(|ins| self.info_of(ins, k)).collect();
+        self.code.splice(p..p, block.iter().copied());
+        self.info.splice(p..p, facts);
+        for s in &mut self.starts[k + 1..] {
+            *s += block.len();
+        }
+    }
+
+    /// What is live after instruction `i`, given the live-in sets `lin`:
+    /// [`Flow`]'s table.
+    fn live_out(&self, i: usize, lin: &[Live], exit: Live) -> Live {
+        match self.info[i].flow {
+            Flow::Next => lin[i + 1],
+            Flow::Jump(t) => lin[self.dest(i, t)],
+            Flow::Branch(t) => {
+                let (a, b) = (lin[self.dest(i, t)], lin[i + 1]);
+                Live { regs: a.regs | b.regs, flags: a.flags | b.flags }
+            }
+            Flow::Seam => lin[self.end(i)],
+            Flow::Backedge | Flow::Escape | Flow::Trap => exit,
+            Flow::Halt => Live { regs: exit.regs & !bit(Gpr::Eax), flags: exit.flags },
+            Flow::Call => Live::ALL,
+        }
+    }
+
+    /// Backward liveness over the whole region, seams as ordinary edges:
+    /// the live-*in* set of every instruction, plus (last) of the point
+    /// past the final part, which is `exit`. The pinned registers (what
+    /// `exit` holds beyond `%eax` and `%esp`) are live into every part
+    /// but the head — a seam carries guest state in them, and
+    /// specialized parts legitimately read registers at entry (that is
+    /// the seam optimization), so a part's entry liveness is *not*
+    /// empty. Iterates to a fixpoint, so backward jumps are handled
+    /// exactly.
+    fn liveness(&self, exit: Live) -> Vec<Live> {
+        let pinned = exit.regs & !exit_live(0).regs;
+        let n = self.code.len();
+        let mut lin = vec![Live::NONE; n + 1];
+        lin[n] = exit;
+        loop {
+            let mut changed = false;
+            for i in (0..n).rev() {
+                let (f, out) = (&self.info[i], self.live_out(i, &lin, exit));
+                let mut regs = (out.regs & !f.def) | f.uses;
+                if f.part > 0 && self.is_start(i) {
+                    regs |= pinned;
+                }
+                let li = Live { regs, flags: f.flags_read | (out.flags & !f.flags_written) };
+                if li != lin[i] {
+                    lin[i] = li;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return lin;
+            }
+        }
+    }
+
+    /// Strip each part's trailing seam exit pair (`movl $next_pc, %eax;
+    /// chain @next_id`) where `%eax` is dead on entry to the next part:
+    /// the pair is what normally freshens `%eax`, and the next part
+    /// provably redefines it before any read (and before any exit the
+    /// dispatcher reads it after). Decided back to front, liveness
+    /// re-solved after each strip, so a stripped part's own past-the-end
+    /// fallthrough is covered by its successor's proof.
+    fn strip_seam_exits(&mut self, pcs: &[u32]) {
+        for k in (0..self.ids.len().saturating_sub(1)).rev() {
+            let (start, n) = (self.starts[k], self.starts[k + 1]);
+            let pair = [
+                X86Instr::mov_imm(Gpr::Eax, pcs[k + 1] as i32),
+                X86Instr::ChainJmp { block: self.ids[k + 1] },
+            ];
+            let pair_ok = self.code[start..n].ends_with(&pair);
+            if !pair_ok || self.liveness(exit_live(0))[n].regs & bit(Gpr::Eax) != 0 {
+                continue;
+            }
+            // No jump may land inside the stripped pair or past the
+            // code end — either would change meaning once the pair is gone.
+            // A jump to exactly n-2 lands on the pair's first instruction,
+            // which after stripping is the past-the-end fallthrough: that is
+            // precisely the seam semantics, so it stays legal.
+            if (start..n).any(|i| self.jump_dest(i).is_some_and(|d| d > n - 2)) {
+                continue;
+            }
+            let keep: Vec<bool> = (0..self.code.len()).map(|i| i != n - 2 && i != n - 1).collect();
+            self.compact(&keep);
+            self.ft_seam[k] = true;
+        }
+    }
+}
+
+/// The host registers and EFLAGS `code` may read before writing them —
+/// its dependence on entry state. Every translated block must depend on
+/// nothing but `%esp`: blocks are entered from the dispatcher or an
+/// arbitrary chained predecessor and load all guest state from the env.
+/// This invariant is what makes the `exit` scratch assumption of
+/// [`Flow`]'s table (and with it the whole region optimizer) sound; the
+/// engine asserts it for every inserted block in debug builds.
+pub fn entry_reads(code: &[X86Instr]) -> (u8, u8) {
+    let li = Region::of([(NO_SB, false, code)]).liveness(Live::NONE)[0];
+    (li.regs, li.flags)
+}
+
+// ---------------------------------------------------------------------
+// Seam specialization (a per-part pre-pass: it runs before a region
+// exists).
+// ---------------------------------------------------------------------
 
 /// The flag-materialization stub starts at `i`: `cmpl $0, flagmode;
 /// je +N` with the stub body within bounds. Returns the exclusive end
@@ -151,69 +619,14 @@ fn stub_extent(code: &[X86Instr], i: usize) -> Option<usize> {
     if !matches!(classify(m), EnvSlot::FlagMode) {
         return None;
     }
-    let X86Instr::Jcc { cc: Cc::E, target } = code.get(i + 1)? else { return None };
-    let t = *target;
-    if t <= 0 {
-        return None;
-    }
+    let X86Instr::Jcc { cc: Cc::E, target: t @ 1.. } = *code.get(i + 1)? else { return None };
     let end = i + 2 + t as usize;
     (end <= code.len()).then_some(end)
 }
 
-/// Whether eliding the stub's `cmpl` is EFLAGS-safe: no instruction
-/// after `from` reads host EFLAGS before they are rewritten. Stops at
-/// the first flag writer (safe) or block exit (safe — successors never
-/// read live-in EFLAGS; the flag-mode protocol goes through the env).
-fn eflags_dead_after(code: &[X86Instr], from: usize) -> bool {
-    for ins in &code[from..] {
-        if ins.flags_read() != 0 {
-            return false; // Jcc/setcc/adc/pushfd: the cmp is load-bearing
-        }
-        if ins.flags_written() != 0 {
-            return true;
-        }
-        match ins {
-            // Cannot follow the jump linearly: be conservative.
-            X86Instr::Jmp { .. } | X86Instr::Call { .. } => return false,
-            // Block exits are safe: no generated block reads live-in
-            // EFLAGS (the flag protocol goes through the env, and every
-            // flag consumer is preceded by its producer in-block).
-            X86Instr::Ret
-            | X86Instr::JmpInd { .. }
-            | X86Instr::ChainJmp { .. }
-            | X86Instr::Halt => return true,
-            _ => {}
-        }
-    }
-    true
-}
-
 /// Kill every tag naming guest slot `slot`.
 fn kill_slot(tags: &mut [Option<u8>; 8], slot: u8) {
-    for t in tags.iter_mut() {
-        if *t == Some(slot) {
-            *t = None;
-        }
-    }
-}
-
-/// The memory operand `ins` writes, if any (stack pushes report an
-/// `%esp`-based store; a memory-destination `cmp`/`test` is reported as
-/// a store too, which over-kills but never under-kills).
-fn store_mem(ins: &X86Instr) -> Option<X86Mem> {
-    match ins {
-        X86Instr::Mov { dst: Operand::Mem(m), .. }
-        | X86Instr::Alu { dst: Operand::Mem(m), .. }
-        | X86Instr::Shift { dst: Operand::Mem(m), .. }
-        | X86Instr::Un { dst: Operand::Mem(m), .. }
-        | X86Instr::Pop { dst: Operand::Mem(m) } => Some(*m),
-        X86Instr::MovStore { dst, .. } => Some(*dst),
-        X86Instr::Push { .. } | X86Instr::Pushfd | X86Instr::Call { .. } => {
-            // Stack pushes: dynamic addresses (through %esp).
-            Some(X86Mem::base(Gpr::Esp))
-        }
-        _ => None,
-    }
+    tags.iter_mut().filter(|t| **t == Some(slot)).for_each(|t| *t = None);
 }
 
 /// Apply one instruction's *writes* to the seam state, without assuming
@@ -223,30 +636,26 @@ fn apply_kills(st: &mut SeamState, ins: &X86Instr, merge: bool) {
     if let Some(d) = ins.def() {
         st.tags[d.index()] = None;
     }
-    if let Some(m) = store_mem(ins) {
-        if dynamic_addr(&m) {
-            // Could alias any env slot: drop all register knowledge.
+    let Some((m, _)) = store_mem(ins) else { return };
+    match classify(&m) {
+        // A dynamic store could alias any env slot: drop all knowledge.
+        EnvSlot::NotEnv if abs_addr(&m).is_none() => {
             st.tags = [None; 8];
             st.flagmode = FlagAbs::Unknown;
-        } else {
-            match classify(&m) {
-                EnvSlot::Reg(s) => kill_slot(&mut st.tags, s),
-                EnvSlot::FlagMode => {
-                    let zero =
-                        matches!(ins, X86Instr::Mov { dst: Operand::Mem(_), src: Operand::Imm(0) });
-                    // A conditional (or non-zero) write degrades to
-                    // Unknown; a zero write on a guaranteed path sets
-                    // Zero; in merge mode "was Zero and writes zero"
-                    // stays Zero.
-                    st.flagmode = if zero && (!merge || st.flagmode == FlagAbs::Zero) {
-                        FlagAbs::Zero
-                    } else {
-                        FlagAbs::Unknown
-                    };
-                }
-                EnvSlot::Other | EnvSlot::NotEnv => {}
-            }
         }
+        EnvSlot::Reg(s) => kill_slot(&mut st.tags, s),
+        EnvSlot::FlagMode => {
+            let zero = matches!(ins, X86Instr::Mov { dst: Operand::Mem(_), src: Operand::Imm(0) });
+            // A conditional (or non-zero) write degrades to Unknown; a
+            // zero write on a guaranteed path sets Zero; in merge mode
+            // "was Zero and writes zero" stays Zero.
+            st.flagmode = if zero && (!merge || st.flagmode == FlagAbs::Zero) {
+                FlagAbs::Zero
+            } else {
+                FlagAbs::Unknown
+            };
+        }
+        EnvSlot::Other | EnvSlot::NotEnv => {}
     }
 }
 
@@ -263,9 +672,9 @@ pub fn specialize_part(code: &[X86Instr], entry: &SeamState) -> (Vec<X86Instr>, 
     // shifted targets; none of our lowerers emit them, but a learned rule
     // template could. Refuse to elide in that case (state tracking stays
     // valid: elision is what moves instructions).
-    let allow_elide = !code.iter().any(
-        |i| matches!(i, X86Instr::Jmp { target } | X86Instr::Jcc { target, .. } if *target < 0),
-    );
+    let allow_elide = !code
+        .iter()
+        .any(|i| matches!(flow(i, None, None), Flow::Jump(t) | Flow::Branch(t) if t < 0));
     let mut out: Vec<X86Instr> = Vec::with_capacity(code.len());
     let mut i = 0usize;
     let mut straight = true;
@@ -276,7 +685,12 @@ pub fn specialize_part(code: &[X86Instr], entry: &SeamState) -> (Vec<X86Instr>, 
         // elided or kept, and either way it leaves flag-mode zero.
         if straight {
             if let Some(end) = stub_extent(code, i) {
-                if allow_elide && st.flagmode == FlagAbs::Zero && eflags_dead_after(code, end) {
+                // Eliding the stub's `cmpl` must be EFLAGS-safe: nothing after
+                // the stub may read host EFLAGS before they are rewritten
+                // (a block exit is safe — successors never read live-in
+                // EFLAGS; the flag-mode protocol goes through the env).
+                let eflags_dead = || entry_reads(&code[end..]).1 == 0;
+                if allow_elide && st.flagmode == FlagAbs::Zero && eflags_dead() {
                     // Provably skipped at runtime: drop guard and body.
                     i = end;
                     continue;
@@ -290,86 +704,70 @@ pub fn specialize_part(code: &[X86Instr], entry: &SeamState) -> (Vec<X86Instr>, 
                 i = end;
                 continue;
             }
-        }
-        if straight {
-            match ins {
+            // Home accesses on the straight line: `Some(what to emit)`,
+            // nothing when the instruction is elided.
+            let slot = match ins {
+                X86Instr::Mov { dst: Operand::Mem(m), .. }
+                | X86Instr::Mov { src: Operand::Mem(m), .. } => classify(m),
+                _ => EnvSlot::NotEnv,
+            };
+            let emit = match (*ins, slot) {
                 // Home load: `movl env(slot), %r`.
-                X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Mem(m) }
-                    if matches!(classify(m), EnvSlot::Reg(_)) =>
-                {
-                    let EnvSlot::Reg(s) = classify(m) else { unreachable!() };
-                    if allow_elide && st.tags[r.index()] == Some(s) {
-                        i += 1; // redundant: register already holds the slot
-                        continue;
-                    }
-                    // Another host register provably holds the slot: a
-                    // register-register copy replaces the memory load
-                    // (cheaper to execute, and it feeds the region's
-                    // copy propagation).
-                    if allow_elide {
-                        if let Some(q) = st.tags.iter().position(|t| *t == Some(s)) {
-                            out.push(X86Instr::mov_rr(*r, Gpr::from_index(q)));
-                            st.tags[r.index()] = Some(s);
-                            i += 1;
-                            continue;
-                        }
-                    }
+                (X86Instr::Mov { dst: Operand::Reg(r), .. }, EnvSlot::Reg(s)) => {
+                    let holds = |q: usize| allow_elide && st.tags[q] == Some(s);
+                    let held =
+                        if holds(r.index()) { Some(r.index()) } else { (0..8).find(|&q| holds(q)) };
                     st.tags[r.index()] = Some(s);
-                    out.push(*ins);
-                    i += 1;
-                    continue;
+                    Some(match held {
+                        // Redundant: the register already holds the slot.
+                        Some(q) if q == r.index() => None,
+                        // Another host register provably holds the slot: a
+                        // register-register copy replaces the memory load
+                        // (cheaper to execute, and it feeds the region's
+                        // copy propagation).
+                        Some(q) => Some(X86Instr::mov_rr(r, Gpr::from_index(q))),
+                        None => Some(*ins),
+                    })
                 }
                 // Writeback: `movl %r, env(slot)`.
-                X86Instr::Mov { dst: Operand::Mem(m), src: Operand::Reg(r) }
-                    if matches!(classify(m), EnvSlot::Reg(_)) =>
-                {
-                    let EnvSlot::Reg(s) = classify(m) else { unreachable!() };
+                (X86Instr::Mov { src: Operand::Reg(r), .. }, EnvSlot::Reg(s)) => {
                     kill_slot(&mut st.tags, s);
                     st.tags[r.index()] = Some(s);
-                    out.push(*ins);
-                    i += 1;
-                    continue;
+                    Some(Some(*ins))
                 }
-                // Flag-mode reset: `movl $0, flagmode`.
-                X86Instr::Mov { dst: Operand::Mem(m), src: Operand::Imm(0) }
-                    if matches!(classify(m), EnvSlot::FlagMode) =>
-                {
-                    if allow_elide && st.flagmode == FlagAbs::Zero {
-                        i += 1; // already zero
-                        continue;
-                    }
+                // Flag-mode reset: `movl $0, flagmode` (dropped when
+                // flag-mode is already zero).
+                (X86Instr::Mov { src: Operand::Imm(0), .. }, EnvSlot::FlagMode) => {
+                    let known = allow_elide && st.flagmode == FlagAbs::Zero;
                     st.flagmode = FlagAbs::Zero;
-                    out.push(*ins);
-                    i += 1;
-                    continue;
+                    Some((!known).then_some(*ins))
                 }
                 // Register copy propagates a tag.
-                X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Reg(q) } => {
+                (X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Reg(q) }, _) => {
                     st.tags[r.index()] = st.tags[q.index()];
-                    out.push(*ins);
-                    i += 1;
-                    continue;
+                    Some(Some(*ins))
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some(emit) = emit {
+                out.extend(emit);
+                i += 1;
+                continue;
             }
-            if matches!(
-                ins,
-                X86Instr::Jcc { .. }
-                    | X86Instr::Jmp { .. }
-                    | X86Instr::JmpInd { .. }
-                    | X86Instr::Call { .. }
-                    | X86Instr::Ret
-                    | X86Instr::ChainJmp { .. }
-                    | X86Instr::Halt
-            ) {
-                straight = false;
-            }
+            straight = flow(ins, None, None) == Flow::Next;
         }
         apply_kills(&mut st, ins, !straight);
         out.push(*ins);
         i += 1;
     }
     (out, st)
+}
+
+/// Strip the seam exit pairs of `parts` (whose blocks start at guest
+/// `pcs`) that the next part makes redundant.
+pub fn strip_seam_exits(parts: &mut [SbPart], pcs: &[u32]) {
+    debug_assert_eq!(parts.len(), pcs.len());
+    Region::with(parts, |r| r.strip_seam_exits(pcs));
 }
 
 // ---------------------------------------------------------------------
@@ -387,290 +785,41 @@ pub fn specialize_part(code: &[X86Instr], entry: &SeamState) -> (Vec<X86Instr>, 
 // as every env access, memory effect, and exit is preserved.
 // ---------------------------------------------------------------------
 
-/// Register liveness (bit per [`Gpr::index`]) plus EFLAGS liveness (the
-/// [`X86Instr::flags_written`] mask layout) at one program point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Live {
-    regs: u8,
-    flags: u8,
-}
-
-impl Live {
-    const NONE: Live = Live { regs: 0, flags: 0 };
-    const ALL: Live = Live { regs: 0xFF, flags: 0b1111 };
-
-    fn union(self, o: Live) -> Live {
-        Live { regs: self.regs | o.regs, flags: self.flags | o.flags }
-    }
-}
-
-fn bit(r: Gpr) -> u8 {
-    1u8 << r.index()
-}
-
-/// What is live when control escapes a region to foreign code (the
-/// dispatcher after `ret`, or another translated block after a chained
-/// side exit): `%eax` carries the next guest pc and `%esp` is the host
-/// stack pointer; every other register and all EFLAGS are scratch,
-/// because translated blocks start from the env ([`entry_reads`]).
-fn exit_live() -> Live {
-    Live { regs: bit(Gpr::Eax) | bit(Gpr::Esp), flags: 0 }
-}
-
-/// Whether every jump destination lands inside `[0, len]` (`len` itself
-/// is the past-the-end fallthrough). Out-of-range jumps would fault at
-/// runtime; the optimizer refuses to touch such code.
-fn jumps_in_range(code: &[X86Instr]) -> bool {
-    code.iter().enumerate().all(|(i, ins)| match ins {
-        X86Instr::Jmp { target } | X86Instr::Jcc { target, .. } => {
-            (0..=code.len() as i64).contains(&(i as i64 + 1 + *target as i64))
-        }
-        _ => true,
-    })
-}
-
-/// Per-instruction liveness. `end_live` is what is live when execution
-/// runs off the end of `code` (the successor part's entry liveness for a
-/// stripped seam, [`exit_live`] otherwise); `exit` what is live at every
-/// escape to foreign code. `seam_next` is the block id of the region's
-/// next part, if any: a `ChainJmp` to *that* block is an in-region seam
-/// — `run_superblock` continues straight into the next part with host
-/// registers intact, and the next part may have been specialized to read
-/// them — so it flows into `end_live`, not `exit`. Every other
-/// `ChainJmp` leaves the region and lands on arena code, which reads
-/// nothing but the env. Iterates to a fixpoint, so backward jumps are
-/// handled exactly. Returns the live-*out* set per instruction and the
-/// live-in set of the entry point.
-fn liveness(
-    code: &[X86Instr],
-    end_live: Live,
-    exit: Live,
-    seam_next: Option<u32>,
-) -> (Vec<Live>, Live) {
-    let n = code.len();
-    let mut live_in = vec![Live::NONE; n + 1];
-    live_in[n] = end_live;
-    let mut live_out = vec![Live::NONE; n];
-    loop {
-        let mut changed = false;
-        for i in (0..n).rev() {
-            let ins = &code[i];
-            let dest =
-                |t: i32| -> Live { live_in[(i as i64 + 1 + t as i64).clamp(0, n as i64) as usize] };
-            let out = match ins {
-                X86Instr::ChainJmp { block } if Some(*block) == seam_next => end_live,
-                X86Instr::Ret
-                | X86Instr::JmpInd { .. }
-                | X86Instr::ChainJmp { .. }
-                | X86Instr::Halt => exit,
-                // A call hands control to code this analysis cannot see
-                // and expects it to return: keep everything.
-                X86Instr::Call { .. } => Live::ALL,
-                X86Instr::Jmp { target } => dest(*target),
-                X86Instr::Jcc { target, .. } => dest(*target).union(live_in[i + 1]),
-                _ => live_in[i + 1],
-            };
-            live_out[i] = out;
-            let mut regs = out.regs;
-            if let Some(d) = ins.def() {
-                regs &= !bit(d);
-            }
-            for u in ins.uses() {
-                regs |= bit(u);
-            }
-            let li = Live { regs, flags: ins.flags_read() | (out.flags & !ins.flags_written()) };
-            if li != live_in[i] {
-                live_in[i] = li;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    (live_out, live_in[0])
-}
-
-/// The host registers and EFLAGS `code` may read before writing them —
-/// its dependence on entry state. Every translated block must depend on
-/// nothing but `%esp`: blocks are entered from the dispatcher or an
-/// arbitrary chained predecessor and load all guest state from the env.
-/// This invariant is what makes [`exit_live`]'s scratch assumption (and
-/// with it the whole region optimizer) sound; the engine asserts it for
-/// every inserted block in debug builds.
-pub fn entry_reads(code: &[X86Instr]) -> (u8, u8) {
-    let (_, li) = liveness(code, Live::NONE, Live::NONE, None);
-    (li.regs, li.flags)
-}
-
-/// Whether `ins` may be deleted once its results are dead: no memory
-/// write, no stack or control-flow effect, and any memory *read* must be
-/// a static env access (the env is always mapped, so deletion cannot
-/// suppress a fault the original code would raise).
-fn removable(ins: &X86Instr) -> bool {
-    if store_mem(ins).is_some() || ins.is_block_end() {
-        return false;
-    }
-    if matches!(
-        ins,
-        X86Instr::Jcc { .. }
-            | X86Instr::Push { .. }
-            | X86Instr::Pop { .. }
-            | X86Instr::Pushfd
-            | X86Instr::Popfd
-    ) {
-        return false;
-    }
-    let src_mem = match ins {
-        X86Instr::Mov { src: Operand::Mem(m), .. }
-        | X86Instr::Alu { src: Operand::Mem(m), .. }
-        | X86Instr::Imul { src: Operand::Mem(m), .. }
-        | X86Instr::Movx { src: Operand::Mem(m), .. } => Some(m),
-        _ => None,
-    };
-    match src_mem {
-        Some(m) => !dynamic_addr(m) && !matches!(classify(m), EnvSlot::NotEnv),
-        None => true,
-    }
-}
-
-/// Rebuild `code` keeping only instructions with `keep[i]`, re-encoding
-/// the relative jump targets around the holes. A target that pointed at
-/// a removed instruction lands on the next kept one.
-fn remap(code: &[X86Instr], keep: &[bool]) -> Vec<X86Instr> {
-    let n = code.len();
-    let mut pos = vec![0usize; n + 1];
-    let mut c = 0usize;
-    for i in 0..n {
-        pos[i] = c;
-        if keep[i] {
-            c += 1;
-        }
-    }
-    pos[n] = c;
-    let mut out = Vec::with_capacity(c);
-    for i in 0..n {
-        if !keep[i] {
-            continue;
-        }
-        let retarget = |t: i32| -> i32 {
-            let d = (i as i64 + 1 + t as i64).clamp(0, n as i64) as usize;
-            pos[d] as i32 - pos[i] as i32 - 1
-        };
-        out.push(match code[i] {
-            X86Instr::Jmp { target } => X86Instr::Jmp { target: retarget(target) },
-            X86Instr::Jcc { cc, target } => X86Instr::Jcc { cc, target: retarget(target) },
-            ins => ins,
-        });
-    }
-    out
-}
-
-/// Delete instructions whose register result and flag effects are both
-/// dead (plus no-op self-moves), iterating until nothing more falls out.
-/// Returns the new code (`None` if unchanged) and the entry liveness for
-/// threading across the preceding seam.
-fn eliminate_dead(
-    code: &[X86Instr],
-    end_live: Live,
-    exit: Live,
-    seam_next: Option<u32>,
-) -> (Option<Vec<X86Instr>>, Live) {
-    let mut cur: Vec<X86Instr> = code.to_vec();
-    let mut any = false;
-    loop {
-        let n = cur.len();
-        let (live_out, live_in0) = liveness(&cur, end_live, exit, seam_next);
-        let mut keep = vec![true; n];
-        let mut removed = false;
-        for (i, ins) in cur.iter().enumerate() {
-            let noop = matches!(
-                ins,
-                X86Instr::Mov { dst: Operand::Reg(a), src: Operand::Reg(b) } if a == b
-            );
-            if !noop {
-                if !removable(ins) {
-                    continue;
-                }
-                let effect = ins.def().is_some() || ins.flags_written() != 0;
-                let dead_def = ins.def().is_none_or(|d| live_out[i].regs & bit(d) == 0);
-                let dead_flags = ins.flags_written() & live_out[i].flags == 0;
-                if !(effect && dead_def && dead_flags) {
-                    continue;
-                }
-            }
-            keep[i] = false;
-            removed = true;
-        }
-        if !removed {
-            return (any.then_some(cur), live_in0);
-        }
-        any = true;
-        cur = remap(&cur, &keep);
-    }
-}
-
 /// Constant-fold a pure-register ALU/shift/unary whose inputs are all
-/// known. Returns the destination and the folded value; the caller must
-/// separately prove the instruction's EFLAGS results dead, because the
-/// replacement `mov` writes none.
+/// known (the interpreter's own `semantics`, so a fold cannot disagree
+/// with execution). Returns the destination and the folded value; the
+/// caller must separately prove the instruction's EFLAGS results dead,
+/// because the replacement `mov` writes none.
 fn fold(ins: &X86Instr, vals: &[Option<Operand>; 8]) -> Option<(Gpr, i32)> {
-    let cv = |r: Gpr| match vals[r.index()] {
-        Some(Operand::Imm(v)) => Some(v),
-        _ => None,
+    let cv = |mut o: Operand| {
+        subst_operand(&mut o, vals, true);
+        if let Operand::Imm(v) = o {
+            Some(v as u32)
+        } else {
+            None
+        }
     };
-    match *ins {
-        X86Instr::Alu { op, dst: Operand::Reg(r), src }
+    let (r, out) = match *ins {
+        X86Instr::Alu { op, dst: dst @ Operand::Reg(r), src }
             if !op.is_compare() && !op.reads_carry() =>
         {
-            let a = cv(r)?;
-            let b = match src {
-                Operand::Imm(v) => v,
-                Operand::Reg(q) => cv(q)?,
-                Operand::Mem(_) => return None,
-            };
-            let v = match op {
-                AluOp::Add => a.wrapping_add(b),
-                AluOp::Sub => a.wrapping_sub(b),
-                AluOp::And => a & b,
-                AluOp::Or => a | b,
-                AluOp::Xor => a ^ b,
-                _ => return None,
-            };
-            Some((r, v))
+            (r, eval_alu(op, cv(dst)?, cv(src)?, EFlags::new()))
         }
-        X86Instr::Shift { op, dst: Operand::Reg(r), count } => {
-            let a = cv(r)?;
-            let c = count as u32 & 31;
-            let v = match op {
-                ShiftOp::Shl => ((a as u32) << c) as i32,
-                ShiftOp::Shr => ((a as u32) >> c) as i32,
-                ShiftOp::Sar => a >> c,
-            };
-            Some((r, v))
+        X86Instr::Shift { op, dst: dst @ Operand::Reg(r), count } => {
+            (r, eval_shift(op, cv(dst)?, count, EFlags::new()))
         }
-        X86Instr::Un { op, dst: Operand::Reg(r) } => {
-            let a = cv(r)?;
-            let v = match op {
-                UnOp::Neg => a.wrapping_neg(),
-                UnOp::Not => !a,
-                UnOp::Inc => a.wrapping_add(1),
-                UnOp::Dec => a.wrapping_sub(1),
-            };
-            Some((r, v))
+        X86Instr::Un { op, dst: dst @ Operand::Reg(r) } => {
+            (r, eval_un(op, cv(dst)?, EFlags::new()))
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    Some((r, out.value as i32))
 }
 
 /// Drop every known register equality invalidated by a write to `d`.
 fn invalidate(vals: &mut [Option<Operand>; 8], d: Gpr) {
     vals[d.index()] = None;
-    for v in vals.iter_mut() {
-        if *v == Some(Operand::Reg(d)) {
-            *v = None;
-        }
-    }
+    vals.iter_mut().filter(|v| **v == Some(Operand::Reg(d))).for_each(|v| *v = None);
 }
 
 /// Substitute a known equality into one *read* operand. `imm_ok` says an
@@ -697,36 +846,26 @@ fn subst_operand(op: &mut Operand, vals: &[Option<Operand>; 8], imm_ok: bool) ->
 /// equalities are renamed, and known-constant bases fold into the
 /// displacement (the computed address is identical either way).
 fn subst_mem(m: &mut X86Mem, vals: &[Option<Operand>; 8]) -> bool {
-    let mut ch = false;
-    if let Some(b) = m.base {
-        match vals[b.index()] {
-            Some(Operand::Reg(p)) if p != b => {
-                m.base = Some(p);
-                ch = true;
-            }
-            Some(Operand::Imm(v)) => {
-                m.base = None;
-                m.disp = m.disp.wrapping_add(v);
-                ch = true;
-            }
-            _ => {}
+    let before = *m;
+    match m.base.and_then(|b| vals[b.index()]) {
+        Some(Operand::Reg(p)) => m.base = Some(p),
+        Some(Operand::Imm(v)) => {
+            m.base = None;
+            m.disp = m.disp.wrapping_add(v);
         }
+        _ => {}
     }
     if let Some((ix, s)) = m.index {
         match vals[ix.index()] {
-            Some(Operand::Reg(p)) if p != ix => {
-                m.index = Some((p, s));
-                ch = true;
-            }
+            Some(Operand::Reg(p)) => m.index = Some((p, s)),
             Some(Operand::Imm(v)) => {
                 m.index = None;
                 m.disp = m.disp.wrapping_add(v.wrapping_mul(s as i32));
-                ch = true;
             }
             _ => {}
         }
     }
-    ch
+    *m != before
 }
 
 /// Substitute known equalities into every read position of `ins`.
@@ -743,262 +882,150 @@ fn rewrite_reads(ins: &mut X86Instr, vals: &[Option<Operand>; 8]) -> bool {
         }
         X86Instr::Alu { op, dst, src } => {
             let mut ch = subst_operand(src, vals, true);
-            match dst {
-                Operand::Mem(m) => ch |= subst_mem(m, vals),
-                // cmp/test read their destination without writing it.
-                Operand::Reg(q) if op.is_compare() => {
-                    if let Some(Operand::Reg(p)) = vals[q.index()] {
-                        if p != *q {
-                            *dst = Operand::Reg(p);
-                            ch = true;
-                        }
-                    }
-                }
-                _ => {}
+            // cmp/test read their destination without writing it.
+            if dst.is_mem() || op.is_compare() {
+                ch |= subst_operand(dst, vals, false);
             }
             ch
         }
-        X86Instr::Lea { addr, .. } => subst_mem(addr, vals),
-        X86Instr::Imul { src, .. } => subst_operand(src, vals, false),
-        X86Instr::Shift { dst: Operand::Mem(m), .. }
-        | X86Instr::Un { dst: Operand::Mem(m), .. } => subst_mem(m, vals),
-        X86Instr::Movx { src, .. } => subst_operand(src, vals, false),
-        // The source's low bits are stored: renaming is value-safe, but
-        // W8 needs a byte-addressable register — skip the source.
-        X86Instr::MovStore { dst, .. } => subst_mem(dst, vals),
+        X86Instr::Imul { src, .. } | X86Instr::Movx { src, .. } | X86Instr::JmpInd { src } => {
+            subst_operand(src, vals, false)
+        }
         X86Instr::Push { src } => subst_operand(src, vals, true),
-        X86Instr::JmpInd { src } => subst_operand(src, vals, false),
-        X86Instr::Pop { dst: Operand::Mem(m) } => subst_mem(m, vals),
+        // (A sub-word store's source low bits are stored: renaming is
+        // value-safe, but W8 needs a byte-addressable register — skip
+        // the source.)
+        X86Instr::Lea { addr: m, .. }
+        | X86Instr::MovStore { dst: m, .. }
+        | X86Instr::Shift { dst: Operand::Mem(m), .. }
+        | X86Instr::Un { dst: Operand::Mem(m), .. }
+        | X86Instr::Pop { dst: Operand::Mem(m) } => subst_mem(m, vals),
         _ => false,
     }
 }
 
-/// Forward copy/constant propagation with local constant folding over
-/// one part. Equalities are dropped at every jump target (join points;
-/// the target set is precomputed, so backward edges join correctly). A
-/// fold replaces a flag-writing instruction with a `mov`, so it requires
-/// the instruction's EFLAGS results dead per `live_out`. Folds only ever
-/// *remove* flag writes whose results were already dead, so `live_out`
-/// computed before the pass stays a sound over-approximation throughout.
-fn propagate(code: &[X86Instr], live_out: &[Live]) -> Option<Vec<X86Instr>> {
-    let n = code.len();
-    let mut is_target = vec![false; n + 1];
-    for (i, ins) in code.iter().enumerate() {
-        if let X86Instr::Jmp { target } | X86Instr::Jcc { target, .. } = ins {
-            is_target[(i as i64 + 1 + *target as i64).clamp(0, n as i64) as usize] = true;
-        }
-    }
-    let mut vals: [Option<Operand>; 8] = [None; 8];
-    let mut out = Vec::with_capacity(n);
-    let mut changed = false;
-    for (i, ins) in code.iter().enumerate() {
-        if is_target[i] {
-            vals = [None; 8];
-        }
-        let mut ins = *ins;
-        changed |= rewrite_reads(&mut ins, &vals);
-        if let Some((d, v)) = fold(&ins, &vals) {
-            if ins.flags_written() & live_out[i].flags == 0 {
-                ins = X86Instr::mov_imm(d, v);
+impl Region {
+    /// Forward copy/constant propagation with local constant folding.
+    /// Equalities are dropped at every join (jump targets and part
+    /// starts). A fold replaces a flag-writing instruction with a `mov`,
+    /// so it requires the instruction's EFLAGS results dead per `lin`.
+    /// Folds only ever *remove* flag writes whose results were already
+    /// dead, so liveness computed before the pass stays a sound
+    /// over-approximation throughout.
+    fn propagate(&mut self, lin: &[Live], exit: Live, is_target: &[bool]) -> bool {
+        let mut vals: [Option<Operand>; 8] = [None; 8];
+        let mut changed = false;
+        for (i, &join) in is_target.iter().enumerate() {
+            if join || self.is_start(i) {
+                vals = [None; 8];
+            }
+            let mut ins = self.code[i];
+            let mut rewritten = rewrite_reads(&mut ins, &vals);
+            if let Some((d, v)) = fold(&ins, &vals) {
+                if ins.flags_written() & self.live_out(i, lin, exit).flags == 0 {
+                    ins = X86Instr::mov_imm(d, v);
+                    rewritten = true;
+                }
+            }
+            if rewritten {
+                self.set(i, ins);
                 changed = true;
             }
-        }
-        if let Some(d) = ins.def() {
-            invalidate(&mut vals, d);
-        }
-        if matches!(
-            ins,
-            X86Instr::Push { .. }
-                | X86Instr::Pop { .. }
-                | X86Instr::Pushfd
-                | X86Instr::Popfd
-                | X86Instr::Call { .. }
-                | X86Instr::Ret
-        ) {
-            invalidate(&mut vals, Gpr::Esp);
-        }
-        if let X86Instr::Mov { dst: Operand::Reg(r), src } = ins {
-            match src {
-                Operand::Reg(q) if q != r => vals[r.index()] = Some(Operand::Reg(q)),
-                Operand::Imm(v) => vals[r.index()] = Some(Operand::Imm(v)),
-                _ => {}
+            if let Some(d) = ins.def() {
+                invalidate(&mut vals, d);
+            }
+            if moves_esp(&ins) {
+                invalidate(&mut vals, Gpr::Esp);
+            }
+            if let X86Instr::Mov { dst: Operand::Reg(r), src } = ins {
+                if !src.is_mem() && src != Operand::Reg(r) {
+                    vals[r.index()] = Some(src);
+                }
             }
         }
-        out.push(ins);
+        changed
     }
-    changed.then_some(out)
+
+    /// Whether instruction `i` can go, `out` being live after it: a no-op
+    /// self-move, or an instruction whose register result and flag
+    /// effects are both dead and that may be deleted once they are — no
+    /// memory write, no stack or control-flow effect, and any memory
+    /// *read* must be a static env access (the env is always mapped, so
+    /// deletion cannot suppress a fault the original code would raise).
+    fn is_dead(&self, i: usize, out: Live) -> bool {
+        let (ins, f) = (&self.code[i], &self.info[i]);
+        if matches!(ins, X86Instr::Mov { dst: Operand::Reg(a), src: Operand::Reg(b) } if a == b) {
+            return true;
+        }
+        let removable = f.flow == Flow::Next
+            && f.store.is_none()
+            && !moves_esp(ins)
+            && f.load.is_none_or(|(m, _)| !matches!(classify(&m), EnvSlot::NotEnv));
+        removable
+            && (f.def != 0 || f.flags_written != 0)
+            && f.def & out.regs == 0
+            && f.flags_written & out.flags == 0
+    }
+
+    /// Delete dead instructions, iterating until nothing more falls out.
+    fn eliminate_dead(&mut self, exit: Live) -> bool {
+        let mut any = false;
+        loop {
+            let lin = self.liveness(exit);
+            let keep: Vec<bool> = (0..self.code.len())
+                .map(|i| !self.is_dead(i, self.live_out(i, &lin, exit)))
+                .collect();
+            if !keep.contains(&false) {
+                return any;
+            }
+            any = true;
+            self.compact(&keep);
+        }
+    }
+
+    /// The cleanup sweep behind [`optimize_region`] and
+    /// [`optimize_region_pinned`]: forward copy/constant propagation,
+    /// then dead code elimination over region-wide liveness — a value is
+    /// dead only when no later part on the straightened path reads it
+    /// before control could reach foreign code.
+    fn optimize(&mut self, pinned: u8) {
+        let exit = exit_live(pinned);
+        for _ in 0..4 {
+            let is_target = self.targets();
+            let mut changed = false;
+            for _ in 0..4 {
+                let lin = self.liveness(exit);
+                if !self.propagate(&lin, exit, &is_target) {
+                    break;
+                }
+                changed = true;
+            }
+            changed |= self.eliminate_dead(exit);
+            if !changed {
+                break;
+            }
+        }
+    }
 }
 
 /// Liveness-driven cleanup of a whole region, run after specialization
-/// and seam stripping: forward copy/constant propagation inside each
-/// part, then dead code elimination with cross-seam liveness — a seam
-/// (stripped fallthrough *or* a `ChainJmp` to the next part's block,
-/// which `run_superblock` follows without leaving the region) threads
-/// the successor part's entry liveness into its predecessor, so a value
-/// is dead only when no later part on the straightened path reads it
-/// before control could reach foreign code. This matters because
-/// specialized parts legitimately read registers at entry — that is the
-/// seam optimization — so their entry liveness is *not* empty. Every
-/// env access, memory effect, and exit is preserved, so the watchdog
-/// comparison surface and all guest-visible state are untouched; only
-/// executed host instructions shrink.
+/// and seam stripping. Every env access, memory effect, and exit is
+/// preserved, so the watchdog comparison surface and all guest-visible
+/// state are untouched; only executed host instructions shrink.
 pub fn optimize_region(parts: &mut [SbPart]) {
-    optimize_region_inner(parts, 0);
-}
-
-/// [`optimize_region`] with an extra set of registers (`pinned`, a
-/// register bitmask) held live across every in-region seam and at every
-/// exit — a region allocation's pinned registers carry guest state over
-/// seams *and* over the loop backedge (a `ChainJmp` escape from
-/// `liveness`'s point of view), so they may never be invalidated
-/// anywhere in the region.
-fn optimize_region_inner(parts: &mut [SbPart], pinned: u8) {
-    let exit = Live { regs: exit_live().regs | pinned, flags: exit_live().flags };
-    for _ in 0..4 {
-        let mut changed = false;
-        let mut next_entry = exit;
-        for k in (0..parts.len()).rev() {
-            let seam_next = parts.get(k + 1).map(|p| p.id);
-            // What is live past the end of this part: the next part's
-            // entry for a stripped seam; unreachable otherwise. The same
-            // set is what an in-region ChainJmp seam flows into (see
-            // `liveness`), so any non-last part uses the threaded value.
-            let end_live = if seam_next.is_some() {
-                Live { regs: next_entry.regs | pinned, flags: next_entry.flags }
-            } else {
-                exit
-            };
-            let mut code: Vec<X86Instr> = (*parts[k].code).clone();
-            if jumps_in_range(&code) {
-                let mut part_changed = false;
-                for _ in 0..4 {
-                    let (live_out, _) = liveness(&code, end_live, exit, seam_next);
-                    let Some(c) = propagate(&code, &live_out) else { break };
-                    code = c;
-                    part_changed = true;
-                }
-                let (c, _) = eliminate_dead(&code, end_live, exit, seam_next);
-                if let Some(c) = c {
-                    code = c;
-                    part_changed = true;
-                }
-                if part_changed {
-                    changed = true;
-                    parts[k].code = Rc::new(code.clone());
-                }
-            }
-            let (_, entry) = liveness(&code, end_live, exit, seam_next);
-            next_entry = entry;
-        }
-        if !changed {
-            break;
-        }
-    }
-}
-
-/// Whether executing `code` from its start provably writes `%eax` before
-/// any instruction reads it (and before any exit the analysis cannot
-/// follow). Used to prove a predecessor's seam exit pair — which is what
-/// normally freshens `%eax` — can be stripped.
-fn eax_redefined_first(code: &[X86Instr], ip: usize, depth: u32) -> bool {
-    if depth == 0 {
-        return false;
-    }
-    let mut i = ip;
-    loop {
-        let Some(ins) = code.get(i) else {
-            // Ran off the end: only reachable when this part's own seam
-            // pair was stripped, which required its successor to pass
-            // this same check first.
-            return true;
-        };
-        if ins.uses().contains(&Gpr::Eax) {
-            return false;
-        }
-        if ins.def() == Some(Gpr::Eax) {
-            return true;
-        }
-        match ins {
-            X86Instr::Jcc { target, .. } => {
-                if *target < 0 {
-                    return false;
-                }
-                return eax_redefined_first(code, i + 1, depth - 1)
-                    && eax_redefined_first(code, i + 1 + *target as usize, depth - 1);
-            }
-            X86Instr::Jmp { target } => {
-                if *target < 0 {
-                    return false;
-                }
-                i = i + 1 + *target as usize;
-                continue;
-            }
-            // Halt never consults %eax; everything else hands control to
-            // code this analysis cannot see (the dispatcher reads %eax
-            // after `ret`) — refuse.
-            X86Instr::Halt => return true,
-            X86Instr::Ret | X86Instr::JmpInd { .. } | X86Instr::Call { .. } => return false,
-            X86Instr::ChainJmp { .. } => return false,
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// Strip each part's trailing seam exit pair (`movl $next_pc, %eax;
-/// chain @next_id`) where the next part provably redefines `%eax` before
-/// reading it. Decided back to front so a stripped part's own
-/// past-the-end fallthrough is covered by its successor's proof.
-pub fn strip_seam_exits(parts: &mut [SbPart], pcs: &[u32]) {
-    debug_assert_eq!(parts.len(), pcs.len());
-    for k in (0..parts.len().saturating_sub(1)).rev() {
-        let next_id = parts[k + 1].id;
-        let next_pc = pcs[k + 1];
-        let code = &parts[k].code;
-        let n = code.len();
-        if n < 2 {
-            continue;
-        }
-        let pair_ok = matches!(
-            code[n - 2],
-            X86Instr::Mov { dst: Operand::Reg(Gpr::Eax), src: Operand::Imm(v) }
-                if v as u32 == next_pc
-        ) && matches!(code[n - 1], X86Instr::ChainJmp { block } if block == next_id);
-        if !pair_ok || !eax_redefined_first(&parts[k + 1].code, 0, 16) {
-            continue;
-        }
-        // No forward jump may land inside the stripped pair or past the
-        // code end — either would change meaning once the pair is gone.
-        // A jump to exactly n-2 lands on the pair's first instruction,
-        // which after stripping is the past-the-end fallthrough: that is
-        // precisely the seam semantics, so it stays legal.
-        let jump_into_pair = code.iter().enumerate().any(|(at, ins)| match ins {
-            X86Instr::Jcc { target, .. } | X86Instr::Jmp { target } if *target > 0 => {
-                let dest = at + 1 + *target as usize;
-                dest > n - 2
-            }
-            _ => false,
-        });
-        if jump_into_pair {
-            continue;
-        }
-        let part = &mut parts[k];
-        let mut new_code = (*part.code).clone();
-        new_code.truncate(n - 2);
-        part.code = Rc::new(new_code);
-        part.fallthrough_seam = true;
-    }
+    Region::with(parts, |r| r.optimize(0));
 }
 
 // ---------------------------------------------------------------------------
 // Guest memory access fusion
 // ---------------------------------------------------------------------------
 //
-// A region-scope dataflow pass over each part's straightened body that
-// performs store-to-load forwarding, redundant-load elimination, dead-store
+// A region-scope dataflow pass over the straightened body that performs
+// store-to-load forwarding, redundant-load elimination, dead-store
 // sinking, and pairing of adjacent narrow stores into word stores. All
 // reasoning is *segment-local*: facts are discarded at every jump target
-// (join points) and at calls, exactly like `propagate`. Fusion never
+// (join points) and at calls, exactly like `propagate`; a part boundary
+// is a join whose predecessors are the seam edges. Fusion never
 // removes a store whose bytes could be observed (a side exit, a possibly
 // aliasing read, or an address-register redefinition all block the
 // elimination), so the watchdog comparison surface — memory at part
@@ -1009,16 +1036,6 @@ pub fn strip_seam_exits(parts: &mut [SbPart], pcs: &[u32]) {
 // one 4-aligned word — an unaligned or page-crossing pair can never
 // qualify — and is gated on the `isa::cost` model pricing the word store
 // cheaper than the two narrow stores it replaces.
-
-/// Byte width of an access.
-fn width_bytes(w: Width) -> u32 {
-    w.bits() / 8
-}
-
-/// The absolute address of a register-free address expression.
-fn abs_addr(m: &X86Mem) -> Option<u32> {
-    (m.base.is_none() && m.index.is_none()).then_some(m.disp as u32)
-}
 
 /// `stack` is an `%esp`-relative address and `other` a static env
 /// address: disjoint because the host stack lives strictly below
@@ -1042,10 +1059,7 @@ fn may_overlap(m1: &X86Mem, w1: u32, m2: &X86Mem, w2: u32) -> bool {
         let (d1, d2) = (m1.disp as i64, m2.disp as i64);
         return d1 < d2 + w2 as i64 && d2 < d1 + w1 as i64;
     }
-    if esp_vs_env(m1, m2) || esp_vs_env(m2, m1) {
-        return false;
-    }
-    true
+    !(esp_vs_env(m1, m2) || esp_vs_env(m2, m1))
 }
 
 /// A known equality: reading `width` bytes at `mem` yields `val` (for a
@@ -1057,61 +1071,28 @@ struct MemFact {
     val: Operand,
 }
 
-/// Memory addresses `ins` *reads*, with byte widths. Complements
-/// `store_mem`: read-modify-write ALU destinations (and `cmp` with a
-/// memory destination) read their bytes, and stack pops read through
-/// `%esp`.
-fn load_mems(ins: &X86Instr) -> Vec<(X86Mem, u32)> {
-    let mut v = Vec::new();
-    match *ins {
-        X86Instr::Mov { src: Operand::Mem(m), .. }
-        | X86Instr::Alu { src: Operand::Mem(m), .. }
-        | X86Instr::Imul { src: Operand::Mem(m), .. }
-        | X86Instr::JmpInd { src: Operand::Mem(m) } => v.push((m, 4)),
-        X86Instr::Movx { src: Operand::Mem(m), width, .. } => v.push((m, width_bytes(width))),
-        _ => {}
-    }
-    match *ins {
-        X86Instr::Alu { dst: Operand::Mem(m), .. }
-        | X86Instr::Shift { dst: Operand::Mem(m), .. }
-        | X86Instr::Un { dst: Operand::Mem(m), .. } => v.push((m, 4)),
-        _ => {}
-    }
-    if matches!(ins, X86Instr::Pop { .. } | X86Instr::Popfd | X86Instr::Ret) {
-        v.push((X86Mem::base(Gpr::Esp), 4));
-    }
-    v
-}
-
 /// Update the fact/constant state for one (already rewritten)
 /// instruction: kill facts clobbered by its store, its register def, or
 /// an `%esp` adjustment, then record any new equality it establishes.
-fn apply_effects(ins: &X86Instr, facts: &mut Vec<MemFact>, consts: &mut [Option<i32>; 8]) {
-    if let Some(sm) = store_mem(ins) {
-        let w = match *ins {
-            X86Instr::MovStore { width, .. } => width_bytes(width),
-            _ => 4,
-        };
-        facts.retain(|f| !may_overlap(&f.mem, width_bytes(f.width), &sm, w));
+fn apply_effects(
+    ins: &X86Instr,
+    info: &Info,
+    facts: &mut Vec<MemFact>,
+    consts: &mut [Option<i32>; 8],
+) {
+    if let Some((sm, w)) = info.store {
+        facts.retain(|f| !may_overlap(&f.mem, f.width.bits() / 8, &sm, w));
     }
     if let Some(d) = ins.def() {
-        facts.retain(|f| f.val != Operand::Reg(d) && !f.mem.regs().contains(&d));
+        facts.retain(|f| f.val != Operand::Reg(d) && !addr_uses(&f.mem, d));
         consts[d.index()] = None;
     }
-    if matches!(
-        ins,
-        X86Instr::Push { .. }
-            | X86Instr::Pop { .. }
-            | X86Instr::Pushfd
-            | X86Instr::Popfd
-            | X86Instr::Call { .. }
-            | X86Instr::Ret
-    ) {
+    if moves_esp(ins) {
         // %esp moved: every %esp-relative address now names other bytes.
-        facts.retain(|f| !f.mem.regs().contains(&Gpr::Esp));
+        facts.retain(|f| !addr_uses(&f.mem, Gpr::Esp));
         consts[Gpr::Esp.index()] = None;
     }
-    if matches!(ins, X86Instr::Call { .. }) {
+    if info.flow == Flow::Call {
         facts.clear();
         *consts = [None; 8];
     }
@@ -1122,10 +1103,10 @@ fn apply_effects(ins: &X86Instr, facts: &mut Vec<MemFact>, consts: &mut [Option<
         X86Instr::MovStore { width, src, dst } => {
             facts.push(MemFact { mem: dst, width, val: Operand::Reg(src) });
         }
-        X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Mem(m) } if !m.regs().contains(&r) => {
+        X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Mem(m) } if !addr_uses(&m, r) => {
             facts.push(MemFact { mem: m, width: Width::W32, val: Operand::Reg(r) });
         }
-        X86Instr::Movx { width, dst, src: Operand::Mem(m), .. } if !m.regs().contains(&dst) => {
+        X86Instr::Movx { width, dst, src: Operand::Mem(m), .. } if !addr_uses(&m, dst) => {
             facts.push(MemFact { mem: m, width, val: Operand::Reg(dst) });
         }
         _ => {}
@@ -1142,40 +1123,26 @@ fn apply_effects(ins: &X86Instr, facts: &mut Vec<MemFact>, consts: &mut [Option<
 /// read at the same address expression (little-endian low bytes). W8
 /// register substitution additionally requires a byte-addressable
 /// register (`%eax`–`%ebx`), mirroring the encoder's constraint.
-fn forward_into(ins: X86Instr, facts: &[MemFact], elim: &mut u64) -> X86Instr {
-    let find = |m: &X86Mem, w: Width| {
-        facts.iter().find(|f| f.mem == *m && (f.width == w || f.width == Width::W32)).map(|f| f.val)
+fn forward_into(ins: X86Instr, facts: &[MemFact]) -> X86Instr {
+    let (m, w) = match ins {
+        X86Instr::Mov { dst: Operand::Reg(_), src: Operand::Mem(m) }
+        | X86Instr::Alu { src: Operand::Mem(m), .. }
+        | X86Instr::Imul { src: Operand::Mem(m), .. } => (m, Width::W32),
+        X86Instr::Movx { src: Operand::Mem(m), width, .. } => (m, width),
+        _ => return ins,
     };
-    match ins {
-        X86Instr::Mov { dst: dst @ Operand::Reg(_), src: Operand::Mem(m) } => {
-            if let Some(v) = find(&m, Width::W32) {
-                *elim += 1;
-                return X86Instr::Mov { dst, src: v };
-            }
+    let hit = |f: &&MemFact| f.mem == m && (f.width == w || f.width == Width::W32);
+    match (ins, facts.iter().find(hit).map(|f| f.val)) {
+        (X86Instr::Mov { dst, .. }, Some(src)) => X86Instr::Mov { dst, src },
+        (X86Instr::Alu { op, dst, .. }, Some(src)) => X86Instr::Alu { op, dst, src },
+        (X86Instr::Imul { dst, .. }, Some(src @ Operand::Reg(_))) => X86Instr::Imul { dst, src },
+        (X86Instr::Movx { sign, width, dst, .. }, Some(src @ Operand::Reg(q)))
+            if width != Width::W8 || q.index() < 4 =>
+        {
+            X86Instr::Movx { sign, width, dst, src }
         }
-        X86Instr::Alu { op, dst, src: Operand::Mem(m) } => {
-            if let Some(v) = find(&m, Width::W32) {
-                *elim += 1;
-                return X86Instr::Alu { op, dst, src: v };
-            }
-        }
-        X86Instr::Imul { dst, src: Operand::Mem(m) } => {
-            if let Some(v @ Operand::Reg(_)) = find(&m, Width::W32) {
-                *elim += 1;
-                return X86Instr::Imul { dst, src: v };
-            }
-        }
-        X86Instr::Movx { sign, width, dst, src: Operand::Mem(m) } => {
-            if let Some(v @ Operand::Reg(q)) = find(&m, width) {
-                if width != Width::W8 || q.index() < 4 {
-                    *elim += 1;
-                    return X86Instr::Movx { sign, width, dst, src: v };
-                }
-            }
-        }
-        _ => {}
+        _ => ins,
     }
-    ins
 }
 
 /// Try to pair the two leading instructions of `w` — adjacent 16-bit
@@ -1210,187 +1177,139 @@ fn pair_stores(w: &[X86Instr], consts: &[Option<i32>; 8], model: &CostModel) -> 
     (model.cost(fused.kind()) < before).then_some(fused)
 }
 
-/// Pass 1: one forward sweep doing store-to-load forwarding, redundant
-/// load elimination, and narrow-store pairing. Returns the rewritten
-/// code, the number of accesses eliminated or replaced by a cheaper
-/// form, and the facts that hold at *every* transition to the seam
-/// successor (`seam_next` chains plus the stripped fallthrough when
-/// `ft_seam`) — a seam executes nothing, so the caller may thread those
-/// facts into the next part's sweep.
-///
-/// `entry` seeds the sweep with facts carried across the preceding seam.
-/// The seed is only sound because a part's entry (other than the region
-/// head, which the caller seeds empty) is reachable *solely* through
-/// that seam: mid-region parts are never dispatch targets and the
-/// resident backedge re-enters at part 0 alone.
-fn fuse_forward(
-    code: &[X86Instr],
-    entry: Vec<MemFact>,
-    seam_next: Option<u32>,
-    ft_seam: bool,
-) -> (Vec<X86Instr>, u64, Vec<MemFact>) {
-    let n = code.len();
-    let mut is_target = vec![false; n + 1];
-    for (i, ins) in code.iter().enumerate() {
-        if let X86Instr::Jmp { target } | X86Instr::Jcc { target, .. } = ins {
-            is_target[(i as i64 + 1 + *target as i64).clamp(0, n as i64) as usize] = true;
-        }
-    }
-    let model = CostModel::default();
-    let mut facts: Vec<MemFact> = entry;
-    let mut consts: [Option<i32>; 8] = [None; 8];
-    let mut out = Vec::with_capacity(n);
-    let mut elim = 0u64;
-    // Intersection of the fact sets at each seam transition site.
-    let mut seam_facts: Option<Vec<MemFact>> = None;
-    let meet = |cur: &[MemFact], acc: &mut Option<Vec<MemFact>>| match acc {
-        None => *acc = Some(cur.to_vec()),
-        Some(a) => a.retain(|f| cur.contains(f)),
-    };
-    let mut i = 0usize;
-    while i < n {
-        if is_target[i] {
-            facts.clear();
-            consts = [None; 8];
-        }
-        // Pairing consumes two instructions; a jump landing between them
-        // must see both stores, so the pair is refused across a target.
-        if i + 1 < n && !is_target[i + 1] {
-            if let Some(fused) = pair_stores(&code[i..], &consts, &model) {
-                apply_effects(&fused, &mut facts, &mut consts);
-                out.push(fused);
-                elim += 1;
-                i += 2;
-                continue;
-            }
-        }
-        let ins = forward_into(code[i], &facts, &mut elim);
-        apply_effects(&ins, &mut facts, &mut consts);
-        match ins {
-            // An in-region chained seam: the jump executes nothing more.
-            X86Instr::ChainJmp { block } if Some(block) == seam_next => {
-                meet(&facts, &mut seam_facts);
-            }
-            // A stripped seam is also reached by jumps landing exactly on
-            // the end of the code (e.g. a branch over the part's escape).
-            X86Instr::Jmp { target } | X86Instr::Jcc { target, .. }
-                if ft_seam && i as i64 + 1 + target as i64 == n as i64 =>
-            {
-                meet(&facts, &mut seam_facts);
-            }
-            _ => {}
-        }
-        out.push(ins);
-        i += 1;
-    }
-    // The linear fallthrough reaches a stripped seam only when the last
-    // instruction does not end the straight line (a trailing escape means
-    // the seam is entered solely through the jump sites above).
-    if ft_seam && (n == 0 || !code[n - 1].is_block_end()) {
-        meet(&facts, &mut seam_facts);
-    }
-    (out, elim, seam_facts.unwrap_or_default())
-}
-
-/// Pass 2: dead-store sinking. A plain store (`mov` to memory or a
-/// narrow `MovStore` — never a read-modify-write, which also produces
-/// flags) is removed when a later store in the same straight-line
-/// segment fully overwrites its bytes through the *same* address
-/// expression before any possibly-aliasing read, any control transfer
-/// (`Jcc` side exits escape to foreign code that may read memory), any
-/// jump target, or any redefinition of the address registers.
-fn eliminate_dead_stores(code: &[X86Instr]) -> (Option<Vec<X86Instr>>, u64) {
-    let n = code.len();
-    let mut is_target = vec![false; n + 1];
-    for (i, ins) in code.iter().enumerate() {
-        if let X86Instr::Jmp { target } | X86Instr::Jcc { target, .. } = ins {
-            is_target[(i as i64 + 1 + *target as i64).clamp(0, n as i64) as usize] = true;
-        }
-    }
-    let mut keep = vec![true; n];
-    let mut elim = 0u64;
-    for i in 0..n {
-        let (m, w) = match code[i] {
-            X86Instr::Mov { dst: Operand::Mem(m), .. } => (m, 4u32),
-            X86Instr::MovStore { width, dst, .. } => (dst, width_bytes(width)),
-            _ => continue,
-        };
-        let addr_regs = m.regs();
-        let mut j = i + 1;
-        let dead = loop {
-            if j >= n || is_target[j] {
-                break false;
-            }
-            let nxt = code[j];
-            let covers = match nxt {
-                X86Instr::Mov { dst: Operand::Mem(m2), .. } => m2 == m,
-                X86Instr::MovStore { width: w2, dst: m2, .. } => m2 == m && width_bytes(w2) >= w,
-                _ => false,
+impl Region {
+    /// Pass 1: one forward sweep doing store-to-load forwarding,
+    /// redundant load elimination, and narrow-store pairing (the second
+    /// store of a pair is cleared in `keep`). Returns the number of
+    /// accesses eliminated or replaced by a cheaper form.
+    ///
+    /// The region head starts with no facts — it is a dispatch target
+    /// and the resident backedge re-enters there. Every later part
+    /// starts from the meet (intersection) of the facts at each seam
+    /// edge into it — `Seam` chains, plus, behind a stripped pair, jumps
+    /// landing exactly on the end of the part (e.g. a branch over the
+    /// part's escape) and the linear fallthrough: a seam executes
+    /// nothing, so an equality proven at every transition still holds.
+    /// The seed is only sound because such a part's entry is reachable
+    /// *solely* through that seam: mid-region parts are never dispatch
+    /// targets.
+    fn fuse_forward(&mut self, is_target: &[bool], keep: &mut [bool]) -> u64 {
+        let model = CostModel::default();
+        let mut elim = 0u64;
+        let mut carry: Vec<MemFact> = Vec::new();
+        for k in 0..self.ids.len() {
+            let (start, end) = (self.starts[k], self.starts[k + 1]);
+            let mut facts = std::mem::take(&mut carry);
+            let mut consts: [Option<i32>; 8] = [None; 8];
+            // Intersection of the fact sets at each seam edge.
+            let mut seam_facts: Option<Vec<MemFact>> = None;
+            let meet = |cur: &[MemFact], acc: &mut Option<Vec<MemFact>>| match acc {
+                None => *acc = Some(cur.to_vec()),
+                Some(a) => a.retain(|f| cur.contains(f)),
             };
-            if covers && keep[j] {
-                break true;
+            let mut i = start;
+            while i < end {
+                if is_target[i] {
+                    facts.clear();
+                    consts = [None; 8];
+                }
+                // Pairing consumes two instructions; a jump landing between
+                // them must see both stores, so the pair is refused across
+                // a target.
+                let pair = (i + 1 < end && !is_target[i + 1])
+                    .then(|| pair_stores(&self.code[i..end], &consts, &model))
+                    .flatten();
+                let ins = pair.unwrap_or_else(|| forward_into(self.code[i], &facts));
+                if ins != self.code[i] {
+                    self.set(i, ins);
+                    elim += 1;
+                }
+                apply_effects(&ins, &self.info[i], &mut facts, &mut consts);
+                let to_end = self.ft_seam[k] && self.jump_dest(i) == Some(end);
+                if self.info[i].flow == Flow::Seam || to_end {
+                    meet(&facts, &mut seam_facts);
+                }
+                if pair.is_some() {
+                    keep[i + 1] = false;
+                    i += 1;
+                }
+                i += 1;
             }
-            if nxt.is_block_end() || matches!(nxt, X86Instr::Jcc { .. }) {
-                break false;
+            // The linear fallthrough reaches a stripped seam only when the
+            // last instruction does not end the straight line (a trailing
+            // escape means the seam is entered solely through the sites
+            // above).
+            let falls =
+                start == end || matches!(self.info[end - 1].flow, Flow::Next | Flow::Branch(_));
+            if self.ft_seam[k] && falls {
+                meet(&facts, &mut seam_facts);
             }
-            if load_mems(&nxt).iter().any(|(lm, lw)| may_overlap(lm, *lw, &m, w)) {
-                break false;
-            }
-            if nxt.def().is_some_and(|d| addr_regs.contains(&d)) {
-                break false;
-            }
-            if addr_regs.contains(&Gpr::Esp)
-                && matches!(
-                    nxt,
-                    X86Instr::Push { .. }
-                        | X86Instr::Pop { .. }
-                        | X86Instr::Pushfd
-                        | X86Instr::Popfd
-                )
-            {
-                break false;
-            }
-            j += 1;
-        };
-        if dead {
-            keep[i] = false;
-            elim += 1;
+            carry = seam_facts.unwrap_or_default();
         }
+        elim
     }
-    if elim == 0 {
-        return (None, 0);
+
+    /// Pass 2: dead-store sinking. A plain store (`mov` to memory or a
+    /// narrow `MovStore` — never a read-modify-write, which also produces
+    /// flags) is removed when a later store in the same straight-line
+    /// segment fully overwrites its bytes through the *same* address
+    /// expression before any possibly-aliasing read, any control transfer
+    /// (`Jcc` side exits escape to foreign code that may read memory), any
+    /// jump target or part end, or any redefinition of the address
+    /// registers.
+    fn eliminate_dead_stores(&self, is_target: &[bool], keep: &mut [bool]) -> u64 {
+        let mut elim = 0u64;
+        for i in 0..self.code.len() {
+            let (X86Instr::Mov { .. } | X86Instr::MovStore { .. }, Some((m, w)), true) =
+                (self.code[i], self.info[i].store, keep[i])
+            else {
+                continue;
+            };
+            let dead = (i + 1..self.end(i)).find_map(|j| {
+                let (nxt, f) = (&self.code[j], &self.info[j]);
+                if is_target[j] {
+                    return Some(false);
+                }
+                if !keep[j] {
+                    return None; // the paired-away half of a fused word store
+                }
+                let covers = matches!(nxt, X86Instr::Mov { .. } | X86Instr::MovStore { .. })
+                    && f.store.is_some_and(|(m2, w2)| m2 == m && w2 >= w);
+                if covers {
+                    return Some(true);
+                }
+                let barrier = f.flow != Flow::Next
+                    || f.load.is_some_and(|(lm, lw)| may_overlap(&lm, lw, &m, w))
+                    || nxt.def().is_some_and(|d| addr_uses(&m, d))
+                    || addr_uses(&m, Gpr::Esp) && moves_esp(nxt);
+                barrier.then_some(false)
+            });
+            if dead == Some(true) {
+                keep[i] = false;
+                elim += 1;
+            }
+        }
+        elim
     }
-    (Some(remap(code, &keep)), elim)
+
+    /// Both fusion passes, then one `compact`.
+    fn fuse(&mut self) -> u64 {
+        let is_target = self.targets();
+        let mut keep = vec![true; self.code.len()];
+        let elim = self.fuse_forward(&is_target, &mut keep)
+            + self.eliminate_dead_stores(&is_target, &mut keep);
+        if elim > 0 {
+            self.compact(&keep);
+        }
+        elim
+    }
 }
 
-/// Fuse guest memory accesses across the region, part by part, with
-/// store-to-load facts carried across stripped seams (a seam executes
-/// nothing, so an equality proven at every seam transition of part `k`
-/// still holds at part `k + 1`'s entry). The region head starts with no
-/// facts — it is a dispatch target and the resident backedge re-enters
-/// there. Returns the number of accesses eliminated, forwarded, or
-/// paired.
+/// Fuse guest memory accesses across the region, with store-to-load
+/// facts carried across seams. Returns the number of accesses
+/// eliminated, forwarded, or paired.
 pub fn fuse_region(parts: &mut [SbPart]) -> u64 {
-    let mut total = 0u64;
-    let mut carry: Vec<MemFact> = Vec::new();
-    for k in 0..parts.len() {
-        let seam_next = parts.get(k + 1).map(|p| p.id);
-        let code: Vec<X86Instr> = (*parts[k].code).clone();
-        if !jumps_in_range(&code) {
-            carry = Vec::new();
-            continue;
-        }
-        let entry = std::mem::take(&mut carry);
-        let (fwd, e1, exit_facts) =
-            fuse_forward(&code, entry, seam_next, parts[k].fallthrough_seam);
-        let (sunk, e2) = eliminate_dead_stores(&fwd);
-        if e1 + e2 > 0 {
-            parts[k].code = Rc::new(sunk.unwrap_or(fwd));
-            total += e1 + e2;
-        }
-        carry = exit_facts;
-    }
-    total
+    Region::with(parts, Region::fuse)
 }
 
 // ---------------------------------------------------------------------------
@@ -1403,15 +1322,17 @@ pub fn fuse_region(parts: &mut [SbPart]) -> u64 {
 // at region entry — see [`Superblock::preamble`]) loads it from the env
 // home, every interior access is rewritten to the register form, and an
 // unconditional writeback sequence re-materializes the env home
-// immediately before every escape (ret / indirect jump / halt / chain to
-// a block outside the straightened path). In-region seams and the
+// immediately before every instruction that leaves the region
+// ([`Flow::leaves`]: ret / indirect jump / halt / trap / chain to a
+// block outside the straightened path). In-region seams and the
 // *backedge* — a `ChainJmp` to the region's own head, which
-// `run_superblock` follows back to part 0 without leaving the region —
-// do NOT write back: that residency is the point. The engine therefore
-// materializes pinned registers into env before any watchdog snapshot or
-// comparison taken at an in-region boundary (`Engine::run_superblock`
-// does exactly that, and only there: after an escape the writebacks have
-// already run and the pinned register may legitimately be stale).
+// `Engine::run_region` follows back to part 0 without leaving the
+// region — do NOT write back: that residency is the point. The engine
+// therefore materializes pinned registers into env before any watchdog
+// snapshot or comparison taken at an in-region boundary, and when a
+// memory access traps mid-part (`Engine::run_region` does exactly that,
+// and only there: after an escape the writebacks have already run and
+// the pinned register may legitimately be stale).
 //
 // Legality is whole-region: any call, any backward jump, or any explicit
 // `%esp` definition refuses the allocation entirely. Dynamically
@@ -1431,74 +1352,13 @@ fn slot_mem(s: u8) -> X86Mem {
     X86Mem::absolute((ENV_BASE + 4 * s as u32) as i32)
 }
 
-/// Whether `ins` leaves the region given the next part on the path and
-/// the region's head block. A `ChainJmp` to the head is the loop
-/// backedge: `run_superblock` follows it back to part 0 in-region, so it
-/// is not an escape.
-fn is_escape(ins: &X86Instr, seam_next: Option<u32>, head: u32) -> bool {
-    match *ins {
-        X86Instr::Ret | X86Instr::JmpInd { .. } | X86Instr::Halt => true,
-        X86Instr::ChainJmp { block } => Some(block) != seam_next && block != head,
-        _ => false,
-    }
-}
-
-/// Insert `block` before position `p`, stretching relative jump targets
-/// that cross the insertion point. A jump landing exactly *at* `p` keeps
-/// its target: after insertion it lands on the first inserted
-/// instruction, so an escape reached by jump still runs the writebacks
-/// inserted before it. Backward jumps are refused region-wide before
-/// this is ever called.
-fn insert_before(code: &mut Vec<X86Instr>, p: usize, block: &[X86Instr]) {
-    let len = block.len() as i32;
-    for (a, ins) in code.iter_mut().enumerate() {
-        if let X86Instr::Jmp { target } | X86Instr::Jcc { target, .. } = ins {
-            let dest = a as i64 + 1 + *target as i64;
-            if a < p && dest > p as i64 {
-                *target += len;
-            }
-        }
-    }
-    code.splice(p..p, block.iter().copied());
-}
-
-/// Static memory accesses of `ins` as `(address, bytes, supported)`:
-/// `supported` means the access is a whole-slot W32 form the allocator
-/// knows how to rewrite to a plain register operand with identical value
-/// and flags behavior. An unsupported access overlapping a slot poisons
-/// that slot.
-fn static_accesses(ins: &X86Instr) -> Vec<(X86Mem, u32, bool)> {
-    let mut v = Vec::new();
-    match *ins {
-        X86Instr::Mov { dst: Operand::Mem(m), .. } | X86Instr::Mov { src: Operand::Mem(m), .. } => {
-            v.push((m, 4, true));
-        }
-        X86Instr::Alu { dst: Operand::Mem(m), .. } | X86Instr::Alu { src: Operand::Mem(m), .. } => {
-            v.push((m, 4, true));
-        }
-        X86Instr::Imul { src: Operand::Mem(m), .. }
-        | X86Instr::Shift { dst: Operand::Mem(m), .. }
-        | X86Instr::Un { dst: Operand::Mem(m), .. }
-        | X86Instr::Push { src: Operand::Mem(m) }
-        | X86Instr::Pop { dst: Operand::Mem(m) } => v.push((m, 4, true)),
-        X86Instr::Movx { src: Operand::Mem(m), width, .. } => {
-            v.push((m, width_bytes(width), false));
-        }
-        X86Instr::MovStore { width, dst, .. } => v.push((dst, width_bytes(width), false)),
-        X86Instr::JmpInd { src: Operand::Mem(m) } | X86Instr::Lea { addr: m, .. } => {
-            v.push((m, 4, false));
-        }
-        _ => {}
-    }
-    v
-}
-
-/// Rewrite every whole-slot access to slot `s` in `ins` to use the
-/// pinned register `p` instead of the env home.
-fn rewrite_slot_access(ins: &mut X86Instr, s: u8, p: Gpr) {
+/// `ins` with every whole-slot W32 access to slot `s` — the forms with
+/// identical value and flags behavior on a plain register operand —
+/// rewritten to use the pinned register `p` instead of the env home.
+fn rewrite_slot_access(ins: X86Instr, s: u8, p: Gpr) -> X86Instr {
     let slot = slot_mem(s);
     let hit = |o: &Operand| matches!(o, Operand::Mem(m) if *m == slot);
-    *ins = match *ins {
+    match ins {
         X86Instr::Mov { dst: dst @ Operand::Reg(_), src } if hit(&src) => {
             X86Instr::Mov { dst, src: Operand::Reg(p) }
         }
@@ -1517,7 +1377,79 @@ fn rewrite_slot_access(ins: &mut X86Instr, s: u8, p: Gpr) {
         X86Instr::Push { src } if hit(&src) => X86Instr::Push { src: Operand::Reg(p) },
         X86Instr::Pop { dst } if hit(&dst) => X86Instr::Pop { dst: Operand::Reg(p) },
         other => other,
-    };
+    }
+}
+
+impl Region {
+    fn allocate(&mut self, pool: &[Gpr]) -> Vec<(u8, Gpr)> {
+        // ---- whole-region legality ----
+        // Calls hand control to code that may use any register; an explicit
+        // `%esp` definition breaks the stack/env disjointness reasoning;
+        // backward jumps would complicate writeback insertion (a jump could
+        // then land *after* an inserted block it must execute).
+        let illegal = |f: &Info| {
+            f.def == bit(Gpr::Esp)
+                || matches!(f.flow, Flow::Call)
+                || matches!(f.flow, Flow::Jump(t) | Flow::Branch(t) if t < 0)
+        };
+        if self.info.iter().any(illegal) {
+            return Vec::new();
+        }
+        // ---- per-slot census + register usage ----
+        // An access overlapping a slot in any form the rewrite does not
+        // know (sub-word, misaligned, `lea`, `jmp *`) poisons that slot.
+        let mut count = [0u32; 15];
+        let mut pinnable = [true; 15];
+        let mut used: u8 = bit(Gpr::Eax) | bit(Gpr::Esp);
+        let mut escapes = 0u32;
+        for (ins, f) in self.code.iter().zip(&self.info) {
+            used |= f.uses | f.def;
+            escapes += f.flow.leaves() as u32;
+            let lea = if let X86Instr::Lea { addr, .. } = *ins { Some((addr, 4)) } else { None };
+            for s in 0..15u8 {
+                let lo = ENV_BASE + 4 * s as u32;
+                let overlaps = |&(m, bytes): &(X86Mem, u32)| {
+                    abs_addr(&m).is_some_and(|a| a < lo + 4 && lo < a.saturating_add(bytes))
+                };
+                if [f.store, f.load, lea].iter().flatten().any(overlaps) {
+                    if rewrite_slot_access(*ins, s, Gpr::Eax) != *ins {
+                        count[s as usize] += 1;
+                    } else {
+                        pinnable[s as usize] = false;
+                    }
+                }
+            }
+        }
+        // ---- selection: hottest slots onto unused pool registers ----
+        // A pin costs one preamble load plus one writeback per escape; it
+        // must be reached by at least two rewritten accesses to pay off.
+        let mut hot: Vec<u8> = (0..15u8)
+            .filter(|&s| pinnable[s as usize] && count[s as usize] >= 2u32.max(escapes))
+            .collect();
+        hot.sort_by_key(|&s| (std::cmp::Reverse(count[s as usize]), s));
+        let free = pool.iter().copied().filter(|&p| used & bit(p) == 0);
+        let ra: Vec<(u8, Gpr)> = hot.into_iter().zip(free).collect();
+        if ra.is_empty() {
+            return ra;
+        }
+        // ---- rewrite: interior accesses, then writebacks ----
+        for i in 0..self.code.len() {
+            let ins = ra.iter().fold(self.code[i], |ins, &(s, p)| rewrite_slot_access(ins, s, p));
+            if ins != self.code[i] {
+                self.set(i, ins);
+            }
+        }
+        let wb: Vec<X86Instr> = ra
+            .iter()
+            .map(|&(s, p)| X86Instr::Mov { dst: Operand::Mem(slot_mem(s)), src: Operand::Reg(p) })
+            .collect();
+        let sites: Vec<usize> =
+            (0..self.code.len()).filter(|&i| self.info[i].flow.leaves()).collect();
+        for &at in sites.iter().rev() {
+            self.insert_before(at, &wb);
+        }
+        ra
+    }
 }
 
 /// Region-wide register allocation: pin hot guest register slots to host
@@ -1525,108 +1457,7 @@ fn rewrite_slot_access(ins: &mut X86Instr, s: u8, p: Gpr) {
 /// Returns the allocation (`(slot, pinned register)` pairs, empty when
 /// nothing was pinned). See the module section comment for the contract.
 pub fn allocate_region(parts: &mut [SbPart], pool: &[Gpr]) -> Vec<(u8, Gpr)> {
-    // ---- whole-region legality ----
-    // Calls hand control to code that may use any register; an explicit
-    // `%esp` definition breaks the stack/env disjointness reasoning;
-    // backward jumps would complicate writeback insertion (a jump could
-    // then land *after* an inserted block it must execute). Dynamically
-    // addressed accesses — loads and stores — are permitted: the guest
-    // address space (code, globals, guest stack) lies strictly below
-    // `HOST_STACK_TOP < ENV_BASE`, so guest code cannot legitimately name
-    // a pinned slot's env home; the differential watchdog remains the
-    // safety net for one that somehow does (DESIGN.md §16).
-    for part in parts.iter() {
-        if !jumps_in_range(&part.code) {
-            return Vec::new();
-        }
-        for ins in part.code.iter() {
-            if matches!(ins, X86Instr::Call { .. }) || ins.def() == Some(Gpr::Esp) {
-                return Vec::new();
-            }
-            if let X86Instr::Jmp { target } | X86Instr::Jcc { target, .. } = ins {
-                if *target < 0 {
-                    return Vec::new();
-                }
-            }
-        }
-    }
-    // ---- per-slot census + register usage ----
-    let head = parts[0].id;
-    let mut count = [0u32; 15];
-    let mut pinnable = [true; 15];
-    let mut used: u8 = bit(Gpr::Eax) | bit(Gpr::Esp);
-    let mut escapes = 0u32;
-    for (k, part) in parts.iter().enumerate() {
-        let seam_next = parts.get(k + 1).map(|p| p.id);
-        for ins in part.code.iter() {
-            for u in ins.uses() {
-                used |= bit(u);
-            }
-            if let Some(d) = ins.def() {
-                used |= bit(d);
-            }
-            if is_escape(ins, seam_next, head) {
-                escapes += 1;
-            }
-            for (m, bytes, supported) in static_accesses(ins) {
-                if dynamic_addr(&m) {
-                    continue;
-                }
-                let a = m.disp as u32;
-                for s in 0..15u32 {
-                    let lo = ENV_BASE + 4 * s;
-                    if a < lo + 4 && lo < a.saturating_add(bytes) {
-                        if supported && a == lo && bytes == 4 {
-                            count[s as usize] += 1;
-                        } else {
-                            pinnable[s as usize] = false;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // ---- selection: hottest slots onto unused pool registers ----
-    // A pin costs one preamble load plus one writeback per escape; it
-    // must be reached by at least two rewritten accesses to pay off.
-    let mut hot: Vec<u8> = (0..15u8)
-        .filter(|&s| pinnable[s as usize] && count[s as usize] >= 2u32.max(escapes))
-        .collect();
-    hot.sort_by_key(|&s| (std::cmp::Reverse(count[s as usize]), s));
-    let free: Vec<Gpr> = pool.iter().copied().filter(|&p| used & bit(p) == 0).collect();
-    let ra: Vec<(u8, Gpr)> = hot.into_iter().zip(free).collect();
-    if ra.is_empty() {
-        return ra;
-    }
-    // ---- rewrite: interior accesses, preamble, writebacks ----
-    for part in parts.iter_mut() {
-        let mut code = (*part.code).clone();
-        for ins in code.iter_mut() {
-            for &(s, p) in &ra {
-                rewrite_slot_access(ins, s, p);
-            }
-        }
-        part.code = Rc::new(code);
-    }
-    for k in 0..parts.len() {
-        let seam_next = parts.get(k + 1).map(|p| p.id);
-        let mut code = (*parts[k].code).clone();
-        let sites: Vec<usize> = code
-            .iter()
-            .enumerate()
-            .filter(|(_, ins)| is_escape(ins, seam_next, head))
-            .map(|(i, _)| i)
-            .collect();
-        let wb: Vec<X86Instr> = ra
-            .iter()
-            .map(|&(s, p)| X86Instr::Mov { dst: Operand::Mem(slot_mem(s)), src: Operand::Reg(p) })
-            .collect();
-        for &at in sites.iter().rev() {
-            insert_before(&mut code, at, &wb);
-        }
-        parts[k].code = Rc::new(code);
-    }
-    ra
+    Region::with(parts, |r| r.allocate(pool))
 }
 
 /// The region-entry preamble for an allocation: one load from each
@@ -1640,51 +1471,64 @@ pub fn ra_preamble(ra: &[(u8, Gpr)]) -> Vec<X86Instr> {
 }
 
 /// [`optimize_region`] with the pinned registers of an allocation held
-/// live across every in-region seam, so cleanup can never invalidate a
-/// pinned register between parts (a writeback's source may be renamed
-/// away from the pin by propagation; the pin itself must still hold the
-/// guest value at the next seam for the engine's watchdog
-/// materialization).
+/// live across every in-region seam and at every exit, so cleanup can
+/// never invalidate a pinned register between parts (a writeback's
+/// source may be renamed away from the pin by propagation; the pin
+/// itself must still hold the guest value at the next seam for the
+/// engine's watchdog materialization).
 pub fn optimize_region_pinned(parts: &mut [SbPart], ra: &[(u8, Gpr)]) {
-    let pinned = ra.iter().fold(0u8, |acc, &(_, p)| acc | bit(p));
-    optimize_region_inner(parts, pinned);
+    Region::with(parts, |r| r.optimize(pin_mask(ra)));
+}
+
+/// Everything the engine does to freshly specialized `parts` (whose
+/// blocks start at guest `pcs`), on one flattening: seam stripping and
+/// cleanup, then the region-wide passes — memory access fusion first
+/// (when `fuse`; its dead-store sinking must run before writeback stubs
+/// exist), then register allocation (from `pool`, when given), then one
+/// more cleanup sweep with the pinned registers held live across seams.
+/// Returns the fused-access count and the allocation.
+pub(crate) fn form_region(
+    parts: &mut [SbPart],
+    pcs: &[u32],
+    fuse: bool,
+    pool: Option<&[Gpr]>,
+) -> (u64, Vec<(u8, Gpr)>) {
+    Region::with(parts, |r| {
+        r.strip_seam_exits(pcs);
+        r.optimize(0);
+        let fused = if fuse { r.fuse() } else { 0 };
+        let ra = pool.map_or_else(Vec::new, |pool| r.allocate(pool));
+        if fused > 0 || !ra.is_empty() {
+            r.optimize(pin_mask(&ra));
+        }
+        (fused, ra)
+    })
 }
 
 /// The region allocation contract, checked by the engine after region
 /// formation (debug builds): part 0 reads only `%esp` and the pinned
 /// registers (which the entry preamble defines) and no flags at entry,
-/// and every escape is immediately preceded by a writeback store to each
+/// and every instruction that leaves the region ([`Flow::leaves`] —
+/// traps included) is immediately preceded by a writeback store to each
 /// pinned slot's env home (later passes may rewrite the *source* of a
 /// writeback but never remove or reorder the store).
 pub fn region_contract(parts: &[SbPart], ra: &[(u8, Gpr)]) -> bool {
-    let Some(first) = parts.first() else {
-        return true;
+    let (Some(first), Some(r)) = (parts.first(), Region::flatten(parts)) else {
+        return ra.is_empty();
     };
-    let head = first.id;
-    let pinned = ra.iter().fold(0u8, |acc, &(_, p)| acc | bit(p));
     let (regs, flags) = entry_reads(&first.code);
-    if regs & !(bit(Gpr::Esp) | pinned) != 0 || flags != 0 {
+    if regs & !(bit(Gpr::Esp) | pin_mask(ra)) != 0 || flags != 0 {
         return false;
     }
-    for (k, part) in parts.iter().enumerate() {
-        let seam_next = parts.get(k + 1).map(|p| p.id);
-        for (i, ins) in part.code.iter().enumerate() {
-            if !is_escape(ins, seam_next, head) {
-                continue;
-            }
-            let window = &part.code[i.saturating_sub(ra.len())..i];
-            for &(s, _) in ra {
-                let slot = slot_mem(s);
-                let wrote = window
-                    .iter()
-                    .any(|w| matches!(w, X86Instr::Mov { dst: Operand::Mem(m), .. } if *m == slot));
-                if !wrote {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    (0..r.code.len()).filter(|&i| r.info[i].flow.leaves()).all(|i| {
+        let window = &r.code[i.saturating_sub(ra.len()).max(r.starts[r.info[i].part as usize])..i];
+        ra.iter().all(|&(s, _)| {
+            let slot = slot_mem(s);
+            window
+                .iter()
+                .any(|w| matches!(w, X86Instr::Mov { dst: Operand::Mem(m), .. } if *m == slot))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1913,10 +1757,12 @@ mod tests {
             X86Instr::mov_imm(Gpr::Eax, 0x20),
             X86Instr::Ret,
         ];
-        assert!(eax_redefined_first(&code, 0, 16));
+        let eax_live_in = |code: &[X86Instr]| {
+            Region::of([(3, false, code)]).liveness(exit_live(0))[0].regs & bit(Gpr::Eax) != 0
+        };
+        assert!(!eax_live_in(&code));
         // But a bare chain-jump path (no def) must refuse.
-        let leak = vec![X86Instr::ChainJmp { block: 5 }];
-        assert!(!eax_redefined_first(&leak, 0, 16));
+        assert!(eax_live_in(&[X86Instr::ChainJmp { block: 5 }]));
     }
 
     /// Regression (caught on gobmk): a part ending in a *conditional*
@@ -2052,8 +1898,11 @@ mod tests {
             store(ArmReg::R4, Gpr::Edi),
             X86Instr::Ret,
         ];
-        let (sunk, n) = eliminate_dead_stores(&read);
-        assert!(sunk.is_none() && n == 0, "aliasing read is a barrier");
+        let sunk = |code: &[X86Instr]| {
+            let r = Region::of([(1, false, code)]);
+            r.eliminate_dead_stores(&r.targets(), &mut vec![true; code.len()])
+        };
+        assert_eq!(sunk(&read), 0, "aliasing read is a barrier");
         // A conditional branch escapes to code that may read memory.
         let branch = vec![
             store(ArmReg::R4, Gpr::Esi),
@@ -2061,8 +1910,7 @@ mod tests {
             store(ArmReg::R4, Gpr::Edi),
             X86Instr::Ret,
         ];
-        let (sunk, n) = eliminate_dead_stores(&branch);
-        assert!(sunk.is_none() && n == 0, "Jcc is a barrier");
+        assert_eq!(sunk(&branch), 0, "Jcc is a barrier");
     }
 
     #[test]
@@ -2113,9 +1961,10 @@ mod tests {
             },
             X86Instr::Ret,
         ];
-        let (out, n, _) = fuse_forward(&code, Vec::new(), None, false);
+        let mut r = Region::of([(1, false, &code[..])]);
+        let n = r.fuse_forward(&r.targets(), &mut vec![true; code.len()]);
         assert_eq!(n, 0, "misaligned pair refused");
-        assert_eq!(out, code);
+        assert_eq!(r.code, code);
     }
 
     #[test]
@@ -2241,30 +2090,32 @@ mod tests {
         ]
     }
 
+    fn touches(ins: &X86Instr, slot: &X86Mem) -> bool {
+        [store_mem(ins), load_mem(ins)].iter().flatten().any(|(m, _)| m == slot)
+    }
+
     #[test]
     fn allocate_region_pins_and_writes_back_at_escape() {
-        let mut parts = ra_region(X86Instr::ChainJmp { block: 9 });
-        let ra = allocate_region(&mut parts, &[Gpr::Ecx, Gpr::Ebx]);
-        assert_eq!(ra, vec![(4, Gpr::Ecx)]);
-        // Interior accesses rewritten: the only remaining slot-4 memory
-        // reference is the writeback immediately before the escape.
-        let slot4 = slot_mem(4);
-        for (k, p) in parts.iter().enumerate() {
-            for (i, ins) in p.code.iter().enumerate() {
-                let touches = static_accesses(ins).iter().any(|(m, _, _)| *m == slot4);
-                if touches {
-                    assert_eq!(k, 1);
-                    assert!(
-                        matches!(
-                            ins,
-                            X86Instr::Mov { dst: Operand::Mem(_), src: Operand::Reg(Gpr::Ecx) }
-                        ) && matches!(p.code[i + 1], X86Instr::ChainJmp { block: 9 }),
-                        "only a writeback right before the escape may touch the home: {ins:?}"
-                    );
-                }
-            }
+        // A trap leaves the region like any escape: an `svc` block ends
+        // `writeback_all; mov $pc, %eax; trap`, and with r4 pinned those
+        // writebacks are register moves — only the stub makes it precise.
+        for exit in [X86Instr::ChainJmp { block: 9 }, X86Instr::Trap] {
+            let mut parts = ra_region(exit);
+            let ra = allocate_region(&mut parts, &[Gpr::Ecx, Gpr::Ebx]);
+            assert_eq!(ra, vec![(4, Gpr::Ecx)]);
+            // Interior accesses rewritten: the only remaining slot-4 memory
+            // reference is the writeback immediately before the escape.
+            let slot4 = slot_mem(4);
+            let writeback = X86Instr::Mov { dst: Operand::Mem(slot4), src: Operand::Reg(Gpr::Ecx) };
+            let homes: Vec<(usize, usize)> = (0..parts.len())
+                .flat_map(|k| (0..parts[k].code.len()).map(move |i| (k, i)))
+                .filter(|&(k, i)| touches(&parts[k].code[i], &slot4))
+                .collect();
+            let at = parts[1].code.len() - 2;
+            assert_eq!(homes, [(1, at)], "one home access, right before {exit:?}");
+            assert_eq!(parts[1].code[at..], [writeback, exit]);
+            assert!(region_contract(&parts, &ra));
         }
-        assert!(region_contract(&parts, &ra));
     }
 
     #[test]
@@ -2276,10 +2127,8 @@ mod tests {
         let ra = allocate_region(&mut parts, &[Gpr::Ecx, Gpr::Ebx]);
         assert_eq!(ra, vec![(4, Gpr::Ecx)]);
         let slot4 = slot_mem(4);
-        let any_home_access = parts
-            .iter()
-            .flat_map(|p| p.code.iter())
-            .any(|ins| static_accesses(ins).iter().any(|(m, _, _)| *m == slot4));
+        let any_home_access =
+            parts.iter().flat_map(|p| p.code.iter()).any(|ins| touches(ins, &slot4));
         assert!(!any_home_access, "no writeback on the backedge: {:?}", parts[1].code);
         assert!(region_contract(&parts, &ra));
     }
@@ -2344,22 +2193,26 @@ mod tests {
     #[test]
     fn insert_before_stretches_spanning_jumps() {
         // jcc at 0 over index 1 to index 2; insertion at 1 stretches it.
-        let mut code = vec![
+        let code = [
             X86Instr::Jcc { cc: Cc::E, target: 1 },
             X86Instr::alu_ri(AluOp::Add, Gpr::Ecx, 1),
             X86Instr::Ret,
         ];
-        insert_before(&mut code, 1, &[X86Instr::alu_ri(AluOp::Add, Gpr::Edx, 7)]);
+        let mut r = Region::of([(1, false, &code[..])]);
+        r.insert_before(1, &[X86Instr::alu_ri(AluOp::Add, Gpr::Edx, 7)]);
+        let code = r.code;
         assert_eq!(code.len(), 4);
         assert!(matches!(code[0], X86Instr::Jcc { target: 2, .. }), "stretched: {code:?}");
         // A jump landing exactly at the insertion point keeps its target:
         // it must run the inserted block (writebacks before an escape).
-        let mut code = vec![
+        let code = [
             X86Instr::Jcc { cc: Cc::E, target: 1 },
             X86Instr::alu_ri(AluOp::Add, Gpr::Ecx, 1),
             X86Instr::Ret,
         ];
-        insert_before(&mut code, 2, &[X86Instr::alu_ri(AluOp::Add, Gpr::Edx, 7)]);
+        let mut r = Region::of([(1, false, &code[..])]);
+        r.insert_before(2, &[X86Instr::alu_ri(AluOp::Add, Gpr::Edx, 7)]);
+        let code = r.code;
         assert!(matches!(code[0], X86Instr::Jcc { target: 1, .. }), "kept: {code:?}");
     }
 }

@@ -51,15 +51,19 @@ LDBT_TRACE="all:$OBS_DIR/trace.ndjson" LDBT_STATS_JSON="$OBS_DIR/report.json" \
 cmp "$OBS_DIR/smoke_off.txt" "$OBS_DIR/smoke_on.txt"
 cargo run -q --release -p ldbt-obs --bin obs_selfcheck -- trace "$OBS_DIR/trace.ndjson"
 cargo run -q --release -p ldbt-obs --bin obs_selfcheck -- report "$OBS_DIR/report.json"
-# Every code-cache invalidation says why: each `purge` event of a traced
-# run carries the `reason` it was invalidated for.
-purges_have_reasons() {
-    if grep '"ev":"purge"' "$1" | grep -v '"reason":"'; then
-        echo "purge event without a reason in $1"
+# events_have_field <ev> <field> <file>: every `<ev>` event of a traced
+# run carries `<field>`. Every code-cache invalidation says why (`purge`
+# / `reason`), and every region formation what it cost (`sb_form` /
+# `dur_us`; smoke forms regions, so there must be some to check).
+events_have_field() {
+    if grep "\"ev\":\"$1\"" "$3" | grep -v "\"$2\":"; then
+        echo "$1 event without $2 in $3"
         exit 1
     fi
 }
-purges_have_reasons "$OBS_DIR/trace.ndjson"
+events_have_field purge reason "$OBS_DIR/trace.ndjson"
+grep -q '"ev":"sb_form"' "$OBS_DIR/trace.ndjson"
+events_have_field sb_form dur_us "$OBS_DIR/trace.ndjson"
 
 # The flagship table must also be trace-invariant: with wall-clock
 # columns zeroed (LDBT_DETERMINISTIC=1), two table1 runs — one traced,
@@ -139,7 +143,7 @@ LDBT_TRACE="exec:$OBS_DIR/smc.ndjson" \
 cmp "$OBS_DIR/smc_default.txt" "$OBS_DIR/smc_traced.txt"
 cargo run -q --release -p ldbt-obs --bin obs_selfcheck -- trace "$OBS_DIR/smc.ndjson"
 grep -q '"ev":"purge"' "$OBS_DIR/smc.ndjson"
-purges_have_reasons "$OBS_DIR/smc.ndjson"
+events_have_field purge reason "$OBS_DIR/smc.ndjson"
 
 # Guest trap-path gate: the cooperative mini-kernel (svc yields, svc
 # exit, wild-store kill) must produce the interpreter's exact KernelRun

@@ -379,6 +379,238 @@ proptest! {
     }
 }
 
+/// One step of a generated region part, lowered the way the translators
+/// lower guest instructions: guest state lives in env slots, host
+/// registers are scratch, and nothing is read before the part wrote it.
+#[derive(Debug, Clone)]
+enum PartOp {
+    /// `mov env(src), %a; op $imm, %a; mov %a, env(dst)`.
+    Alu { dst: u8, src: u8, op: usize, imm: i32, a: usize },
+    /// `mov env(src), %a; mov %a, %b; mov %b, env(dst)`.
+    Copy { dst: u8, src: u8, a: usize, b: usize },
+    /// `op $imm, env(slot)` — the rule-lowered read-modify-write form.
+    AluHome { slot: u8, op: usize, imm: i32 },
+    /// `mov env(slot), %a; mov %a, word; mov word, %b; mov %b, env(slot ^ 1)`.
+    Spill { slot: u8, word: u32, a: usize, b: usize },
+    /// `mov $0, flagmode`.
+    FlagReset,
+    /// `mov env(src), %a; cmp $imm, %a; jcc +2; mov $pc, %eax; chain @99`.
+    SideExit { src: u8, imm: i32, cc: usize, a: usize },
+}
+
+/// How the last part of a generated region ends.
+#[derive(Debug, Clone, Copy)]
+enum RegionEnd {
+    /// `chain` back to the head: the resident backedge.
+    Backedge,
+    /// `chain` to a block outside the region.
+    ChainOut,
+    /// `ret` to the dispatcher.
+    Ret,
+}
+
+const PART_REGS: [Gpr; 3] = [Gpr::Ecx, Gpr::Edx, Gpr::Ebx];
+const PART_ALU: [AluOp; 5] = [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::Xor];
+const PART_CC: [Cc; 4] = [Cc::E, Cc::Ne, Cc::L, Cc::Ge];
+/// Block id side exits chain to; never a member of the region.
+const OUTSIDE: u32 = 99;
+
+fn part_op() -> impl Strategy<Value = PartOp> {
+    let (slot, reg, imm) = (0u8..4, 0usize..3, -2i32..3);
+    prop_oneof![
+        (slot.clone(), slot.clone(), 0usize..5, imm.clone(), reg.clone())
+            .prop_map(|(dst, src, op, imm, a)| PartOp::Alu { dst, src, op, imm, a }),
+        (slot.clone(), slot.clone(), reg.clone(), reg.clone())
+            .prop_map(|(dst, src, a, b)| PartOp::Copy { dst, src, a, b }),
+        (slot.clone(), 0usize..5, imm.clone()).prop_map(|(slot, op, imm)| PartOp::AluHome {
+            slot,
+            op,
+            imm
+        }),
+        (slot.clone(), 0u32..2, reg.clone(), reg.clone())
+            .prop_map(|(slot, word, a, b)| PartOp::Spill { slot, word, a, b }),
+        Just(PartOp::FlagReset),
+        (slot, imm, 0usize..4, reg).prop_map(|(src, imm, cc, a)| PartOp::SideExit {
+            src,
+            imm,
+            cc,
+            a
+        }),
+    ]
+}
+
+fn emit_part_op(op: &PartOp, code: &mut Vec<X86Instr>) {
+    let home = |s: u8| Operand::Mem(ldbt_dbt::env::reg_mem(ArmReg::from_index(s as usize)));
+    let reg = |r: usize| Operand::Reg(PART_REGS[r]);
+    let mov = |dst: Operand, src: Operand| X86Instr::Mov { dst, src };
+    match *op {
+        PartOp::Alu { dst, src, op, imm, a } => code.extend([
+            mov(reg(a), home(src)),
+            X86Instr::alu_ri(PART_ALU[op], PART_REGS[a], imm),
+            mov(home(dst), reg(a)),
+        ]),
+        PartOp::Copy { dst, src, a, b } => {
+            code.extend([mov(reg(a), home(src)), mov(reg(b), reg(a)), mov(home(dst), reg(b))]);
+        }
+        PartOp::AluHome { slot, op, imm } => {
+            code.push(X86Instr::Alu { op: PART_ALU[op], dst: home(slot), src: Operand::Imm(imm) });
+        }
+        PartOp::Spill { slot, word, a, b } => {
+            let word = Operand::Mem(X86Mem::absolute((0x0050_0000 + 4 * word) as i32));
+            code.extend([
+                mov(reg(a), home(slot)),
+                mov(word, reg(a)),
+                mov(reg(b), word),
+                mov(home(slot ^ 1), reg(b)),
+            ]);
+        }
+        PartOp::FlagReset => code.push(mov(
+            Operand::Mem(ldbt_dbt::env::env_mem(ldbt_dbt::env::FLAGMODE_OFFSET)),
+            Operand::Imm(0),
+        )),
+        PartOp::SideExit { src, imm, cc, a } => code.extend([
+            mov(reg(a), home(src)),
+            X86Instr::Alu { op: AluOp::Cmp, dst: reg(a), src: Operand::Imm(imm) },
+            X86Instr::Jcc { cc: PART_CC[cc], target: 2 },
+            X86Instr::mov_imm(Gpr::Eax, 0x9000 + src as i32),
+            X86Instr::ChainJmp { block: OUTSIDE },
+        ]),
+    }
+}
+
+/// Where a region run ended, for comparing two runs of "the same" region.
+#[derive(Debug, PartialEq)]
+enum RegionExit {
+    /// Left through an escape, with this `%eax` (the next guest pc).
+    Escaped(ldbt_x86::interp::SeqExit, u32),
+    /// Still looping after `REGION_LAPS` trips around the backedge.
+    Looping,
+}
+
+const REGION_LAPS: u32 = 3;
+
+/// Execute a region part by part the way `Engine::run_region` does:
+/// the preamble once, seams and the backedge in-region, pinned registers
+/// written to their env homes when the run stops at an in-region
+/// boundary (after an escape the writeback stubs already did it).
+fn run_region_model(
+    parts: &[ldbt_dbt::sb::SbPart],
+    ra: &[(u8, Gpr)],
+    seed: &[i32],
+) -> (RegionExit, ldbt_x86::X86State, u64) {
+    use ldbt_isa::{CostModel, ExecStats};
+    use ldbt_x86::interp::{run_seq, SeqExit};
+    let mut st = ldbt_x86::X86State::new();
+    st.set_reg(Gpr::Esp, ldbt_dbt::env::HOST_STACK_TOP);
+    for (s, v) in seed.iter().enumerate() {
+        st.mem.write(ldbt_dbt::env::ENV_BASE + 4 * s as u32, *v as u32, Width::W32);
+    }
+    let (model, mut stats) = (CostModel::default(), ExecStats::new());
+    let pre = ldbt_dbt::sb::ra_preamble(ra);
+    assert_eq!(run_seq(&mut st, &pre, 100, &model, &mut stats), SeqExit::FellThrough);
+    let (mut k, mut laps) = (0usize, 0u32);
+    let exit = loop {
+        let next = parts.get(k + 1).map(|p| p.id);
+        match run_seq(&mut st, &parts[k].code, 10_000, &model, &mut stats) {
+            SeqExit::Chained(b) if Some(b) == next => k += 1,
+            SeqExit::FellThrough if parts[k].fallthrough_seam && next.is_some() => k += 1,
+            SeqExit::Chained(b) if b == parts[0].id => {
+                laps += 1;
+                if laps == REGION_LAPS {
+                    for &(s, p) in ra {
+                        let home = ldbt_dbt::env::ENV_BASE + 4 * s as u32;
+                        st.mem.write(home, st.reg(p), Width::W32);
+                    }
+                    break RegionExit::Looping;
+                }
+                k = 0;
+            }
+            exit @ (SeqExit::Chained(_) | SeqExit::Returned) => {
+                break RegionExit::Escaped(exit, st.reg(Gpr::Eax));
+            }
+            other => panic!("part {k} ended in {other:?}"),
+        }
+    };
+    (exit, st, stats.host_instrs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The whole region pipeline — `specialize_part → strip_seam_exits →
+    /// optimize_region → fuse_region → allocate_region →
+    /// optimize_region_pinned` — is invisible: a generated 2–3-part
+    /// region (env-slot loads and writebacks, register ALU and copies,
+    /// read-modify-write homes, guest-word spills, the flag-mode reset,
+    /// forward `Jcc`s over side-exit pairs, `ChainJmp` seams, and a
+    /// backedge, chained or `ret` ending) leaves through the same exit
+    /// with the same `%eax`, env bytes and guest memory as its
+    /// unoptimized parts, and never executes more host instructions than
+    /// they do plus what a register allocation knowingly pays (the
+    /// preamble and one writeback stub).
+    #[test]
+    fn region_pipeline_preserves_exits_env_and_memory(
+        bodies in proptest::collection::vec(proptest::collection::vec(part_op(), 0..6), 2..4),
+        end in prop_oneof![Just(RegionEnd::Backedge), Just(RegionEnd::ChainOut), Just(RegionEnd::Ret)],
+        seed in proptest::collection::vec(-3i32..4, 4..5),
+    ) {
+        use ldbt_dbt::sb::{
+            allocate_region, fuse_region, optimize_region, optimize_region_pinned,
+            region_contract, specialize_part, strip_seam_exits, SbPart, SeamState,
+        };
+        use std::rc::Rc;
+
+        let (id, pc) = (|k: usize| 10 + k as u32, |k: usize| 0x1000 * (k as u32 + 1));
+        let last = bodies.len() - 1;
+        let original: Vec<SbPart> = bodies
+            .iter()
+            .enumerate()
+            .map(|(k, body)| {
+                let mut code = Vec::new();
+                body.iter().for_each(|op| emit_part_op(op, &mut code));
+                code.extend(match (k == last, end) {
+                    (false, _) => [X86Instr::mov_imm(Gpr::Eax, pc(k + 1) as i32), X86Instr::ChainJmp { block: id(k + 1) }],
+                    (true, RegionEnd::Backedge) => [X86Instr::mov_imm(Gpr::Eax, pc(0) as i32), X86Instr::ChainJmp { block: id(0) }],
+                    (true, RegionEnd::ChainOut) => [X86Instr::mov_imm(Gpr::Eax, 0x8000), X86Instr::ChainJmp { block: OUTSIDE }],
+                    (true, RegionEnd::Ret) => [X86Instr::mov_imm(Gpr::Eax, 0x8000), X86Instr::Ret],
+                });
+                SbPart { id: id(k), code: Rc::new(code), fallthrough_seam: false }
+            })
+            .collect();
+
+        let mut seam = SeamState::entry();
+        let mut parts: Vec<SbPart> = original
+            .iter()
+            .map(|p| {
+                let (code, exit) = specialize_part(&p.code, &seam);
+                seam = exit;
+                SbPart { id: p.id, code: Rc::new(code), fallthrough_seam: false }
+            })
+            .collect();
+        let pcs: Vec<u32> = (0..parts.len()).map(pc).collect();
+        strip_seam_exits(&mut parts, &pcs);
+        optimize_region(&mut parts);
+        fuse_region(&mut parts);
+        let ra = allocate_region(&mut parts, &[Gpr::Esi, Gpr::Edi, Gpr::Ebp]);
+        optimize_region_pinned(&mut parts, &ra);
+        prop_assert!(region_contract(&parts, &ra), "contract broken: {parts:?}");
+
+        let (want_exit, want, want_instrs) = run_region_model(&original, &[], &seed);
+        let (got_exit, got, got_instrs) = run_region_model(&parts, &ra, &seed);
+        prop_assert_eq!(&got_exit, &want_exit, "optimized: {:?}", parts);
+        prop_assert_eq!(
+            got.mem.first_difference(&want.mem, |_| false),
+            None,
+            "env or guest memory diverged; optimized: {:?}",
+            parts
+        );
+        prop_assert!(
+            got_instrs <= want_instrs + 2 * ra.len() as u64,
+            "{got_instrs} host instructions for {want_instrs}; optimized: {parts:?}"
+        );
+    }
+}
+
 fn gpr() -> impl Strategy<Value = Gpr> {
     (0usize..8).prop_map(Gpr::from_index)
 }
