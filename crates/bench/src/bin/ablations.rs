@@ -86,7 +86,10 @@ fn main() {
                     for len in (1..=n - i).rev() {
                         let seq = &block.instrs[i..i + len];
                         hash_probes += rules.candidates(seq).count();
-                        linear_probes += rules.lookup_linear(seq).1;
+                        // A linear scan visits every rule up to the first
+                        // match (all of them on a miss).
+                        let hit = rules.iter().position(|r| r.matches(seq).is_some());
+                        linear_probes += hit.map_or(rules.len(), |at| at + 1);
                     }
                 }
                 if !matches!(block.instrs.last(), Some(ldbt_arm::ArmInstr::B { .. })) {

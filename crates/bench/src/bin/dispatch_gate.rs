@@ -1,7 +1,7 @@
 //! `dispatch_gate`: the CI-gated dispatch-throughput measurement.
 //!
-//! Criterion's `dispatch` bench is the exploratory harness; this binary
-//! is the *gate*: one process, the same loop-heavy workload, best-of-N
+//! One process, the loop-heavy workload the dispatch history in
+//! `results/dispatch_throughput.txt` was recorded on, best-of-N
 //! wall-clock per engine, machine-readable output for
 //! `scripts/tier1.sh` to compare against the recorded row in
 //! `results/dispatch_throughput.txt`. The container is single-CPU and
@@ -31,7 +31,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Same workload as the Criterion bench (crates/bench/benches/dispatch.rs).
+/// The loop-heavy workload `results/dispatch_throughput.txt` was recorded on.
 const SRC: &str = "
 int a[64];
 int main() {

@@ -16,9 +16,9 @@
 //! | `fig12`  | Figure 12 — length distribution of hit rules           |
 //! | `ablations` | design-choice ablations called out in DESIGN.md     |
 //!
-//! The `benches/` directory holds Criterion micro-benchmarks for the
-//! pipeline stages (rule learning, rule lookup, block translation,
-//! engine throughput, SMT equivalence checking).
+//! Micro-benchmarks of the pipeline stages (rule learning, rule lookup,
+//! block translation, engine throughput, SMT equivalence checking) are
+//! per-layer rows of the repository's benchmark, `perfbench/`.
 
 use ldbt_core::experiment::ProgramRules;
 use ldbt_core::learn::LearnStats;

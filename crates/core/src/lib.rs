@@ -185,7 +185,7 @@ mod tests {
                 let src = source(b, Workload::Ref);
                 let r =
                     ldbt_learn::pipeline::learn_from_source(name, &src, &Options::o2()).unwrap();
-                rules.extend_from(&r.rules);
+                rules.merge(&r.rules);
                 stats.push(r.stats);
             }
             (rules, stats)

@@ -30,7 +30,7 @@ use crate::env::{
 };
 use crate::guardian::{GuardCx, Guardian};
 use crate::jit::optimize_block;
-use crate::rules::{block_supported, lower_block_with_rules_fault};
+use crate::rules::{block_supported, lower_block_with_rules_suppress};
 use crate::sb::{form_region, region_contract, specialize_part, SbPart, SeamState, NO_SB};
 use crate::share::{RuleCell, RuleHandle};
 use crate::stats::{DbtCtr, DbtStats, ExecProfile};
@@ -295,9 +295,8 @@ impl Engine {
         if !block_supported(block) || self.guardian.forces_tcg(pc) {
             return None;
         }
-        let fault = self.guardian.fault;
-        let low =
-            lower_block_with_rules_fault(&self.state.mem, block, &h.rules, h.lazy_flags, fault);
+        let (mem, fault) = (&self.state.mem, self.guardian.fault);
+        let low = lower_block_with_rules_suppress(mem, block, &h.rules, h.lazy_flags, fault, None);
         let covered = low.covered.iter().filter(|c| **c).count() as u64;
         self.stats.exec.translation_cycles += self.tcost.block_base
             + self.tcost.per_lookup * low.lookups as u64

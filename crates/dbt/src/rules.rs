@@ -1,8 +1,9 @@
 //! Rule-based block translation (paper §4 and §5).
 //!
 //! A guest block is scanned greedily for the *longest* contiguous
-//! instruction sequence matching a learned rule (hash-bucketed by the
-//! mean guest opcode); matched sequences emit the rule's host template
+//! instruction sequence matching a learned rule (`RuleSet::longest_match`,
+//! hash-bucketed by the mean guest opcode, filtered by the flag policy
+//! below); matched sequences emit the rule's host template
 //! directly — bypassing the TCG IR — while uncovered instructions fall
 //! back to the TCG path. Rule host code cooperates with the translator's
 //! register state the way the paper's prototype reuses TCG's allocator:
@@ -23,7 +24,7 @@ use crate::env::{env_mem, reg_mem, FLAGMODE_OFFSET, HOSTFLAGS_OFFSET};
 use crate::tcg::{flags_live_at, translate_block, GuestBlock, TcgBlock};
 use ldbt_arm::{ArmInstr, ArmReg, Cond};
 use ldbt_isa::Memory;
-use ldbt_learn::rule::Binding;
+use ldbt_learn::rule::{Binding, RuleMatch};
 use ldbt_learn::{FaultPlan, FaultSite, Rule, RuleSet};
 #[cfg(test)]
 use ldbt_x86::AluOp;
@@ -82,25 +83,25 @@ pub struct RuleLowering {
     pub exits: Vec<(usize, u32)>,
 }
 
-fn rule_key(rule: &Rule) -> u64 {
-    rule.stable_key()
-}
-
-/// Guest flags read by `instrs[from..]` before being written, plus
-/// conservative liveness at the end.
-fn flags_consumed_after(instrs: &[ArmInstr], from: usize, mem: &Memory, block_pc: u32) -> u8 {
-    let mut live = 0u8;
-    let mut written = 0u8;
-    for i in &instrs[from..] {
+/// Guest flags `instrs` reads before writing them, and those it writes.
+fn flags_read_in(instrs: &[ArmInstr]) -> (u8, u8) {
+    let (mut live, mut written) = (0u8, 0u8);
+    for i in instrs {
         live |= i.flags_read() & !written;
         written |= i.flags_written();
     }
+    (live, written)
+}
+
+/// Guest flags read by `rest`, the tail of `block`, before being written,
+/// plus conservative liveness at the end.
+fn flags_consumed_after(rest: &[ArmInstr], block: &GuestBlock, mem: &Memory) -> u8 {
+    let (mut live, written) = flags_read_in(rest);
     if written != 0b1111 {
         // Flags may escape through the block's successors.
-        let n = instrs.len() as u32;
-        let live_out = match instrs.last() {
+        let live_out = match block.instrs.last() {
             Some(ArmInstr::B { offset, cond }) => {
-                let end_pc = block_pc.wrapping_add(4 * n);
+                let end_pc = block.pc.wrapping_add(4 * block.instrs.len() as u32);
                 let taken = end_pc.wrapping_add((*offset as u32).wrapping_mul(4));
                 let mut l = flags_live_at(mem, taken, 2);
                 if *cond != Cond::Al {
@@ -170,48 +171,39 @@ impl RuleHomes {
     }
 }
 
-/// One planned segment of a block.
-enum Segment {
-    Rule { start: usize, len: usize, rule_index: (u32, usize) },
-    Tcg { start: usize, len: usize },
+/// One planned rule application.
+struct Planned<'r> {
+    start: usize,
+    m: RuleMatch<'r>,
+    /// The rule's host code leaves guest flags in EFLAGS that are
+    /// consumed after it: emit the §5 lazy save.
+    flags_live_out: bool,
+    /// Application index in the *unsuppressed* plan order — the identity
+    /// `suppress` and the `rule-corrupt` clobber key on.
+    index: usize,
 }
 
 /// Translate a guest block using the rule set with TCG fallback.
 pub fn lower_block_with_rules(mem: &Memory, block: &GuestBlock, rules: &RuleSet) -> RuleLowering {
-    lower_block_with_rules_opts(mem, block, rules, true)
+    lower_block_with_rules_suppress(mem, block, rules, true, None, None)
 }
 
-/// [`lower_block_with_rules`] with the §5 lazy host-flag save as a knob:
-/// with `lazy_flags = false`, rules whose guest flags are live out of the
-/// block are *not applied* (the conservative ablation baseline).
-pub fn lower_block_with_rules_opts(
-    mem: &Memory,
-    block: &GuestBlock,
-    rules: &RuleSet,
-    lazy_flags: bool,
-) -> RuleLowering {
-    lower_block_with_rules_fault(mem, block, rules, lazy_flags, None)
-}
-
-/// [`lower_block_with_rules_opts`] with an optional fault plan. Under
-/// `LDBT_FAULT=rule-corrupt:<seed>` the seed-th rule application of each
-/// block has its host code clobbered after emission (a deterministic
-/// wrong constant into the first defined register's home), modeling a
-/// miscompiled/corrupted rule template for the watchdog to catch.
-pub fn lower_block_with_rules_fault(
-    mem: &Memory,
-    block: &GuestBlock,
-    rules: &RuleSet,
-    lazy_flags: bool,
-    fault: Option<FaultPlan>,
-) -> RuleLowering {
-    lower_block_with_rules_suppress(mem, block, rules, lazy_flags, fault, None)
-}
-
-/// [`lower_block_with_rules_fault`] with one rule application *suppressed*
-/// (its guest instructions take the TCG path instead). This is the
-/// watchdog's attribution probe: re-lowering a divergent block with the
-/// k-th application suppressed and replaying it against the interpreter
+/// [`lower_block_with_rules`] in full.
+///
+/// `lazy_flags` is the §5 lazy host-flag save as a knob: with `false`,
+/// rules whose guest flags are live out of the block are *not applied*
+/// (the conservative ablation baseline).
+///
+/// `fault`: under `LDBT_FAULT=rule-corrupt:<seed>` the seed-th rule
+/// application of each block has its host code clobbered after emission
+/// (a deterministic wrong constant into the first defined register's
+/// home), modeling a miscompiled/corrupted rule template for the watchdog
+/// to catch.
+///
+/// `suppress` takes one rule application out of the plan (its guest
+/// instructions take the TCG path instead). This is the watchdog's
+/// attribution probe: re-lowering a divergent block with the k-th
+/// application suppressed and replaying it against the interpreter
 /// isolates which application caused the divergence. `suppress` indexes
 /// applications in plan order — the same order `hits`/`bindings` report —
 /// and the `rule-corrupt` clobber stays keyed to the *original* plan
@@ -225,252 +217,194 @@ pub fn lower_block_with_rules_suppress(
     fault: Option<FaultPlan>,
     suppress: Option<usize>,
 ) -> RuleLowering {
-    let corrupt_at: Option<usize> = match fault {
-        Some(FaultPlan { site: FaultSite::RuleCorrupt, seed }) => Some(seed as usize),
-        _ => None,
-    };
+    let corrupt_at = fault.filter(|f| f.site == FaultSite::RuleCorrupt).map(|f| f.seed as usize);
     let instrs = &block.instrs;
     let n = instrs.len();
-    let mut lookups = 0usize;
+    let mut out = RuleLowering {
+        code: Vec::new(),
+        covered: vec![false; n],
+        hits: Vec::new(),
+        bindings: Vec::new(),
+        tcg_ops: 0,
+        rule_instrs: 0,
+        lookups: 0,
+        exits: Vec::new(),
+    };
 
-    // --- Plan: longest-match scan (paper §4). ---
-    struct Planned<'r> {
-        start: usize,
-        len: usize,
-        rule: &'r Rule,
-        binding: Binding,
-        /// Application index in the *unsuppressed* plan order — the
-        /// identity `suppress` and the `rule-corrupt` clobber key on.
-        index: usize,
-    }
+    // --- Plan: longest match at every position (paper §4), filtered by
+    // the §5 flag policy. ---
     let mut plans: Vec<Planned> = Vec::new();
-    let mut covered = vec![false; n];
     let mut i = 0usize;
     while i < n {
-        let mut applied = false;
-        let max_len = n - i;
-        for len in (1..=max_len).rev() {
-            let seq = &instrs[i..i + len];
+        let mut flags_live_out = false;
+        let accept = |rule: &Rule, len: usize| {
+            let (seq, rest) = instrs[i..].split_at(len);
             // A branch may only appear as the final instruction of both
             // the sequence and the block.
             if seq[..len - 1].iter().any(|x| x.is_block_end())
-                || (seq[len - 1].is_block_end() && i + len != n)
+                || (seq[len - 1].is_block_end() && !rest.is_empty())
             {
-                continue;
+                return false;
             }
-            lookups += 1;
-            let Some((rule, binding)) = rules.lookup(seq) else { continue };
-            // §5 applicability: unemulated guest flags must not be
-            // consumed downstream.
-            if rule.unemulated_flags != 0 {
-                let consumed = flags_consumed_after(instrs, i + len, mem, block.pc);
-                if rule.unemulated_flags & consumed != 0 {
-                    continue;
-                }
-            }
+            let writes_flags = seq.iter().any(|x| x.flags_written() != 0);
             // Flags defined by the rule but *read via env* by a later
             // uncovered instruction cannot be seen (they live in host
             // EFLAGS): handled by only allowing flag-setting rules whose
             // flags are dead in-block after the rule (live-out uses the
             // lazy save instead).
-            let writes_flags = seq.iter().any(|x| x.flags_written() != 0);
-            if !lazy_flags
-                && writes_flags
-                && flags_consumed_after(instrs, i + len, mem, block.pc) != 0
-            {
-                continue;
+            if writes_flags && !rule.has_branch && flags_read_in(rest).0 != 0 {
+                return false;
             }
-            if writes_flags && !rule.has_branch {
-                let mut read_later = 0u8;
-                let mut redefined = 0u8;
-                for j in &instrs[i + len..] {
-                    read_later |= j.flags_read() & !redefined;
-                    redefined |= j.flags_written();
-                }
-                if read_later != 0 {
-                    continue;
-                }
-            }
-            let index = plans.len();
-            plans.push(Planned { start: i, len, rule, binding, index });
-            for c in covered[i..i + len].iter_mut() {
-                *c = true;
-            }
-            i += len;
-            applied = true;
-            break;
-        }
-        if !applied {
+            let asks = writes_flags || rule.unemulated_flags != 0;
+            let consumed = if asks { flags_consumed_after(rest, block, mem) } else { 0 };
+            flags_live_out = writes_flags && consumed != 0;
+            // §5 applicability: unemulated guest flags must not be
+            // consumed downstream; without the lazy save, none may.
+            rule.unemulated_flags & consumed == 0 && (lazy_flags || !flags_live_out)
+        };
+        let (found, probes) = rules.longest_match(&instrs[i..], accept);
+        out.lookups += probes;
+        let Some(m) = found else {
             i += 1;
-        }
+            continue;
+        };
+        let len = m.rule.len();
+        out.covered[i..i + len].fill(true);
+        plans.push(Planned { start: i, m, flags_live_out, index: plans.len() });
+        i += len;
     }
 
     // --- Attribution probe: drop the suppressed application. ---
-    if let Some(k) = suppress {
-        if let Some(pos) = plans.iter().position(|p| p.index == k) {
-            let p = plans.remove(pos);
-            for c in covered[p.start..p.start + p.len].iter_mut() {
-                *c = false;
-            }
-        }
+    if let Some(pos) = suppress.and_then(|k| plans.iter().position(|p| p.index == k)) {
+        let p = plans.remove(pos);
+        out.covered[p.start..p.start + p.m.rule.len()].fill(false);
     }
 
-    // --- Segment the block. ---
-    let mut segments: Vec<Segment> = Vec::new();
-    {
-        let mut i = 0usize;
-        let mut plan_iter = plans.iter().enumerate().peekable();
-        while i < n {
-            if let Some((pi, p)) = plan_iter.peek() {
-                if p.start == i {
-                    segments.push(Segment::Rule { start: i, len: p.len, rule_index: (0, *pi) });
-                    i += p.len;
-                    plan_iter.next();
-                    continue;
-                }
-                let stop = p.start;
-                segments.push(Segment::Tcg { start: i, len: stop - i });
-                i = stop;
-            } else {
-                segments.push(Segment::Tcg { start: i, len: n - i });
-                i = n;
-            }
-        }
-    }
-
-    // --- Emit. ---
-    let mut code: Vec<X86Instr> = Vec::new();
-    let mut exits: Vec<(usize, u32)> = Vec::new();
+    // --- Emit: rule applications, TCG for the stretches between them. ---
     let mut homes = RuleHomes::new();
-    let mut hits = Vec::new();
-    let mut bindings: Vec<Binding> = Vec::new();
-    let mut tcg_ops = 0usize;
-    let mut rule_instrs = 0usize;
-
-    // Does any rule host code in this block set flags that are live out?
-    // (computed per rule application below).
-    for seg in &segments {
-        match *seg {
-            Segment::Rule { start, len, rule_index } => {
-                let p = &plans[rule_index.1];
-                debug_assert_eq!((p.start, p.len), (start, len));
-                let rule = p.rule;
-                hits.push((rule.len(), rule_key(rule)));
-                bindings.push(p.binding.clone());
-                // Bound guest registers, in template order.
-                let bound: Vec<ArmReg> = p.binding.regs.values().copied().collect();
-                if !homes.can_fit(&bound) {
-                    // Very wide rule with a full home table: flush and
-                    // restart the table (rare).
-                    homes.writeback(&mut code);
-                    homes.invalidate();
-                }
-                // Which guest regs does the rule define? (for dirty marks)
-                let defined: Vec<ArmReg> =
-                    instrs[start..start + len].iter().filter_map(|g| g.def()).collect();
-                let host = rule.instantiate(&p.binding, |g| homes.home(g, &mut code));
-                // Flag epilogue decision.
-                let writes_flags =
-                    instrs[start..start + len].iter().any(|x| x.flags_written() != 0);
-                let flags_live_out = if writes_flags {
-                    flags_consumed_after(instrs, start + len, mem, block.pc) != 0
-                } else {
-                    false
-                };
-                // Split a trailing jcc off the template: the lazy flag
-                // save and register writebacks must precede it (none of
-                // them touch EFLAGS).
-                let (body, tail_jcc) = match host.split_last() {
-                    Some((X86Instr::Jcc { cc, .. }, body)) if rule.has_branch => {
-                        (body.to_vec(), Some(*cc))
-                    }
-                    _ => (host, None),
-                };
-                rule_instrs += body.len() + tail_jcc.is_some() as usize;
-                code.extend(body);
-                for d in &defined {
-                    if let Some(dirty) = homes.dirty.get_mut(d) {
-                        *dirty = true;
-                    }
-                }
-                if corrupt_at == Some(p.index) {
-                    // Injected fault: clobber the first defined register's
-                    // home with a recognizably wrong constant.
-                    if let Some(home) = defined.iter().find_map(|d| homes.map.get(d)).copied() {
-                        code.push(X86Instr::mov_imm(home, 0x5a5a_5a5au32 as i32));
-                    }
-                }
-                if flags_live_out {
-                    // The 3-instruction lazy save of paper §5.
-                    code.push(X86Instr::Pushfd);
-                    code.push(X86Instr::Pop { dst: Operand::Mem(env_mem(HOSTFLAGS_OFFSET)) });
-                    code.push(X86Instr::Mov {
-                        dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
-                        src: Operand::Imm(1), // bit1 = 0: sub carry polarity
-                    });
-                }
-                if let Some(cc) = tail_jcc {
-                    // Terminal conditional branch: write everything back
-                    // (flag-safe movs), then branch between the two exits.
-                    homes.writeback(&mut code);
-                    let end_pc = block.pc.wrapping_add(4 * n as u32);
-                    let ArmInstr::B { offset, .. } = instrs[n - 1] else {
-                        unreachable!("branch rule must end on b")
-                    };
-                    let taken = end_pc.wrapping_add((offset as u32).wrapping_mul(4));
-                    code.push(X86Instr::Jcc { cc, target: 2 });
-                    code.push(X86Instr::mov_imm(Gpr::Eax, end_pc as i32));
-                    exits.push((code.len(), end_pc));
-                    code.push(X86Instr::Ret);
-                    code.push(X86Instr::mov_imm(Gpr::Eax, taken as i32));
-                    exits.push((code.len(), taken));
-                    code.push(X86Instr::Ret);
-                }
-            }
-            Segment::Tcg { start, len } => {
-                // Flush rule homes: the TCG sub-block works env-to-env.
-                homes.writeback(&mut code);
-                homes.invalidate();
-                let sub = GuestBlock {
-                    pc: block.pc.wrapping_add(4 * start as u32),
-                    instrs: instrs[start..start + len].to_vec(),
-                };
-                let tcg: TcgBlock = translate_block(mem, &sub);
-                debug_assert_eq!(tcg.unsupported_at, None, "prefiltered by engine");
-                tcg_ops += tcg.ops.len();
-                let sub = lower_block(&tcg);
-                if start + len == n {
-                    // Final segment: keep the sub-block's own terminator
-                    // and adopt its declared exits, rebased.
-                    let base = code.len();
-                    exits.extend(sub.exits.iter().map(|&(at, pc)| (base + at, pc)));
-                    code.extend(sub.code);
-                } else {
-                    // Mid-block segment: strip the `movl $pc, %eax; ret`
-                    // tail (fall through into the next segment); the
-                    // stripped exit is dropped with it.
-                    let body_len = sub.code.len().saturating_sub(2);
-                    debug_assert!(matches!(sub.code.last(), Some(X86Instr::Ret)));
-                    code.extend_from_slice(&sub.code[..body_len]);
-                }
+    let mut at = 0usize;
+    for p in plans {
+        let (start, rule, len) = (p.start, p.m.rule, p.m.rule.len());
+        if at < start {
+            emit_tcg(mem, block, at..start, &mut homes, &mut out);
+        }
+        at = start + len;
+        let code = &mut out.code;
+        out.hits.push((len, p.m.key));
+        // Bound guest registers, in template order.
+        let bound: Vec<ArmReg> = p.m.binding.regs.values().copied().collect();
+        if !homes.can_fit(&bound) {
+            // Very wide rule with a full home table: flush and
+            // restart the table (rare).
+            homes.writeback(code);
+            homes.invalidate();
+        }
+        // Which guest regs does the rule define? (for dirty marks)
+        let defined: Vec<ArmReg> = instrs[start..at].iter().filter_map(|g| g.def()).collect();
+        let host = rule.instantiate(&p.m.binding, |g| homes.home(g, code));
+        out.bindings.push(p.m.binding);
+        // Split a trailing jcc off the template: the lazy flag
+        // save and register writebacks must precede it (none of
+        // them touch EFLAGS).
+        let (body, tail_jcc) = match host.split_last() {
+            Some((X86Instr::Jcc { cc, .. }, body)) if rule.has_branch => (body.to_vec(), Some(*cc)),
+            _ => (host, None),
+        };
+        out.rule_instrs += body.len() + tail_jcc.is_some() as usize;
+        code.extend(body);
+        for d in &defined {
+            if let Some(dirty) = homes.dirty.get_mut(d) {
+                *dirty = true;
             }
         }
+        if corrupt_at == Some(p.index) {
+            // Injected fault: clobber the first defined register's
+            // home with a recognizably wrong constant.
+            if let Some(home) = defined.iter().find_map(|d| homes.map.get(d)).copied() {
+                code.push(X86Instr::mov_imm(home, 0x5a5a_5a5au32 as i32));
+            }
+        }
+        if p.flags_live_out {
+            // The 3-instruction lazy save of paper §5.
+            code.push(X86Instr::Pushfd);
+            code.push(X86Instr::Pop { dst: Operand::Mem(env_mem(HOSTFLAGS_OFFSET)) });
+            code.push(X86Instr::Mov {
+                dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
+                src: Operand::Imm(1), // bit1 = 0: sub carry polarity
+            });
+        }
+        if let Some(cc) = tail_jcc {
+            // Terminal conditional branch: write everything back
+            // (flag-safe movs), then branch between the two exits.
+            homes.writeback(code);
+            let end_pc = block.pc.wrapping_add(4 * n as u32);
+            let ArmInstr::B { offset, .. } = instrs[n - 1] else {
+                unreachable!("branch rule must end on b")
+            };
+            let taken = end_pc.wrapping_add((offset as u32).wrapping_mul(4));
+            code.push(X86Instr::Jcc { cc, target: 2 });
+            code.push(X86Instr::mov_imm(Gpr::Eax, end_pc as i32));
+            out.exits.push((code.len(), end_pc));
+            code.push(X86Instr::Ret);
+            code.push(X86Instr::mov_imm(Gpr::Eax, taken as i32));
+            out.exits.push((code.len(), taken));
+            code.push(X86Instr::Ret);
+        }
+    }
+    if at < n {
+        emit_tcg(mem, block, at..n, &mut homes, &mut out);
     }
 
     // If the block's last guest instruction was covered by a *non-branch*
     // rule (or the loop ended without a terminator segment), fall through
     // to the next PC.
+    let code = &mut out.code;
     let ends_with_exit =
         matches!(code.last(), Some(X86Instr::Ret) | Some(X86Instr::Halt) | Some(X86Instr::Trap));
     if !ends_with_exit {
-        homes.writeback(&mut code);
+        homes.writeback(code);
         let next = block.pc.wrapping_add(4 * n as u32);
         code.push(X86Instr::mov_imm(Gpr::Eax, next as i32));
-        exits.push((code.len(), next));
+        out.exits.push((code.len(), next));
         code.push(X86Instr::Ret);
     }
+    out
+}
 
-    RuleLowering { code, covered, hits, bindings, tcg_ops, rule_instrs, lookups, exits }
+/// Emit the uncovered stretch `span` of `block` through the TCG path.
+fn emit_tcg(
+    mem: &Memory,
+    block: &GuestBlock,
+    span: std::ops::Range<usize>,
+    homes: &mut RuleHomes,
+    out: &mut RuleLowering,
+) {
+    // Flush rule homes: the TCG sub-block works env-to-env.
+    homes.writeback(&mut out.code);
+    homes.invalidate();
+    let last = span.end == block.instrs.len();
+    let sub = GuestBlock {
+        pc: block.pc.wrapping_add(4 * span.start as u32),
+        instrs: block.instrs[span].to_vec(),
+    };
+    let tcg: TcgBlock = translate_block(mem, &sub);
+    debug_assert_eq!(tcg.unsupported_at, None, "prefiltered by engine");
+    out.tcg_ops += tcg.ops.len();
+    let sub = lower_block(&tcg);
+    if last {
+        // Final segment: keep the sub-block's own terminator
+        // and adopt its declared exits, rebased.
+        let base = out.code.len();
+        out.exits.extend(sub.exits.iter().map(|&(at, pc)| (base + at, pc)));
+        out.code.extend(sub.code);
+    } else {
+        // Mid-block segment: strip the `movl $pc, %eax; ret`
+        // tail (fall through into the next segment); the
+        // stripped exit is dropped with it.
+        let body_len = sub.code.len().saturating_sub(2);
+        debug_assert!(matches!(sub.code.last(), Some(X86Instr::Ret)));
+        out.code.extend_from_slice(&sub.code[..body_len]);
+    }
 }
 
 /// Whether a block contains anything the rule translator cannot lower

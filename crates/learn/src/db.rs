@@ -33,7 +33,7 @@
 //! half-way.
 //!
 //! Writing is deterministic: rules serialize in [`RuleSet::iter`] order
-//! (canonical after [`RuleSet::merge`]), tombstone keys and the
+//! (canonical for any construction order), tombstone keys and the
 //! `host_reg_of` map are sorted, and memo entries are sorted by
 //! signature. Byte-identical inputs produce byte-identical files, which
 //! the warm-start CI gate relies on.
@@ -51,8 +51,10 @@ use std::sync::{Mutex, OnceLock};
 /// On-disk magic, first 8 bytes of every database file.
 pub const MAGIC: &[u8; 8] = b"LDBTRUDB";
 
-/// Format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// Format version this build reads and writes. Version 2 stores
+/// tombstones under the FNV-1a [`crate::Rule::stable_key`]; version 1
+/// used std's unspecified `DefaultHasher` and is rejected.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fingerprint of the ISA model the database was built against.
 ///
@@ -144,6 +146,14 @@ pub fn to_bytes(rules: &RuleSet, cache: &VerifyCache) -> Vec<u8> {
     out.extend_from_slice(&checksum(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
+}
+
+/// One rule in the payload encoding: injective and independent of
+/// `HashMap` order, which makes it the store's last-resort tie-break.
+pub(crate) fn rule_bytes(rule: &Rule) -> Vec<u8> {
+    let mut w = W::default();
+    w.rule(rule);
+    w.buf
 }
 
 /// Deserialize a database from its on-disk byte format.

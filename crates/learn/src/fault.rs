@@ -25,7 +25,7 @@
 //! of the seed-th application, so no rule replacement can fix it — it is
 //! the must-stay-quarantined control for the repair loop.
 
-use crate::rule::{ImmRel, RuleSet};
+use crate::rule::{ImmRel, Rule, RuleSet};
 use std::sync::OnceLock;
 
 /// Where the fault is injected.
@@ -110,40 +110,34 @@ fn skew_rel(rel: ImmRel) -> ImmRel {
 /// stable key, or `None` when the plan targets a different site or no
 /// rule is eligible.
 ///
-/// Eligibility and selection are deterministic: rules are visited in the
-/// set's canonical iteration order and the seed indexes (mod count) into
-/// the eligible ones. Only rule *metadata* is touched — the guest/host
+/// Eligibility and selection are deterministic: the eligible rules are
+/// ordered by opcode mean, then [`Rule::dedup_key`], and the seed indexes
+/// (mod count) into them. Only rule *metadata* is touched — the guest/host
 /// templates stay intact, which is exactly what makes the corruption
 /// repairable by template-seeded re-parameterization.
 pub fn corrupt_ruleset(rules: &mut RuleSet, plan: FaultPlan) -> Option<u64> {
-    match plan.site {
+    let pick = |eligible: &dyn Fn(&&Rule) -> bool| -> Option<Rule> {
+        let mut pool: Vec<&Rule> = rules.iter().filter(eligible).collect();
+        // Ordered by the rules' own texts, not by where the store keeps
+        // them: a seed names the same rule whatever the store's layout.
+        pool.sort_by_cached_key(|r| (r.hash_key(), r.dedup_key()));
+        pool.get(plan.seed as usize % pool.len().max(1)).map(|r| (*r).clone())
+    };
+    let bad = match plan.site {
         FaultSite::ImmSkew => {
-            let eligible: Vec<u64> = rules
-                .iter()
-                .filter(|r| r.imm_params.iter().any(|p| !p.host_sites.is_empty()))
-                .map(|r| r.stable_key())
-                .collect();
-            let key = *eligible.get(plan.seed as usize % eligible.len().max(1))?;
-            let mut bad = rules.find_by_key(key)?.clone();
+            let mut bad = pick(&|r| r.imm_params.iter().any(|p| !p.host_sites.is_empty()))?;
             let param = bad.imm_params.iter_mut().find(|p| !p.host_sites.is_empty())?;
             let site = &mut param.host_sites[0];
             site.2 = skew_rel(site.2);
-            rules.replace(key, bad).then_some(key)
+            bad
         }
         FaultSite::OperandSwap => {
-            let eligible: Vec<u64> = rules
-                .iter()
-                .filter(|r| {
-                    let mut guests: Vec<usize> =
-                        r.host_reg_of.values().map(|g| g.index()).collect();
-                    guests.sort_unstable();
-                    guests.dedup();
-                    guests.len() >= 2
-                })
-                .map(|r| r.stable_key())
-                .collect();
-            let key = *eligible.get(plan.seed as usize % eligible.len().max(1))?;
-            let mut bad = rules.find_by_key(key)?.clone();
+            let mut bad = pick(&|r| {
+                let mut guests: Vec<usize> = r.host_reg_of.values().map(|g| g.index()).collect();
+                guests.sort_unstable();
+                guests.dedup();
+                guests.len() >= 2
+            })?;
             // Swap the guest correspondences of the two lowest-numbered
             // host registers with distinct guest registers.
             let mut hosts: Vec<_> = bad.host_reg_of.keys().copied().collect();
@@ -153,10 +147,13 @@ pub fn corrupt_ruleset(rules: &mut RuleSet, plan: FaultPlan) -> Option<u64> {
             let (ga, gb) = (bad.host_reg_of[&a], bad.host_reg_of[&b]);
             bad.host_reg_of.insert(a, gb);
             bad.host_reg_of.insert(b, ga);
-            rules.replace(key, bad).then_some(key)
+            bad
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    // Metadata-only corruption keeps the guest template, hence the key.
+    let key = bad.stable_key();
+    rules.replace(key, bad).then_some(key)
 }
 
 #[cfg(test)]

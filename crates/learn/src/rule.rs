@@ -1,5 +1,7 @@
 //! Parameterized translation rules and the rule store.
 
+use crate::cache::sig_hash;
+use crate::db::rule_bytes;
 use ldbt_arm::{AddrMode, ArmInstr, ArmReg, Operand2};
 use ldbt_x86::{Gpr, Operand, X86Instr, X86Mem};
 use std::collections::{BTreeMap, HashMap};
@@ -330,24 +332,23 @@ impl Rule {
     /// A canonical text key used for deduplication.
     pub fn dedup_key(&self) -> String {
         // Canonicalize register names through first-occurrence numbering.
-        let mut names: HashMap<ArmReg, usize> = HashMap::new();
-        let mut canon = String::new();
+        let mut names = [None; 16];
+        let (mut canon, mut text) = (String::new(), String::new());
         for g in &self.guest {
-            let mut rendered = g.to_string();
-            let mut regs = guest_regs_of(g);
+            let mut regs: Vec<(String, ArmReg)> =
+                guest_regs_of(g).into_iter().map(|r| (r.to_string(), r)).collect();
             // Longer names first so `r1` cannot corrupt `r12` in the text.
-            regs.sort_by_key(|r| std::cmp::Reverse(r.to_string().len()));
-            for r in regs {
-                let n = names.len();
-                let id = *names.entry(r).or_insert(n);
-                rendered = rendered.replace(&r.to_string(), &format!("reg{id}"));
-            }
-            canon.push_str(&rendered);
+            regs.sort_by_key(|(name, _)| std::cmp::Reverse(name.len()));
+            let subs: Vec<(String, Option<usize>)> =
+                regs.into_iter().map(|(name, r)| (name, Some(number(&mut names, r)))).collect();
+            text.clear();
+            let _ = write!(text, "{g}");
+            push_renamed(&mut canon, &text, "reg", &subs);
             canon.push(';');
         }
         canon.push('|');
         for (p, param) in self.imm_params.iter().enumerate() {
-            canon.push_str(&format!("imm{p}@{:?};", param.guest_site));
+            let _ = write!(canon, "imm{p}@{:?};", param.guest_site);
         }
         canon
     }
@@ -356,12 +357,12 @@ impl Rule {
     ///
     /// Hashes [`Rule::dedup_key`], so the key survives `RuleSet` clones,
     /// merges, and re-learning of the same rule — a tombstone laid down
-    /// against one copy suppresses every equivalent copy.
+    /// against one copy suppresses every equivalent copy. The hash is the
+    /// crate's own FNV-1a, not std's unspecified `DefaultHasher`: keys
+    /// are persisted in the rule database and printed in run reports, so
+    /// they must not change with the toolchain.
     pub fn stable_key(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.dedup_key().hash(&mut h);
-        h.finish()
+        sig_hash(&self.dedup_key())
     }
 
     /// A complete canonical rendering of the rule.
@@ -373,40 +374,40 @@ impl Rule {
     /// only when they are interchangeable, and the rendering is
     /// independent of the concrete registers either rule was learned
     /// with — which makes it usable as the final, order-independent
-    /// tie-break of [`RuleSet::merge`].
+    /// tie-break of [`RuleSet::insert`].
     pub fn canonical_text(&self) -> String {
+        self.canonical_after(self.dedup_key())
+    }
+
+    /// [`Rule::canonical_text`] given the already rendered
+    /// [`Rule::dedup_key`] it starts with.
+    fn canonical_after(&self, mut canon: String) -> String {
         // Number guest registers by first occurrence — first across the
         // guest template (like `dedup_key`), then across the guest
         // correspondences of host-template registers, so even a register
         // that only appears on the host side gets a deterministic id.
-        let mut names: HashMap<ArmReg, usize> = HashMap::new();
+        let mut names = [None; 16];
         for g in &self.guest {
             for r in guest_regs_of(g) {
-                let n = names.len();
-                names.entry(r).or_insert(n);
+                number(&mut names, r);
             }
         }
         for h in &self.host {
             for r in host_regs_of(h) {
                 if let Some(g) = self.host_reg_of.get(&r) {
-                    let n = names.len();
-                    names.entry(*g).or_insert(n);
+                    number(&mut names, *g);
                 }
             }
         }
-        let mut canon = self.dedup_key();
         canon.push('|');
+        let mut text = String::new();
         for h in &self.host {
-            let mut rendered = h.to_string();
-            for r in host_regs_of(h) {
-                let id = self.host_reg_of.get(&r).and_then(|g| names.get(g));
-                let sub = match id {
-                    Some(id) => format!("hreg{id}"),
-                    None => "hreg?".to_string(),
-                };
-                rendered = rendered.replace(&r.to_string(), &sub);
-            }
-            canon.push_str(&rendered);
+            let id = |r: &Gpr| self.host_reg_of.get(r).and_then(|g| names[g.index()]);
+            let subs: Vec<(String, Option<usize>)> =
+                host_regs_of(h).iter().map(|r| (r.to_string(), id(r))).collect();
+            text.clear();
+            let _ = write!(text, "{h}");
+            push_renamed(&mut canon, &text, "hreg", &subs);
             canon.push(';');
         }
         canon.push('|');
@@ -416,15 +417,33 @@ impl Rule {
         let _ = write!(canon, "|f{:x}b{}", self.unemulated_flags, u8::from(self.has_branch));
         canon
     }
+}
 
-    /// The total order [`RuleSet::merge`] uses to pick a winner among
-    /// rules sharing a guest template: fewest host instructions first
-    /// (paper §6.1), ties broken by the lexicographically least
-    /// [`Rule::canonical_text`]. Deterministic and insertion-order
-    /// independent.
-    fn merge_rank(&self) -> (usize, String) {
-        (self.host.len(), self.canonical_text())
+/// Number guest registers in order of first mention: `r`'s number in `ids`.
+fn number(ids: &mut [Option<usize>; 16], r: ArmReg) -> usize {
+    let seen = ids.iter().flatten().count();
+    *ids[r.index()].get_or_insert(seen)
+}
+
+/// Append `text` to `out` with register names replaced: `subs` pairs a
+/// name with its canonical number, printed after `prefix` (`?` for none).
+/// Where two names match at one position the first listed is replaced.
+fn push_renamed(out: &mut String, text: &str, prefix: &str, subs: &[(String, Option<usize>)]) {
+    let mut rest = text;
+    let next = |rest: &str| {
+        let hits = subs.iter().filter_map(|(name, id)| Some((rest.find(name.as_str())?, name, id)));
+        hits.min_by_key(|hit| hit.0)
+    };
+    while let Some((at, name, id)) = next(rest) {
+        out.push_str(&rest[..at]);
+        out.push_str(prefix);
+        let _ = match id {
+            Some(id) => write!(out, "{id}"),
+            None => write!(out, "?"),
+        };
+        rest = &rest[at + name.len()..];
     }
+    out.push_str(rest);
 }
 
 fn host_regs_of(i: &X86Instr) -> Vec<Gpr> {
@@ -485,17 +504,62 @@ pub enum RuleOperand {
     Imm(u8),
 }
 
-/// The rule store: a hash table keyed by the guest opcode mean (paper
-/// §4), with per-key buckets of rules.
+/// A stored rule with its identity, rendered once when it enters the
+/// store: `key` is [`Rule::stable_key`], `canon` [`Rule::canonical_text`],
+/// whose first `dedup_len` bytes are [`Rule::dedup_key`].
+#[derive(Debug, Clone)]
+struct Entry {
+    rule: Rule,
+    key: u64,
+    canon: String,
+    dedup_len: usize,
+}
+
+impl Entry {
+    fn new(rule: Rule) -> Entry {
+        let dedup = rule.dedup_key();
+        let (key, dedup_len) = (sig_hash(&dedup), dedup.len());
+        Entry { key, canon: rule.canonical_after(dedup), dedup_len, rule }
+    }
+
+    fn dedup(&self) -> &str {
+        &self.canon[..self.dedup_len]
+    }
+}
+
+/// Where a guest sequence hashes to: first opcode, length, opcode mean.
+type BucketKey = (u32, usize, u32);
+
+fn bucket_key(seq: &[ArmInstr]) -> BucketKey {
+    (seq.first().map_or(0, |i| i.opcode_id()), seq.len(), hash_key(seq))
+}
+
+/// A rule matched against concrete guest code.
+#[derive(Debug, Clone)]
+pub struct RuleMatch<'r> {
+    /// The matching rule.
+    pub rule: &'r Rule,
+    /// Its [`Rule::stable_key`], as cached by the store.
+    pub key: u64,
+    /// The operand binding of the match.
+    pub binding: Binding,
+}
+
+/// The rule store: buckets of rules keyed by the guest sequence's opcode
+/// mean (paper §4) under its first opcode and length, which makes "the
+/// lengths of the rules starting with this opcode" a range of the map.
 ///
-/// Buckets live in a [`BTreeMap`] so iteration order is a deterministic
-/// function of the insertion sequence (and fully canonical after
-/// [`RuleSet::merge`]), never of hash-seed randomness.
-#[derive(Debug, Clone, Default)]
+/// A rule's identity is its guest template ([`Rule::dedup_key`], hashed
+/// into [`Rule::stable_key`]); the store holds one rule per identity and
+/// renders it once, at [`RuleSet::insert`]. Buckets live in a [`BTreeMap`]
+/// and stay sorted by `dedup_key` (identities are unique, so the order is
+/// total): iteration and match order are a function of the set's
+/// *contents*, never of insertion or merge order or hash-seed randomness.
+#[derive(Debug, Clone)]
 pub struct RuleSet {
-    buckets: BTreeMap<u32, Vec<Rule>>,
-    len: usize,
-    dedup: HashMap<String, (u32, usize)>,
+    buckets: BTreeMap<BucketKey, Vec<Entry>>,
+    /// Stable key → bucket of the rule carrying it.
+    index: HashMap<u64, BucketKey>,
     /// Quarantined rules by [`Rule::stable_key`]. Tombstoned rules stay
     /// in their buckets (so [`RuleSet::len`] and learning statistics are
     /// unaffected) but are skipped by matching.
@@ -506,55 +570,94 @@ pub struct RuleSet {
     pub prefer_shorter: bool,
 }
 
+impl Default for RuleSet {
+    /// [`RuleSet::new`] — the paper's policy, not the ablation baseline.
+    fn default() -> Self {
+        RuleSet::new()
+    }
+}
+
 impl RuleSet {
     /// An empty rule set (shortest-host dedup policy).
     pub fn new() -> Self {
-        RuleSet { prefer_shorter: true, ..RuleSet::default() }
+        RuleSet {
+            buckets: BTreeMap::new(),
+            index: HashMap::new(),
+            tombstones: Default::default(),
+            prefer_shorter: true,
+        }
     }
 
     /// An empty rule set with first-found dedup (the ablation baseline).
     pub fn new_first_found() -> Self {
-        RuleSet { prefer_shorter: false, ..RuleSet::default() }
+        RuleSet { prefer_shorter: false, ..RuleSet::new() }
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.index.is_empty()
     }
 
     /// Insert a rule, deduplicating by guest template. When two rules
     /// share a guest template the one with the *fewest host instructions*
     /// wins (paper §6.1: "we select the sequence with the smallest number
-    /// of host instructions").
+    /// of host instructions"), ties broken by the lexicographically least
+    /// [`Rule::canonical_text`], then database encoding — a total order,
+    /// so the surviving rule does not depend on which was seen first.
+    /// Under first-found (`prefer_shorter == false`) the incumbent always
+    /// stays.
     ///
     /// Returns `true` if the set changed.
     pub fn insert(&mut self, rule: Rule) -> bool {
-        let key = rule.dedup_key();
-        let hkey = rule.hash_key();
-        if let Some((bucket, idx)) = self.dedup.get(&key) {
-            let existing = &mut self.buckets.get_mut(bucket).expect("bucket exists")[*idx];
-            if self.prefer_shorter && rule.host.len() < existing.host.len() {
-                *existing = rule;
-                return true;
-            }
+        // Learning the very same rule again is the common collision (one
+        // memoized outcome serves every snippet pair with its signature);
+        // it settles before anything is rendered.
+        let bucket = self.buckets.get(&bucket_key(&rule.guest));
+        if bucket.is_some_and(|b| b.iter().any(|e| e.rule == rule)) {
             return false;
         }
-        let bucket = self.buckets.entry(hkey).or_default();
-        bucket.push(rule);
-        self.dedup.insert(key, (hkey, bucket.len() - 1));
-        self.len += 1;
-        true
+        self.put(Entry::new(rule))
+    }
+
+    /// [`RuleSet::insert`] with the identity already rendered: store `e`
+    /// at its sorted bucket position, or settle the collision.
+    fn put(&mut self, e: Entry) -> bool {
+        let at = bucket_key(&e.rule.guest);
+        let bucket = self.buckets.entry(at).or_default();
+        match bucket.binary_search_by(|x| x.dedup().cmp(e.dedup())) {
+            Ok(pos) => {
+                let old = &mut bucket[pos];
+                let rank = (e.rule.host.len(), &e.canon).cmp(&(old.rule.host.len(), &old.canon));
+                // Equal canonical texts: the rules are interchangeable up
+                // to the registers they were learned with; their database
+                // encoding still picks the same one in any order.
+                let wins = self.prefer_shorter
+                    && rank.then_with(|| rule_bytes(&e.rule).cmp(&rule_bytes(&old.rule))).is_lt();
+                if wins {
+                    *old = e;
+                }
+                wins
+            }
+            Err(pos) => {
+                self.index.insert(e.key, at);
+                // Buckets hold a handful of rules and every generation
+                // clones them all: no rounding one rule up to room for four.
+                bucket.reserve_exact(1);
+                bucket.insert(pos, e);
+                true
+            }
+        }
     }
 
     /// Quarantine a rule by stable key: the rule keeps its bucket slot
-    /// but is skipped by [`RuleSet::candidates`], [`RuleSet::lookup`],
-    /// and [`RuleSet::lookup_linear`] from now on. Returns `true` when
-    /// the key was not already tombstoned.
+    /// but is skipped by [`RuleSet::candidates`], [`RuleSet::lookup`] and
+    /// [`RuleSet::longest_match`] from now on. Returns `true` when the
+    /// key was not already tombstoned.
     pub fn tombstone(&mut self, key: u64) -> bool {
         self.tombstones.insert(key)
     }
@@ -583,18 +686,15 @@ impl RuleSet {
     ///
     /// The replacement must have the *same* stable key — i.e. the same
     /// guest template and parameter sites — so every index (hash bucket,
-    /// dedup map, outstanding tombstones) stays valid. A repair only ever
+    /// key index, outstanding tombstones) stays valid. A repair only ever
     /// changes the host side, so this always holds for real repairs.
     /// Returns `false` (and leaves the set untouched) when the keys
     /// differ or no rule with that key is stored.
     pub fn replace(&mut self, key: u64, repaired: Rule) -> bool {
-        if repaired.stable_key() != key {
-            return false;
-        }
-        let dkey = repaired.dedup_key();
-        let Some((bucket, idx)) = self.dedup.get(&dkey) else { return false };
-        self.buckets.get_mut(bucket).expect("bucket exists")[*idx] = repaired;
-        true
+        let e = Entry::new(repaired);
+        let bucket = self.index.get(&key).and_then(|at| self.buckets.get_mut(at));
+        let slot = bucket.into_iter().flatten().find(|slot| slot.key == key && e.key == key);
+        slot.map(|slot| *slot = e).is_some()
     }
 
     /// Lift a quarantine tombstone (after the repaired rule has been
@@ -604,126 +704,91 @@ impl RuleSet {
         self.tombstones.remove(&key)
     }
 
-    /// Find a rule by stable key (linear scan — quarantine and repair are
-    /// cold paths). Tombstoned rules are found too: repair needs to read
-    /// the rule it is about to fix.
+    /// Find a rule by stable key: one index probe, then a scan of its
+    /// bucket. Tombstoned rules are found too: repair needs to read the
+    /// rule it is about to fix.
     pub fn find_by_key(&self, key: u64) -> Option<&Rule> {
-        self.iter().find(|r| r.stable_key() == key)
+        let bucket = self.buckets.get(self.index.get(&key)?)?;
+        bucket.iter().find(|e| e.key == key).map(|e| &e.rule)
     }
 
-    /// Whether matching may use this rule (not tombstoned). The
-    /// empty-set fast path keeps the no-quarantine lookup cost at zero
-    /// (no `dedup_key` rendering per candidate).
-    fn is_active(&self, r: &Rule) -> bool {
-        self.tombstones.is_empty() || !self.tombstones.contains(&r.stable_key())
+    /// The active (not tombstoned) entries of the bucket `seq` hashes to.
+    fn bucket_of(&self, seq: &[ArmInstr]) -> impl Iterator<Item = &Entry> {
+        let live = move |e: &&Entry| !self.tombstones.contains(&e.key);
+        self.buckets.get(&bucket_key(seq)).into_iter().flatten().filter(live)
     }
 
     /// All rules whose hash key matches `seq`'s and whose length equals
     /// `seq.len()` — the candidates for matching.
     pub fn candidates(&self, seq: &[ArmInstr]) -> impl Iterator<Item = &Rule> {
-        let key = hash_key(seq);
-        let n = seq.len();
-        self.buckets
-            .get(&key)
-            .into_iter()
-            .flatten()
-            .filter(move |r| r.len() == n && self.is_active(r))
+        self.bucket_of(seq).map(|e| &e.rule)
     }
 
-    /// Find the first rule matching `seq`, with its binding.
-    pub fn lookup(&self, seq: &[ArmInstr]) -> Option<(&Rule, Binding)> {
-        for r in self.candidates(seq) {
-            if let Some(b) = r.matches(seq) {
-                return Some((r, b));
-            }
+    /// The first rule matching `seq`, with key and binding: one bucket probe.
+    pub fn lookup(&self, seq: &[ArmInstr]) -> Option<RuleMatch<'_>> {
+        self.bucket_of(seq).find_map(|e| {
+            e.rule.matches(seq).map(|binding| RuleMatch { rule: &e.rule, key: e.key, binding })
+        })
+    }
+
+    /// The longest-match policy of paper §4: the longest prefix of `seq`
+    /// matching a rule that `accept(rule, len)` agrees to apply. Only the
+    /// lengths that rules starting with `seq[0]`'s opcode have are probed,
+    /// longest first, one [`RuleSet::lookup`] each; a refused match is
+    /// *not* replaced by a bucket sibling, the next shorter length is
+    /// tried. Returns the match and the number of probes made (the
+    /// "lookups" of the translation cost model).
+    pub fn longest_match(
+        &self,
+        seq: &[ArmInstr],
+        mut accept: impl FnMut(&Rule, usize) -> bool,
+    ) -> (Option<RuleMatch<'_>>, usize) {
+        let (first, n, _) = bucket_key(seq);
+        if n == 0 {
+            return (None, 0);
         }
-        None
-    }
-
-    /// Iterate over all rules.
-    pub fn iter(&self) -> impl Iterator<Item = &Rule> {
-        self.buckets.values().flatten()
-    }
-
-    /// Lookup by scanning every rule (no hash pre-filter) — the ablation
-    /// baseline for the paper's opcode-mean hash scheme. Returns the
-    /// match plus the number of rules probed.
-    pub fn lookup_linear(&self, seq: &[ArmInstr]) -> (Option<(&Rule, Binding)>, usize) {
-        let mut probes = 0;
-        for r in self.iter() {
-            probes += 1;
-            if r.len() != seq.len() || !self.is_active(r) {
-                continue;
+        let lens =
+            self.buckets.range((first, 1, 0)..=(first, n, u32::MAX)).rev().map(|(at, _)| at.1);
+        let (mut probes, mut last) = (0, 0);
+        for len in lens {
+            if len == last {
+                continue; // a second opcode mean at a length already probed
             }
-            if let Some(b) = r.matches(seq) {
-                return (Some((r, b)), probes);
+            (probes, last) = (probes + 1, len);
+            if let Some(m) = self.lookup(&seq[..len]).filter(|m| accept(m.rule, len)) {
+                return (Some(m), probes);
             }
         }
         (None, probes)
     }
 
-    /// Merge another rule set into this one, in `other`'s iteration
-    /// order. Collisions follow [`RuleSet::insert`]'s policy, so the
-    /// result can depend on the merge order when host lengths tie —
-    /// prefer [`RuleSet::merge`] for order-independent composition.
-    pub fn extend_from(&mut self, other: &RuleSet) {
-        for r in other.iter() {
-            self.insert(r.clone());
-        }
+    /// Iterate over all rules, in the store's canonical order.
+    pub fn iter(&self) -> impl Iterator<Item = &Rule> {
+        self.buckets.values().flatten().map(|e| &e.rule)
     }
 
-    /// Merge another rule set into this one with an order-independent
-    /// collision policy: on a shared guest template the rule with the
-    /// fewest host instructions wins, ties broken by the
-    /// lexicographically least [`Rule::canonical_text`]. Buckets are
-    /// re-sorted into the same total order afterwards, so composing the
-    /// same rule sets in *any* merge order yields byte-identical stores
-    /// — contents and iteration (hence lookup) order alike. This is how
-    /// the leave-one-out experiment sets are assembled from the twelve
-    /// per-program sets without re-learning.
+    /// Merge another rule set into this one: [`RuleSet::insert`] for
+    /// every rule of `other`, with the identity `other` already rendered.
+    /// The collision policy is a total order and buckets are always
+    /// sorted, so composing the same rule sets in *any* merge order yields
+    /// byte-identical stores — contents and iteration (hence lookup) order
+    /// alike. This is how the leave-one-out experiment sets are assembled
+    /// from the twelve per-program sets without re-learning.
     pub fn merge(&mut self, other: &RuleSet) {
-        for r in other.iter() {
-            let key = r.dedup_key();
-            if let Some((bucket, idx)) = self.dedup.get(&key) {
-                let existing = &mut self.buckets.get_mut(bucket).expect("bucket exists")[*idx];
-                if r.merge_rank() < existing.merge_rank() {
-                    *existing = r.clone();
-                }
-            } else {
-                let hkey = r.hash_key();
-                let bucket = self.buckets.entry(hkey).or_default();
-                bucket.push(r.clone());
-                self.dedup.insert(key, (hkey, bucket.len() - 1));
-                self.len += 1;
-            }
+        for e in other.buckets.values().flatten() {
+            self.put(e.clone());
         }
         // Quarantine is sticky across composition: a rule tombstoned in
         // either input stays quarantined in the union.
         self.tombstones.extend(&other.tombstones);
-        self.normalize();
-    }
-
-    /// Sort every bucket by `(dedup_key, merge_rank)` and rebuild the
-    /// dedup index, making iteration order canonical.
-    fn normalize(&mut self) {
-        self.dedup.clear();
-        for (hkey, bucket) in &mut self.buckets {
-            bucket.sort_by_cached_key(|r| {
-                let (hlen, canon) = r.merge_rank();
-                (r.dedup_key(), hlen, canon)
-            });
-            for (idx, r) in bucket.iter().enumerate() {
-                self.dedup.insert(r.dedup_key(), (*hkey, idx));
-            }
-        }
     }
 
     /// Every rule's [`Rule::canonical_text`], sorted — a canonical dump
     /// for comparing rule-set contents irrespective of storage order.
     pub fn canonical_dump(&self) -> String {
-        let mut keys: Vec<String> = self.iter().map(Rule::canonical_text).collect();
-        keys.sort();
-        keys.join("\n")
+        let mut texts: Vec<&str> = self.buckets.values().flatten().map(|e| &*e.canon).collect();
+        texts.sort_unstable();
+        texts.join("\n")
     }
 
     /// Histogram of rule lengths (for Figure 12-style reporting).
@@ -830,7 +895,7 @@ mod tests {
         assert_eq!(set.tombstoned_count(), 1);
         assert_eq!(set.len(), 1, "tombstoning does not remove the rule");
         assert!(set.lookup(&seq).is_none(), "matching skips quarantined rules");
-        assert!(set.lookup_linear(&seq).0.is_none());
+        assert_eq!(set.longest_match(&seq, |_, _| true).0.map(|m| m.key), None);
         // Quarantine survives order-independent merges.
         let mut merged = RuleSet::new();
         merged.merge(&set);
@@ -928,9 +993,10 @@ mod tests {
             ArmInstr::dp(DpOp::Add, ArmReg::R2, ArmReg::R2, Operand2::Reg(ArmReg::R3)),
             ArmInstr::dp(DpOp::Sub, ArmReg::R2, ArmReg::R2, Operand2::Imm(100)),
         ];
-        let (rule, binding) = rs.lookup(&seq).expect("found");
-        assert_eq!(rule.len(), 2);
-        assert_eq!(binding.imms, vec![100]);
+        let m = rs.lookup(&seq).expect("found");
+        assert_eq!(m.rule.len(), 2);
+        assert_eq!(m.key, figure1_rule().stable_key(), "a match hands the cached key back");
+        assert_eq!(m.binding.imms, vec![100]);
         // Non-matching sequence.
         let other = [ArmInstr::mov(ArmReg::R0, Operand2::Imm(1))];
         assert!(rs.lookup(&other).is_none());
@@ -1062,7 +1128,8 @@ mod tests {
             imm_params: lea.imm_params.clone(),
             ..figure1_rule()
         };
-        let expected = if lea.merge_rank() < other.merge_rank() { &lea } else { &other };
+        let rank = |r: &Rule| (r.host.len(), r.canonical_text());
+        let expected = if rank(&lea) < rank(&other) { &lea } else { &other };
         for order in [[&lea, &other], [&other, &lea]] {
             let mut merged = RuleSet::new();
             for r in order {
@@ -1071,6 +1138,124 @@ mod tests {
             assert_eq!(merged.len(), 1);
             assert_eq!(merged.iter().next().unwrap().canonical_text(), expected.canonical_text());
         }
+    }
+
+    #[test]
+    fn stable_key_is_pinned() {
+        // FNV-1a of the dedup key: the value is persisted (tombstones in
+        // the rule database, run reports), so it must never move with the
+        // toolchain or the hasher of the day.
+        assert_eq!(
+            figure1_rule().dedup_key(),
+            "add reg0, reg0, reg1;sub reg0, reg0, #5;|imm0@(1, Data);"
+        );
+        assert_eq!(figure1_rule().stable_key(), 0xee1b_8e4b_0eea_762f);
+    }
+
+    #[test]
+    fn first_found_is_opt_in_and_keeps_the_incumbent() {
+        // A derived `Default` would mean first-found; it must mean `new()`.
+        assert!(RuleSet::default().prefer_shorter && RuleSet::new().prefer_shorter);
+        assert!(!RuleSet::new_first_found().prefer_shorter);
+        // First-found keeps the incumbent even against a shorter host.
+        let mut ff = RuleSet::new_first_found();
+        assert!(ff.insert(figure1_long_host()));
+        assert!(!ff.insert(figure1_rule()));
+        assert_eq!(ff.iter().next().unwrap().host.len(), 2);
+    }
+
+    /// A rule over `figure1`'s opcode shape (same bucket) with a different
+    /// identity: the subtracted immediate is structural.
+    fn figure1_unparameterized() -> Rule {
+        Rule {
+            host: vec![
+                X86Instr::alu_rr(AluOp::Add, Gpr::Edx, Gpr::Ecx),
+                X86Instr::alu_ri(AluOp::Sub, Gpr::Edx, 5),
+            ],
+            imm_params: vec![],
+            ..figure1_rule()
+        }
+    }
+
+    #[test]
+    fn unparameterized_sibling_is_tried_before_the_parameterized_rule() {
+        // The unparameterized rule's dedup key is a strict prefix of its
+        // immediate-parameterized sibling's, so it sorts first in their
+        // shared bucket and wins wherever both match — whatever the
+        // insertion order. (Sorting by canonical text alone would flip
+        // them: '|' > 'i'.)
+        let (plain, param) = (figure1_unparameterized(), figure1_rule());
+        assert!(param.dedup_key().starts_with(&plain.dedup_key()));
+        let seq = |imm| {
+            [
+                ArmInstr::dp(DpOp::Add, ArmReg::R4, ArmReg::R4, Operand2::Reg(ArmReg::R7)),
+                ArmInstr::dp(DpOp::Sub, ArmReg::R4, ArmReg::R4, Operand2::Imm(imm)),
+            ]
+        };
+        for order in [[&plain, &param], [&param, &plain]] {
+            let rs = set_of(&[order[0].clone(), order[1].clone()]);
+            assert_eq!(rs.len(), 2);
+            assert_eq!(rs.iter().next(), Some(&plain));
+            assert_eq!(rs.lookup(&seq(5)).unwrap().key, plain.stable_key());
+            assert_eq!(rs.lookup(&seq(6)).unwrap().key, param.stable_key());
+        }
+    }
+
+    #[test]
+    fn key_index_survives_a_merge_that_reorders_the_bucket() {
+        // `param` sits alone in its bucket until the merge slots `plain`
+        // in *before* it; find/replace/revive must still reach it.
+        let (plain, param) = (figure1_unparameterized(), figure1_rule());
+        let key = param.stable_key();
+        let mut rs = set_of(&[param.clone(), mov_rule()]);
+        rs.tombstone(key);
+        rs.merge(&set_of(std::slice::from_ref(&plain)));
+        let order: Vec<&Rule> = rs.iter().filter(|r| r.len() == 2).collect();
+        assert_eq!(order, [&plain, &param], "param moved back");
+        assert_eq!(rs.find_by_key(key), Some(&param));
+        assert_eq!(rs.find_by_key(plain.stable_key()), Some(&plain));
+        assert_eq!(rs.find_by_key(!key), None);
+        let repaired = figure1_long_host();
+        assert!(!rs.replace(plain.stable_key(), repaired.clone()), "wrong identity refused");
+        assert!(!rs.replace(!key, repaired.clone()), "unknown key refused");
+        assert!(rs.replace(key, repaired.clone()));
+        assert_eq!(rs.find_by_key(key), Some(&repaired));
+        assert_eq!(rs.len(), 3);
+        assert!(rs.canonical_dump().contains(&repaired.canonical_text()));
+        let seq = [
+            ArmInstr::dp(DpOp::Add, ArmReg::R4, ArmReg::R4, Operand2::Reg(ArmReg::R7)),
+            ArmInstr::dp(DpOp::Sub, ArmReg::R4, ArmReg::R4, Operand2::Imm(9)),
+        ];
+        assert!(rs.lookup(&seq).is_none(), "still tombstoned");
+        assert!(rs.revive(key));
+        assert_eq!(rs.lookup(&seq).unwrap().rule, &repaired);
+    }
+
+    #[test]
+    fn longest_match_walks_only_lengths_present_and_honours_refusals() {
+        let add = Rule {
+            guest: vec![ArmInstr::dp(DpOp::Add, ArmReg::R0, ArmReg::R0, Operand2::Reg(ArmReg::R1))],
+            host: vec![X86Instr::alu_rr(AluOp::Add, Gpr::Edx, Gpr::Ecx)],
+            imm_params: vec![],
+            ..figure1_rule()
+        };
+        let rs = set_of(&[figure1_rule(), add.clone(), mov_rule()]);
+        let seq = [
+            ArmInstr::dp(DpOp::Add, ArmReg::R4, ArmReg::R4, Operand2::Reg(ArmReg::R7)),
+            ArmInstr::dp(DpOp::Sub, ArmReg::R4, ArmReg::R4, Operand2::Imm(9)),
+            ArmInstr::mov(ArmReg::R5, Operand2::Reg(ArmReg::R4)),
+        ];
+        // Rules starting with `add` are 2 and 1 long: length 3 is never
+        // probed, the longest acceptable match wins.
+        let (m, probes) = rs.longest_match(&seq, |_, _| true);
+        assert_eq!((m.unwrap().rule.len(), probes), (2, 1));
+        let (m, probes) = rs.longest_match(&seq, |_, len| len < 2);
+        assert_eq!((m.unwrap().key, probes), (add.stable_key(), 2));
+        let (m, probes) = rs.longest_match(&seq[..1], |_, _| true);
+        assert_eq!((m.unwrap().key, probes), (add.stable_key(), 1));
+        // No rule starts with `sub`; nothing matches an empty sequence.
+        assert_eq!(rs.longest_match(&seq[1..], |_, _| true).1, 0);
+        assert_eq!(rs.longest_match(&[], |_, _| true).1, 0);
     }
 
     #[test]

@@ -162,10 +162,6 @@ done
 # gate is then build-only).
 cargo run -q --release -p ldbt-bench --bin serve_throughput -- --smoke
 
-# The dispatch-throughput bench must keep compiling (it is the perf
-# gate's measurement tool; results live in results/dispatch_throughput.txt).
-cargo bench --no-run -p ldbt-bench
-
 # Dispatch-throughput gate. host_instrs is deterministic, so every engine
 # and ablation row (rules_nosb / rules_nofuse / rules_nora) must print
 # exactly the recorded count: a codegen change moves it on purpose and

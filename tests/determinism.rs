@@ -377,6 +377,200 @@ fn rule_attribution_and_run_report_are_deterministic() {
     ldbt_obs::selfcheck::check_run_report(&full).unwrap();
 }
 
+/// The twelve per-program suite rule sets, learned once per test binary.
+fn suite_sets() -> &'static [ldbt_core::experiment::ProgramRules] {
+    static SETS: std::sync::OnceLock<Vec<ldbt_core::experiment::ProgramRules>> =
+        std::sync::OnceLock::new();
+    SETS.get_or_init(|| ldbt_core::experiment::learn_all(&Options::o2()).unwrap())
+}
+
+/// A rule's identity texts, spelled out the slow way — render each
+/// instruction, then `str::replace` one register name after another —
+/// as the reference for the single-pass renderer in `learn::rule`. The
+/// texts order the store and hash into the persisted stable keys, so they
+/// must not drift.
+fn reference_texts(rule: &Rule) -> (String, String) {
+    use std::collections::HashMap;
+    fn regs<R: PartialEq>(mut uses: Vec<R>, def: Option<R>) -> Vec<R> {
+        uses.extend(def);
+        uses.dedup();
+        uses
+    }
+    let mut names: HashMap<ArmReg, usize> = HashMap::new();
+    let mut dedup = String::new();
+    for g in &rule.guest {
+        let mut text = g.to_string();
+        let mut rs = regs(g.uses(), g.def());
+        rs.sort_by_key(|r| std::cmp::Reverse(r.to_string().len()));
+        for r in rs {
+            let n = names.len();
+            let id = *names.entry(r).or_insert(n);
+            text = text.replace(&r.to_string(), &format!("reg{id}"));
+        }
+        dedup += &(text + ";");
+    }
+    dedup.push('|');
+    for (p, param) in rule.imm_params.iter().enumerate() {
+        dedup += &format!("imm{p}@{:?};", param.guest_site);
+    }
+    let mut names: HashMap<ArmReg, usize> = HashMap::new();
+    let guest_regs = rule.guest.iter().flat_map(|g| regs(g.uses(), g.def()));
+    let host_regs = rule.host.iter().flat_map(|h| regs(h.uses(), h.def()));
+    for r in guest_regs.chain(host_regs.filter_map(|h| rule.host_reg_of.get(&h).copied())) {
+        let n = names.len();
+        names.entry(r).or_insert(n);
+    }
+    let mut canon = dedup.clone() + "|";
+    for h in &rule.host {
+        let mut text = h.to_string();
+        for r in regs(h.uses(), h.def()) {
+            let sub = match rule.host_reg_of.get(&r).and_then(|g| names.get(g)) {
+                Some(id) => format!("hreg{id}"),
+                None => "hreg?".to_string(),
+            };
+            text = text.replace(&r.to_string(), &sub);
+        }
+        canon += &(text + ";");
+    }
+    canon.push('|');
+    for p in &rule.imm_params {
+        canon += &format!("{:?};", p.host_sites);
+    }
+    canon += &format!("|f{:x}b{}", rule.unemulated_flags, u8::from(rule.has_branch));
+    (dedup, canon)
+}
+
+#[test]
+fn identity_texts_match_the_replace_based_reference_on_every_suite_rule() {
+    let mut seen = 0;
+    for r in suite_sets().iter().flat_map(|p| p.rules.iter()) {
+        assert_eq!((r.dedup_key(), r.canonical_text()), reference_texts(r), "{r}");
+        seen += 1;
+    }
+    assert!(seen > 200, "only {seen} rules compared");
+}
+
+/// The rule store is a function of its contents: the twelve per-program
+/// sets composed rule by rule (`insert`) or set by set (`merge`), forward,
+/// reversed or shuffled, iterate in the same order, serialize to the same
+/// database bytes and carry the same tombstones.
+#[test]
+fn rule_store_is_canonical_for_any_construction_order() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let sets = suite_sets();
+    let forward: Vec<usize> = (0..sets.len()).collect();
+    let mut shuffled = forward.clone();
+    let mut rng = StdRng::seed_from_u64(22);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.gen_range(0..i + 1));
+    }
+    let reverse: Vec<usize> = forward.iter().rev().copied().collect();
+    assert_ne!(shuffled, forward);
+    // One rule is quarantined in the set that is composed first, so the
+    // tombstone travels a different way in every order.
+    let victim = sets[0].rules.iter().next().unwrap().stable_key();
+    let build = |order: &[usize], by_insert: bool| {
+        let mut all = ldbt_learn::RuleSet::new();
+        for (nth, &k) in order.iter().enumerate() {
+            let mut part = sets[k].rules.clone();
+            if nth == 0 {
+                part.tombstone(victim);
+            }
+            if by_insert {
+                part.iter().for_each(|r| _ = all.insert(r.clone()));
+                part.tombstoned_keys().into_iter().for_each(|t| _ = all.tombstone(t));
+            } else {
+                all.merge(&part);
+            }
+        }
+        let order: Vec<Rule> = all.iter().cloned().collect();
+        let bytes = ldbt_learn::db::to_bytes(&all, &VerifyCache::new());
+        (order, bytes, all.tombstoned_keys())
+    };
+    let reference = build(&forward, false);
+    assert!(reference.0.len() > 50, "the suite learns a real rule set");
+    assert_eq!(reference.2, vec![victim]);
+    for order in [&forward, &reverse, &shuffled] {
+        for by_insert in [false, true] {
+            let got = build(order, by_insert);
+            assert!(got == reference, "order {order:?} by_insert={by_insert} diverges");
+        }
+    }
+}
+
+/// `RuleSet::longest_match` against the exhaustive scan it replaced —
+/// every length `n-i..1` through `lookup`, first accepted — on every
+/// position of every block of the twelve `Test` images: same rule, never
+/// more probes, with and without a tombstone on the most-hit rule, and
+/// under an `accept` that refuses some matches.
+#[test]
+fn longest_match_equals_the_exhaustive_scan_on_the_suite() {
+    use ldbt_arm::ArmInstr;
+    let mut rules = ldbt_learn::RuleSet::new();
+    suite_sets().iter().for_each(|p| rules.merge(&p.rules));
+    let mut blocks: Vec<Vec<ArmInstr>> = Vec::new();
+    for b in &SUITE {
+        let image = build_arm_image(&source(b, Workload::Test), &Options::o2()).unwrap();
+        let mut mem = ldbt_isa::Memory::new();
+        image.load_into(&mut mem);
+        for (_, addr) in &image.func_addrs {
+            let mut pc = *addr;
+            loop {
+                let block = ldbt_dbt::tcg::decode_block(&mem, pc);
+                pc += 4 * block.instrs.len() as u32;
+                let falls_through = matches!(block.instrs.last(), Some(ArmInstr::B { .. }));
+                if !block.instrs.is_empty() {
+                    blocks.push(block.instrs);
+                }
+                if !falls_through {
+                    break;
+                }
+            }
+        }
+    }
+    assert!(blocks.len() > 300, "walked {} blocks", blocks.len());
+    type Accept = fn(&Rule, usize) -> bool;
+    let accepts: [(&str, Accept); 2] = [
+        ("all", |_, _| true),
+        ("picky", |r, len| r.unemulated_flags == 0 && (len != 2 || r.host.len() < 2)),
+    ];
+    let mut most_hit = None;
+    for tombstoned in [false, true] {
+        if tombstoned {
+            assert!(rules.tombstone(most_hit.expect("first pass hit something")));
+        }
+        let mut hits = std::collections::BTreeMap::<u64, usize>::new();
+        let (mut fast_probes, mut slow_probes, mut refusals) = (0, 0, 0);
+        for (name, accept) in accepts {
+            for (i, seq) in blocks.iter().flat_map(|b| (0..b.len()).map(move |i| (i, &b[i..]))) {
+                let (fast, probes) = rules.longest_match(seq, accept);
+                let mut tried = 0;
+                let slow = (1..=seq.len()).rev().find_map(|len| {
+                    tried += 1;
+                    let m = rules.lookup(&seq[..len])?;
+                    refusals += usize::from(!accept(m.rule, len));
+                    accept(m.rule, len).then_some(m)
+                });
+                let id = |m: &Option<ldbt_learn::rule::RuleMatch>| {
+                    m.as_ref().map(|m| (m.key, m.rule.len(), m.binding.clone()))
+                };
+                assert_eq!(id(&fast), id(&slow), "{name} tombstoned={tombstoned} at +{i}");
+                assert!(probes <= tried, "{name} at +{i}: {probes} probes > {tried}");
+                fast_probes += probes;
+                slow_probes += tried;
+                if let Some(m) = fast {
+                    assert_eq!(m.key, m.rule.stable_key(), "cached key is the rule's key");
+                    assert!(!rules.is_tombstoned(m.key));
+                    *hits.entry(m.key).or_default() += 1;
+                }
+            }
+        }
+        assert!(refusals > 0, "the picky accept must exercise the refusal path");
+        assert!(2 * fast_probes < slow_probes, "{fast_probes} vs {slow_probes} probes");
+        most_hit = hits.iter().max_by_key(|&(k, n)| (*n, std::cmp::Reverse(*k))).map(|(k, _)| *k);
+    }
+}
+
 /// Learn `programs` under `cfg` and return the comparable outcome:
 /// per-program Table-1 counters plus the canonical rule dump.
 fn learn_programs(programs: &[&str], cfg: &LearnConfig) -> Vec<([usize; 14], Vec<String>)> {

@@ -101,7 +101,7 @@ fn random_programs_differential() {
     for (i, src) in training.iter().enumerate() {
         let r = ldbt_learn::pipeline::learn_from_source(&format!("train{i}"), src, &Options::o2())
             .unwrap();
-        rules.extend_from(&r.rules);
+        rules.merge(&r.rules);
     }
     let rules = Arc::new(rules);
 
