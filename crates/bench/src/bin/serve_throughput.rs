@@ -6,8 +6,9 @@
 //! count until the machine runs out of cores. This binary measures
 //! that: it prepares a fixed program mix once, then serves it to 1, 2,
 //! 4, and 8 concurrent tenants, reporting best-of-N aggregate
-//! guest-instrs/sec per tenant count (best-of-N **min** wall-clock for
-//! the same reason as `dispatch_gate`: noise only ever adds time).
+//! guest-instrs/sec per tenant count (best-of-N **min** wall-clock:
+//! scheduler noise only ever adds time, so the minimum is the stable
+//! estimate of the true cost).
 //!
 //! Output, one line per tenant count (the recorded format of
 //! `results/serve_throughput.txt`):

@@ -1,4 +1,12 @@
-//! Lowering TCG micro-ops to host (x86) code.
+//! Lowering to host (x86) code: the one block emitter.
+//!
+//! `Emitter` owns everything a translated block is made of besides the
+//! instructions a translator hands it: the code vector, the declared
+//! exits, the register pool and the guest-register home table. TCG
+//! lowering ([`lower_block`]), the JIT's narrower pool
+//! (`jit::lower`) and rule lowering ([`crate::rules`]) all drive
+//! the same value, so how a guest register is homed and written back and
+//! what an exit stub looks like are each decided in one place.
 //!
 //! QEMU-style conventions:
 //!
@@ -22,7 +30,6 @@ use crate::tcg::{BlockEnd, TcgAlu, TcgBlock, TcgCond, TcgOp, Temp};
 use ldbt_arm::ArmReg;
 use ldbt_isa::Width;
 use ldbt_x86::{AluOp, Cc, Gpr, Operand, ShiftOp, UnOp, X86Instr, X86Mem};
-use std::collections::HashMap;
 
 /// The allocatable host register pool: every general-purpose register
 /// except `%eax` (exit-pc linkage) and `%esp` (host stack). The region
@@ -56,58 +63,59 @@ enum TLoc {
     Spill(u32),
 }
 
-struct Lowerer {
+/// The block emitter (see module docs). A translator asks it for guest
+/// register homes, hands it TCG ops or finished host instructions, and
+/// ends the block through [`Emitter::exit`] or [`Emitter::exit_on_cc`].
+pub(crate) struct Emitter {
     code: Vec<X86Instr>,
-    /// Cache guest registers in host registers for the block (QEMU
-    /// style).
-    home_caching: bool,
-    /// Number of pool registers available. The JIT path shrinks this,
+    /// Patchable direct exits, pushed by [`Emitter::ret_to`] and nowhere
+    /// else.
+    exits: Vec<(usize, u32)>,
+    /// The pool registers available. The JIT path shrinks this,
     /// modeling the extra spills the paper attributes to LLVM keeping a
     /// copy of the guest register file in host memory (reserved base
     /// registers, shadow slots).
-    pool_limit: usize,
-    reg_state: HashMap<Gpr, RegUse>,
-    temp_loc: HashMap<Temp, TLoc>,
-    home: HashMap<ArmReg, Gpr>,
-    dirty: HashMap<ArmReg, bool>,
-    last_use: HashMap<Temp, usize>,
+    pool: &'static [Gpr],
+    /// What each host register holds, by `Gpr::index()`.
+    reg_state: [RegUse; 8],
+    /// Guest registers cached in host registers for the block (QEMU
+    /// style), by `ArmReg::index()`: the home and its dirty bit.
+    home: [Option<(Gpr, bool)>; 16],
+    /// Location and last use of each temp of the TCG stretch being
+    /// lowered, by temp number.
+    temp_loc: Vec<Option<TLoc>>,
+    last_use: Vec<usize>,
     free_slots: Vec<u32>,
-    cur: usize,
 }
 
-impl Lowerer {
-    fn new(block: &TcgBlock) -> Lowerer {
-        let mut last_use: HashMap<Temp, usize> = HashMap::new();
-        for (i, op) in block.ops.iter().enumerate() {
-            for u in op.uses() {
-                last_use.insert(u, i);
-            }
-        }
-        let end_idx = block.ops.len();
-        match block.end {
-            BlockEnd::Branch { cond, .. } => {
-                last_use.insert(cond, end_idx);
-            }
-            BlockEnd::Indirect(t) => {
-                last_use.insert(t, end_idx);
-            }
-            _ => {}
-        }
-        Lowerer {
+impl Emitter {
+    /// An empty block lowered with the first `pool` registers of [`POOL`]
+    /// (at least 3: a two-operand ALU op pins two of them via `forbid`
+    /// and still needs a victim).
+    pub(crate) fn new(pool: usize) -> Emitter {
+        Emitter {
             code: Vec::new(),
-            home_caching: true,
-            pool_limit: POOL.len(),
-            reg_state: POOL.iter().map(|r| (*r, RegUse::Free)).collect(),
-            temp_loc: HashMap::new(),
-            home: HashMap::new(),
-            dirty: HashMap::new(),
-            last_use,
+            exits: Vec::new(),
+            pool: &POOL[..pool],
+            reg_state: [RegUse::Free; 8],
+            home: [None; 16],
+            temp_loc: Vec::new(),
+            last_use: Vec::new(),
             free_slots: (0..SPILL_SLOTS).rev().collect(),
-            cur: 0,
         }
     }
 
-    fn emit(&mut self, i: X86Instr) {
+    /// The finished block.
+    pub(crate) fn finish(self) -> LoweredBlock {
+        LoweredBlock { code: self.code, exits: self.exits }
+    }
+
+    /// Append finished host instructions (a rule body).
+    pub(crate) fn extend(&mut self, instrs: impl IntoIterator<Item = X86Instr>) {
+        self.code.extend(instrs);
+    }
+
+    pub(crate) fn emit(&mut self, i: X86Instr) {
         self.code.push(i);
     }
 
@@ -115,12 +123,16 @@ impl Lowerer {
         env_mem(SPILL_OFFSET + 4 * slot)
     }
 
+    fn store_home(&mut self, g: ArmReg, r: Gpr) {
+        self.emit(X86Instr::Mov { dst: Operand::Mem(reg_mem(g)), src: Operand::Reg(r) });
+    }
+
     /// Grab a free pool register, evicting if necessary. Registers
     /// holding temps in `forbid` are never victimized (they are operands
     /// of the op being lowered).
     fn grab_reg(&mut self, forbid: &[Temp]) -> Gpr {
-        let pool = &POOL[..self.pool_limit];
-        if let Some(r) = pool.iter().find(|r| self.reg_state[r] == RegUse::Free) {
+        let pool = self.pool;
+        if let Some(r) = pool.iter().find(|r| self.reg_state[r.index()] == RegUse::Free) {
             return *r;
         }
         // Prefer evicting a clean home, then a dirty home, then spill the
@@ -128,35 +140,34 @@ impl Lowerer {
         let mut clean = None;
         let mut dirty = None;
         for r in pool.iter().copied() {
-            if let RegUse::Home(g) = self.reg_state[&r] {
-                if self.dirty.get(&g).copied().unwrap_or(false) {
-                    dirty.get_or_insert((r, g));
+            if let RegUse::Home(g) = self.reg_state[r.index()] {
+                if matches!(self.home[g.index()], Some((_, true))) {
+                    dirty.get_or_insert((r, g, true));
                 } else {
-                    clean.get_or_insert((r, g));
+                    clean.get_or_insert((r, g, false));
                 }
             }
         }
-        if let Some((r, g)) = clean.or(dirty) {
-            if self.dirty.get(&g).copied().unwrap_or(false) {
-                self.emit(X86Instr::Mov { dst: Operand::Mem(reg_mem(g)), src: Operand::Reg(r) });
+        if let Some((r, g, is_dirty)) = clean.or(dirty) {
+            if is_dirty {
+                self.store_home(g, r);
             }
-            self.home.remove(&g);
-            self.dirty.remove(&g);
-            self.reg_state.insert(r, RegUse::Free);
+            self.home[g.index()] = None;
+            self.reg_state[r.index()] = RegUse::Free;
             return r;
         }
         // All pool regs hold temps: spill the one used furthest away.
         let (victim_reg, victim_temp) = pool
             .iter()
-            .filter_map(|r| match self.reg_state[r] {
+            .filter_map(|r| match self.reg_state[r.index()] {
                 RegUse::Temp(t) if !forbid.contains(&t) => Some((*r, t)),
                 _ => None,
             })
-            .max_by_key(|(_, t)| self.last_use.get(t).copied().unwrap_or(0))
+            .max_by_key(|(_, t)| self.last_use[t.0 as usize])
             .expect("pool has evictable temps");
         // The pool holds at most `POOL.len()` temps, each spillable once,
         // and slots are recycled on reload/death — pressure can never
-        // exhaust `SPILL_SLOTS` (16) while the pool is ≥ 2 wide.
+        // exhaust `SPILL_SLOTS` (16) while the pool is ≥ 3 wide.
         debug_assert!(
             self.free_slots.len() <= SPILL_SLOTS as usize,
             "spill slot bookkeeping overflowed SPILL_SLOTS"
@@ -164,48 +175,93 @@ impl Lowerer {
         let slot = self.free_slots.pop().expect("out of spill slots");
         let m = self.spill_mem(slot);
         self.emit(X86Instr::Mov { dst: Operand::Mem(m), src: Operand::Reg(victim_reg) });
-        self.temp_loc.insert(victim_temp, TLoc::Spill(slot));
-        self.reg_state.insert(victim_reg, RegUse::Free);
+        self.temp_loc[victim_temp.0 as usize] = Some(TLoc::Spill(slot));
+        self.reg_state[victim_reg.index()] = RegUse::Free;
         victim_reg
+    }
+
+    /// The current home of a guest register, if it has one.
+    pub(crate) fn home_of(&self, g: ArmReg) -> Option<Gpr> {
+        self.home[g.index()].map(|(r, _)| r)
     }
 
     /// The home register for a guest register, loading it if requested.
     fn guest_home(&mut self, g: ArmReg, load: bool) -> Option<Gpr> {
-        if !self.home_caching {
-            return None;
-        }
-        if let Some(r) = self.home.get(&g) {
-            return Some(*r);
+        if let Some(r) = self.home_of(g) {
+            return Some(r);
         }
         // Only cache if a register is free or a home can be evicted —
         // avoid thrashing temps.
-        let has_room = POOL[..self.pool_limit]
+        let has_room = self
+            .pool
             .iter()
-            .any(|r| matches!(self.reg_state[r], RegUse::Free | RegUse::Home(_)));
+            .any(|r| matches!(self.reg_state[r.index()], RegUse::Free | RegUse::Home(_)));
         if !has_room {
             return None;
         }
         let r = self.grab_reg(&[]);
-        self.reg_state.insert(r, RegUse::Home(g));
-        self.home.insert(g, r);
-        self.dirty.insert(g, false);
+        self.reg_state[r.index()] = RegUse::Home(g);
+        self.home[g.index()] = Some((r, false));
         if load {
             self.emit(X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Mem(reg_mem(g)) });
         }
         Some(r)
     }
 
+    /// Can every guest register of `regs` that has no home yet get a
+    /// free pool register? (A repeated register counts each time.)
+    pub(crate) fn fits(&self, regs: impl Iterator<Item = ArmReg>) -> bool {
+        let free = self.pool.iter().filter(|r| self.reg_state[r.index()] == RegUse::Free);
+        regs.filter(|g| self.home_of(*g).is_none()).count() <= free.count()
+    }
+
+    /// The home of a guest register a rule body names, loaded on first
+    /// use. The caller has made room ([`Emitter::fits`], else
+    /// [`Emitter::flush`]).
+    pub(crate) fn home(&mut self, g: ArmReg) -> Gpr {
+        self.guest_home(g, true).expect("checked by fits")
+    }
+
+    /// A rule body defined `g`: its home, if any, now differs from env.
+    pub(crate) fn mark_dirty(&mut self, g: ArmReg) {
+        if let Some((_, dirty)) = &mut self.home[g.index()] {
+            *dirty = true;
+        }
+    }
+
+    /// Write every dirty home back to env, in guest register order.
+    fn writeback(&mut self) {
+        for i in 0..self.home.len() {
+            if let Some((r, true)) = self.home[i] {
+                self.store_home(ArmReg::from_index(i), r);
+            }
+        }
+    }
+
+    /// Write dirty homes back and forget every home, temp and spill
+    /// slot: what follows starts env-to-env, from the state of a fresh
+    /// emitter. Called at each boundary between a rule application and a
+    /// TCG stretch, and when a wide rule finds the home table full.
+    pub(crate) fn flush(&mut self) {
+        self.writeback();
+        self.reg_state = [RegUse::Free; 8];
+        self.home = [None; 16];
+        self.temp_loc.clear();
+        self.free_slots.clear();
+        self.free_slots.extend((0..SPILL_SLOTS).rev());
+    }
+
     /// Materialize a temp into a pool register, un-spilling it if needed.
     /// `forbid` protects other operands of the current op from eviction.
     fn unspill(&mut self, t: Temp, forbid: &[Temp]) -> Gpr {
-        match self.temp_loc.get(&t).copied() {
+        match self.temp_loc[t.0 as usize] {
             Some(TLoc::Reg(r)) => r,
             Some(TLoc::Spill(slot)) => {
                 let r = self.grab_reg(forbid);
                 let m = self.spill_mem(slot);
                 self.emit(X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Mem(m) });
-                self.reg_state.insert(r, RegUse::Temp(t));
-                self.temp_loc.insert(t, TLoc::Reg(r));
+                self.reg_state[r.index()] = RegUse::Temp(t);
+                self.temp_loc[t.0 as usize] = Some(TLoc::Reg(r));
                 self.free_slots.push(slot);
                 r
             }
@@ -215,7 +271,7 @@ impl Lowerer {
 
     /// A source operand for a temp (spills stay in memory).
     fn temp_operand(&self, t: Temp) -> Operand {
-        match self.temp_loc.get(&t).copied() {
+        match self.temp_loc[t.0 as usize] {
             Some(TLoc::Reg(r)) => Operand::Reg(r),
             Some(TLoc::Spill(slot)) => Operand::Mem(self.spill_mem(slot)),
             None => panic!("use of undefined temp {t:?}"),
@@ -225,23 +281,22 @@ impl Lowerer {
     /// Allocate a register for a temp definition.
     fn def_temp(&mut self, t: Temp, forbid: &[Temp]) -> Gpr {
         let r = self.grab_reg(forbid);
-        self.reg_state.insert(r, RegUse::Temp(t));
-        self.temp_loc.insert(t, TLoc::Reg(r));
+        self.reg_state[r.index()] = RegUse::Temp(t);
+        self.temp_loc[t.0 as usize] = Some(TLoc::Reg(r));
         r
     }
 
-    /// Release temps whose last use has passed.
-    fn expire(&mut self, idx: usize) {
-        let dead: Vec<Temp> = self
-            .temp_loc
-            .keys()
-            .copied()
-            .filter(|t| self.last_use.get(t).copied().unwrap_or(0) <= idx)
-            .collect();
-        for t in dead {
-            match self.temp_loc.remove(&t) {
-                Some(TLoc::Reg(r)) if self.reg_state[&r] == RegUse::Temp(t) => {
-                    self.reg_state.insert(r, RegUse::Free);
+    /// Release the temps of op `idx` whose last use has passed (a temp
+    /// dies at the op that last reads it, or at its own definition when
+    /// nothing reads it).
+    fn expire(&mut self, op: &TcgOp, idx: usize) {
+        for t in op.uses().into_iter().chain(op.def()) {
+            if self.last_use[t.0 as usize] > idx {
+                continue;
+            }
+            match self.temp_loc[t.0 as usize].take() {
+                Some(TLoc::Reg(r)) if self.reg_state[r.index()] == RegUse::Temp(t) => {
+                    self.reg_state[r.index()] = RegUse::Free;
                 }
                 Some(TLoc::Spill(slot)) => self.free_slots.push(slot),
                 Some(TLoc::Reg(_)) | None => {}
@@ -249,21 +304,39 @@ impl Lowerer {
         }
     }
 
-    fn writeback_all(&mut self) {
-        let mut dirty: Vec<(ArmReg, Gpr)> = self
-            .home
-            .iter()
-            .filter(|(g, _)| self.dirty.get(g).copied().unwrap_or(false))
-            .map(|(g, r)| (*g, *r))
-            .collect();
-        dirty.sort_by_key(|(g, _)| g.index());
-        for (g, r) in dirty {
-            self.emit(X86Instr::Mov { dst: Operand::Mem(reg_mem(g)), src: Operand::Reg(r) });
+    /// Lower a TCG stretch — flag prologue and ops, not the terminator —
+    /// into the block. The caller ends it with [`Emitter::exit`] (the
+    /// stretch closes the block) or [`Emitter::flush`] (more follows).
+    pub(crate) fn lower_ops(&mut self, block: &TcgBlock) {
+        let temps = block.ops.iter().filter_map(|o| o.def()).map(|t| t.0 as usize + 1).max();
+        self.last_use.clear();
+        self.last_use.resize(temps.unwrap_or(0), 0);
+        for (i, op) in block.ops.iter().enumerate() {
+            for u in op.uses() {
+                self.last_use[u.0 as usize] = i;
+            }
+        }
+        if let BlockEnd::Branch { cond: t, .. } | BlockEnd::Indirect(t) = block.end {
+            self.last_use[t.0 as usize] = block.ops.len();
+        }
+        self.temp_loc.clear();
+        self.temp_loc.resize(self.last_use.len(), None);
+        if block.reads_live_in_flags {
+            self.flag_stub();
+        }
+        if block.writes_flags {
+            self.emit(X86Instr::Mov {
+                dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
+                src: Operand::Imm(0),
+            });
+        }
+        for (idx, op) in block.ops.iter().enumerate() {
+            self.lower_op(op);
+            self.expire(op, idx);
         }
     }
 
-    fn lower_op(&mut self, op: &TcgOp, idx: usize) {
-        self.cur = idx;
+    fn lower_op(&mut self, op: &TcgOp) {
         match *op {
             TcgOp::MovI(d, v) => {
                 let r = self.def_temp(d, &[]);
@@ -275,36 +348,17 @@ impl Lowerer {
                 self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
             }
             TcgOp::Alu(aop, d, a, b) => {
-                let sa = self.unspill(a, &[b]);
-                let r = self.def_temp(d, &[a, b]);
-                if r != sa {
-                    self.emit(X86Instr::mov_rr(r, sa));
-                }
+                let r = self.def_copy(d, a, Some(b));
                 let sb = self.temp_operand(b);
                 match aop {
-                    TcgAlu::Shl | TcgAlu::Lshr | TcgAlu::Ashr => {
-                        unreachable!("variable shift in TCG stream")
-                    }
                     TcgAlu::Mul => self.emit(X86Instr::Imul { dst: r, src: sb }),
                     _ => {
-                        let x86op = match aop {
-                            TcgAlu::Add => AluOp::Add,
-                            TcgAlu::Sub => AluOp::Sub,
-                            TcgAlu::And => AluOp::And,
-                            TcgAlu::Or => AluOp::Or,
-                            TcgAlu::Xor => AluOp::Xor,
-                            _ => unreachable!(),
-                        };
-                        self.emit(X86Instr::Alu { op: x86op, dst: Operand::Reg(r), src: sb });
+                        self.emit(X86Instr::Alu { op: alu_of(aop), dst: Operand::Reg(r), src: sb })
                     }
                 }
             }
             TcgOp::AluI(aop, d, a, imm) => {
-                let sa = self.unspill(a, &[]);
-                let r = self.def_temp(d, &[a]);
-                if r != sa {
-                    self.emit(X86Instr::mov_rr(r, sa));
-                }
+                let r = self.def_copy(d, a, None);
                 match aop {
                     TcgAlu::Shl | TcgAlu::Lshr | TcgAlu::Ashr => {
                         let sop = match aop {
@@ -321,33 +375,15 @@ impl Lowerer {
                         self.emit(X86Instr::mov_imm(Gpr::Eax, imm as i32));
                         self.emit(X86Instr::Imul { dst: r, src: Operand::Reg(Gpr::Eax) });
                     }
-                    _ => {
-                        let x86op = match aop {
-                            TcgAlu::Add => AluOp::Add,
-                            TcgAlu::Sub => AluOp::Sub,
-                            TcgAlu::And => AluOp::And,
-                            TcgAlu::Or => AluOp::Or,
-                            TcgAlu::Xor => AluOp::Xor,
-                            _ => unreachable!(),
-                        };
-                        self.emit(X86Instr::alu_ri(x86op, r, imm as i32));
-                    }
+                    _ => self.emit(X86Instr::alu_ri(alu_of(aop), r, imm as i32)),
                 }
             }
             TcgOp::Not(d, a) => {
-                let sa = self.unspill(a, &[]);
-                let r = self.def_temp(d, &[a]);
-                if r != sa {
-                    self.emit(X86Instr::mov_rr(r, sa));
-                }
+                let r = self.def_copy(d, a, None);
                 self.emit(X86Instr::Un { op: UnOp::Not, dst: Operand::Reg(r) });
             }
             TcgOp::Neg(d, a) => {
-                let sa = self.unspill(a, &[]);
-                let r = self.def_temp(d, &[a]);
-                if r != sa {
-                    self.emit(X86Instr::mov_rr(r, sa));
-                }
+                let r = self.def_copy(d, a, None);
                 self.emit(X86Instr::Un { op: UnOp::Neg, dst: Operand::Reg(r) });
             }
             TcgOp::Setc(d, cond, a, b) => {
@@ -361,40 +397,24 @@ impl Lowerer {
                 let r = self.def_temp(d, &[]);
                 self.emit(X86Instr::mov_rr(r, Gpr::Eax));
             }
-            TcgOp::GetReg(d, g) => match self.guest_home(g, true) {
-                Some(h) => {
-                    let r = self.def_temp(d, &[]);
-                    self.emit(X86Instr::mov_rr(r, h));
-                }
-                None => {
-                    let r = self.def_temp(d, &[]);
-                    self.emit(X86Instr::Mov {
-                        dst: Operand::Reg(r),
-                        src: Operand::Mem(reg_mem(g)),
-                    });
-                }
-            },
+            TcgOp::GetReg(d, g) => {
+                let home = self.guest_home(g, true);
+                let r = self.def_temp(d, &[]);
+                let src = home.map_or(Operand::Mem(reg_mem(g)), Operand::Reg);
+                self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
+            }
             TcgOp::PutReg(g, s) => {
                 let src = self.unspill(s, &[]);
-                match self.home.get(&g).copied() {
+                // (A home allocated here is never `src`: `guest_home`
+                // takes a free register or another home, not a temp's.)
+                match self.guest_home(g, false) {
                     Some(h) => {
                         if h != src {
                             self.emit(X86Instr::mov_rr(h, src));
                         }
-                        self.dirty.insert(g, true);
+                        self.mark_dirty(g);
                     }
-                    None => match self.guest_home(g, false) {
-                        Some(h) => {
-                            self.emit(X86Instr::mov_rr(h, src));
-                            self.dirty.insert(g, true);
-                        }
-                        None => {
-                            self.emit(X86Instr::Mov {
-                                dst: Operand::Mem(reg_mem(g)),
-                                src: Operand::Reg(src),
-                            });
-                        }
-                    },
+                    None => self.store_home(g, src),
                 }
             }
             TcgOp::GetFlag(d, f) => {
@@ -442,54 +462,137 @@ impl Lowerer {
             }
         }
     }
+
+    /// `d = a` in a fresh register — the two-address prelude of a unary
+    /// or binary op. `b`, the op's other operand, is protected from
+    /// eviction along with `a`.
+    fn def_copy(&mut self, d: Temp, a: Temp, b: Option<Temp>) -> Gpr {
+        let keep = [b.unwrap_or(a), a];
+        let sa = self.unspill(a, &keep[..1]);
+        let r = self.def_temp(d, &keep);
+        if r != sa {
+            self.emit(X86Instr::mov_rr(r, sa));
+        }
+        r
+    }
+
+    /// The flag-materialization prologue for blocks that read live-in
+    /// guest flags (see module docs). Ends just before the block body.
+    fn flag_stub(&mut self) {
+        let code = &mut self.code;
+        code.push(X86Instr::Alu {
+            op: AluOp::Cmp,
+            dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
+            src: Operand::Imm(0),
+        });
+        // Patched below to skip the stub when flag-mode is 0.
+        code.push(X86Instr::Jcc { cc: Cc::E, target: 0 });
+        let je_at = code.len() - 1;
+        code.push(X86Instr::Mov {
+            dst: Operand::Reg(Gpr::Ecx),
+            src: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
+        });
+        code.push(X86Instr::Push { src: Operand::Mem(env_mem(HOSTFLAGS_OFFSET)) });
+        code.push(X86Instr::Popfd);
+        let set = |code: &mut Vec<X86Instr>, cc: Cc, f: FlagId| {
+            code.push(X86Instr::mov_imm(Gpr::Eax, 0));
+            code.push(X86Instr::Setcc { cc, dst: Gpr::Eax });
+            code.push(X86Instr::Mov {
+                dst: Operand::Mem(flag_mem(f)),
+                src: Operand::Reg(Gpr::Eax),
+            });
+        };
+        set(code, Cc::S, FlagId::N);
+        set(code, Cc::E, FlagId::Z);
+        set(code, Cc::O, FlagId::V);
+        // Carry: polarity bit 1 of the saved mode decides CF vs ¬CF.
+        code.push(X86Instr::mov_imm(Gpr::Eax, 0));
+        code.push(X86Instr::Setcc { cc: Cc::B, dst: Gpr::Eax });
+        code.push(X86Instr::Alu {
+            op: AluOp::Test,
+            dst: Operand::Reg(Gpr::Ecx),
+            src: Operand::Imm(2),
+        });
+        code.push(X86Instr::Jcc { cc: Cc::Ne, target: 1 }); // skip the invert
+        code.push(X86Instr::alu_ri(AluOp::Xor, Gpr::Eax, 1));
+        code.push(X86Instr::Mov {
+            dst: Operand::Mem(flag_mem(FlagId::C)),
+            src: Operand::Reg(Gpr::Eax),
+        });
+        code.push(X86Instr::Mov {
+            dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
+            src: Operand::Imm(0),
+        });
+        // Patch the skip target.
+        let skip = (code.len() - je_at - 1) as i32;
+        if let X86Instr::Jcc { target, .. } = &mut code[je_at] {
+            *target = skip;
+        }
+    }
+
+    /// `mov $pc, %eax; ret`: the one place a patchable direct exit is
+    /// declared — the `Ret` whose preceding `mov` names a statically
+    /// known successor.
+    fn ret_to(&mut self, pc: u32) {
+        self.emit(X86Instr::mov_imm(Gpr::Eax, pc as i32));
+        self.exits.push((self.code.len(), pc));
+        self.emit(X86Instr::Ret);
+    }
+
+    /// `jcc` between the two direct exits of a conditional branch.
+    fn ret_either(&mut self, cc: Cc, taken: u32, not_taken: u32) {
+        self.emit(X86Instr::Jcc { cc, target: 2 });
+        self.ret_to(not_taken);
+        self.ret_to(taken);
+    }
+
+    /// End the block with a two-way exit on a host condition the code
+    /// before it left in EFLAGS (the writeback movs are flag-safe).
+    pub(crate) fn exit_on_cc(&mut self, cc: Cc, taken: u32, not_taken: u32) {
+        self.writeback();
+        self.ret_either(cc, taken, not_taken);
+    }
+
+    /// End the block: write the dirty homes back, then the exit stub.
+    /// Direct exits (Jump, both Branch arms) are declared as they are
+    /// emitted; an Indirect return deliberately is not, even though it
+    /// ends in `mov %eax; ret` too.
+    pub(crate) fn exit(&mut self, end: BlockEnd) {
+        self.writeback();
+        match end {
+            BlockEnd::Jump(pc) => self.ret_to(pc),
+            BlockEnd::Halt => self.emit(X86Instr::Halt),
+            BlockEnd::Trap(pc) => {
+                // Precise trap: every dirty guest register reaches its env
+                // home before the sentinel; %eax carries the trapping PC.
+                self.emit(X86Instr::mov_imm(Gpr::Eax, pc as i32));
+                self.emit(X86Instr::Trap);
+            }
+            BlockEnd::Indirect(t) => {
+                let src = self.temp_operand(t);
+                self.emit(X86Instr::Mov { dst: Operand::Reg(Gpr::Eax), src });
+                self.emit(X86Instr::Ret);
+            }
+            BlockEnd::Branch { cond, taken, not_taken } => {
+                let c = self.temp_operand(cond);
+                self.emit(X86Instr::Alu { op: AluOp::Cmp, dst: c, src: Operand::Imm(0) });
+                self.ret_either(Cc::Ne, taken, not_taken);
+            }
+        }
+    }
 }
 
-/// The flag-materialization prologue for blocks that read live-in guest
-/// flags (see module docs). Ends just before the block body.
-fn flag_stub(code: &mut Vec<X86Instr>) {
-    let start = code.len();
-    code.push(X86Instr::Alu {
-        op: AluOp::Cmp,
-        dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
-        src: Operand::Imm(0),
-    });
-    //
-
-    // Patched below to skip the stub when flag-mode is 0.
-    code.push(X86Instr::Jcc { cc: Cc::E, target: 0 });
-    let je_at = code.len() - 1;
-    code.push(X86Instr::Mov {
-        dst: Operand::Reg(Gpr::Ecx),
-        src: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
-    });
-    code.push(X86Instr::Push { src: Operand::Mem(env_mem(HOSTFLAGS_OFFSET)) });
-    code.push(X86Instr::Popfd);
-    let set = |code: &mut Vec<X86Instr>, cc: Cc, f: FlagId| {
-        code.push(X86Instr::mov_imm(Gpr::Eax, 0));
-        code.push(X86Instr::Setcc { cc, dst: Gpr::Eax });
-        code.push(X86Instr::Mov { dst: Operand::Mem(flag_mem(f)), src: Operand::Reg(Gpr::Eax) });
-    };
-    set(code, Cc::S, FlagId::N);
-    set(code, Cc::E, FlagId::Z);
-    set(code, Cc::O, FlagId::V);
-    // Carry: polarity bit 1 of the saved mode decides CF vs ¬CF.
-    code.push(X86Instr::mov_imm(Gpr::Eax, 0));
-    code.push(X86Instr::Setcc { cc: Cc::B, dst: Gpr::Eax });
-    code.push(X86Instr::Alu { op: AluOp::Test, dst: Operand::Reg(Gpr::Ecx), src: Operand::Imm(2) });
-    code.push(X86Instr::Jcc { cc: Cc::Ne, target: 1 }); // skip the invert
-    code.push(X86Instr::alu_ri(AluOp::Xor, Gpr::Eax, 1));
-    code.push(X86Instr::Mov {
-        dst: Operand::Mem(flag_mem(FlagId::C)),
-        src: Operand::Reg(Gpr::Eax),
-    });
-    code.push(X86Instr::Mov { dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)), src: Operand::Imm(0) });
-    // Patch the skip target.
-    let end = code.len();
-    let skip = (end - je_at - 1) as i32;
-    if let X86Instr::Jcc { target, .. } = &mut code[je_at] {
-        *target = skip;
+fn alu_of(op: TcgAlu) -> AluOp {
+    match op {
+        TcgAlu::Add => AluOp::Add,
+        TcgAlu::Sub => AluOp::Sub,
+        TcgAlu::And => AluOp::And,
+        TcgAlu::Or => AluOp::Or,
+        TcgAlu::Xor => AluOp::Xor,
+        TcgAlu::Shl | TcgAlu::Lshr | TcgAlu::Ashr | TcgAlu::Mul => {
+            unreachable!("{op:?} has no two-address ALU form (variable shift in TCG stream?)")
+        }
     }
-    let _ = start;
 }
 
 /// Host code for one block plus its direct-exit metadata.
@@ -509,67 +612,23 @@ pub struct LoweredBlock {
 
 /// Lower a TCG block to host code.
 pub fn lower_block(block: &TcgBlock) -> LoweredBlock {
-    lower_block_opts(block, true, POOL.len())
+    lower_block_pool(block, POOL.len())
 }
 
-/// [`lower_block`] with explicit control over guest-register home
-/// caching and the register-pool size (the JIT path shrinks the pool).
-pub fn lower_block_opts(block: &TcgBlock, home_caching: bool, pool_limit: usize) -> LoweredBlock {
-    let mut l = Lowerer::new(block);
-    l.home_caching = home_caching;
-    l.pool_limit = pool_limit.clamp(2, POOL.len());
-    if block.reads_live_in_flags {
-        flag_stub(&mut l.code);
-    }
-    if block.writes_flags {
-        l.emit(X86Instr::Mov { dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)), src: Operand::Imm(0) });
-    }
-    for (idx, op) in block.ops.iter().enumerate() {
-        l.lower_op(op, idx);
-        l.expire(idx);
-    }
-    // Terminator. Direct exits (Jump, both Branch arms) are recorded as
-    // they are emitted; an Indirect return deliberately is not, even
-    // though it ends in `mov %eax; ret` too.
-    let mut exits = Vec::new();
-    match block.end {
-        BlockEnd::Jump(pc) => {
-            l.writeback_all();
-            l.emit(X86Instr::mov_imm(Gpr::Eax, pc as i32));
-            exits.push((l.code.len(), pc));
-            l.emit(X86Instr::Ret);
-        }
-        BlockEnd::Halt => {
-            l.writeback_all();
-            l.emit(X86Instr::Halt);
-        }
-        BlockEnd::Trap(pc) => {
-            // Precise trap: every dirty guest register reaches its env
-            // home before the sentinel; %eax carries the trapping PC.
-            l.writeback_all();
-            l.emit(X86Instr::mov_imm(Gpr::Eax, pc as i32));
-            l.emit(X86Instr::Trap);
-        }
-        BlockEnd::Indirect(t) => {
-            let src = l.temp_operand(t);
-            l.writeback_all();
-            l.emit(X86Instr::Mov { dst: Operand::Reg(Gpr::Eax), src });
-            l.emit(X86Instr::Ret);
-        }
-        BlockEnd::Branch { cond, taken, not_taken } => {
-            let c = l.temp_operand(cond);
-            l.writeback_all();
-            l.emit(X86Instr::Alu { op: AluOp::Cmp, dst: c, src: Operand::Imm(0) });
-            l.emit(X86Instr::Jcc { cc: Cc::Ne, target: 2 });
-            l.emit(X86Instr::mov_imm(Gpr::Eax, not_taken as i32));
-            exits.push((l.code.len(), not_taken));
-            l.emit(X86Instr::Ret);
-            l.emit(X86Instr::mov_imm(Gpr::Eax, taken as i32));
-            exits.push((l.code.len(), taken));
-            l.emit(X86Instr::Ret);
-        }
-    }
-    LoweredBlock { code: l.code, exits }
+/// [`lower_block`] over the first `pool` registers of [`POOL`] (the JIT
+/// path shrinks the pool).
+pub(crate) fn lower_block_pool(block: &TcgBlock, pool: usize) -> LoweredBlock {
+    let mut e = Emitter::new(pool);
+    e.lower_ops(block);
+    e.exit(block.end);
+    e.finish()
+}
+
+/// The block for an undecodable guest word at `pc`: a bare trap exit.
+pub(crate) fn lower_undecodable(pc: u32) -> LoweredBlock {
+    let mut e = Emitter::new(POOL.len());
+    e.exit(BlockEnd::Trap(pc));
+    e.finish()
 }
 
 #[cfg(test)]
@@ -783,9 +842,10 @@ mod tests {
         assert_eq!(tcg.unsupported_at, None);
         // A 2-wide pool is below the allocator's floor: a two-operand ALU
         // can pin both pool registers via `forbid`, leaving no evictable
-        // victim. Three registers is the narrowest legal pool.
-        for pool_limit in [3, 4, POOL.len()] {
-            let code = lower_block_opts(&tcg, true, pool_limit).code;
+        // victim. Three registers is the narrowest legal pool, and the
+        // two widths in use are the JIT's and the full pool.
+        for pool_limit in [crate::jit::JIT_POOL, POOL.len()] {
+            let code = lower_block_pool(&tcg, pool_limit).code;
             let spill_lo = ENV_BASE + SPILL_OFFSET;
             let spill_hi = spill_lo + 4 * SPILL_SLOTS;
             for ins in &code {

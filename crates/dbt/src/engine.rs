@@ -22,14 +22,14 @@
 //!    region loop is the same code, so it is bit-identical.
 
 pub use crate::api::{RunOutcome, TransCost, Translator, TrapKind};
-use crate::backend::{lower_block, lower_block_opts, POOL};
+use crate::backend::{lower_block, lower_undecodable, POOL};
 use crate::cache::{CachedBlock, CodeCache, InvalidateReason};
 use crate::env::{
     engine_env, env_mem, load_guest, reg_mem, step_guest, store_guest, FlagId, ENV_BASE,
     GUEST_MEM_LIMIT, HOST_STACK_TOP,
 };
 use crate::guardian::{GuardCx, Guardian};
-use crate::jit::optimize_block;
+use crate::jit;
 use crate::rules::{block_supported, lower_block_with_rules_suppress};
 use crate::sb::{form_region, region_contract, specialize_part, SbPart, SeamState, NO_SB};
 use crate::share::{RuleCell, RuleHandle};
@@ -325,8 +325,8 @@ impl Engine {
             // still covers the word it failed to decode, so a store
             // rewriting that word invalidates it and the retranslation
             // sees the fresh bytes.
-            let code = vec![X86Instr::mov_imm(Gpr::Eax, pc as i32), X86Instr::Trap];
-            ("trap", CachedBlock::new(pc, 0, 0, code, Vec::new(), Vec::new()))
+            let low = lower_undecodable(pc);
+            ("trap", CachedBlock::new(pc, 0, 0, low.code, Vec::new(), low.exits))
         } else if let Some(cached) = self.translate_with_rules(pc, &block) {
             ("rules", cached)
         } else {
@@ -337,8 +337,7 @@ impl Engine {
                 ("interp_one", CachedBlock::helper(pc))
             } else {
                 let (kind, base, per_op, low) = if self.jit {
-                    let low = lower_block_opts(&optimize_block(&tcg), true, 3);
-                    ("jit", self.tcost.jit_block_base, self.tcost.jit_per_op, low)
+                    ("jit", self.tcost.jit_block_base, self.tcost.jit_per_op, jit::lower(&tcg))
                 } else {
                     ("tcg", self.tcost.block_base, self.tcost.per_tcg_op, lower_block(&tcg))
                 };

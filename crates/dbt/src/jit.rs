@@ -9,6 +9,7 @@
 //! short-running-workload comparison of Figure 8 come out the way it
 //! does.
 
+use crate::backend::{lower_block_pool, LoweredBlock, POOL};
 use crate::env::FlagId;
 use crate::tcg::{TcgAlu, TcgBlock, TcgOp, Temp};
 use ldbt_arm::ArmReg;
@@ -159,6 +160,19 @@ pub fn optimize_ops(ops: &[TcgOp]) -> Vec<TcgOp> {
         }
     }
     out
+}
+
+/// Pool registers the JIT path lowers with: the narrower pool models the
+/// extra spills the paper attributes to LLVM keeping a copy of the guest
+/// register file in host memory (reserved base registers, shadow slots).
+pub(crate) const JIT_POOL: usize = 3;
+// Three is the emitter's floor: a two-operand ALU op pins two pool
+// registers and still needs a victim to evict.
+const _: () = assert!(JIT_POOL >= 3 && JIT_POOL <= POOL.len());
+
+/// The JIT translation of a block: optimize, then lower with [`JIT_POOL`].
+pub(crate) fn lower(block: &TcgBlock) -> LoweredBlock {
+    lower_block_pool(&optimize_block(block), JIT_POOL)
 }
 
 /// Optimize a whole block. Terminator temps must stay live, so they are
@@ -341,5 +355,27 @@ mod tests {
             assert_eq!(regs & !(1 << Gpr::Esp.index()), 0, "reads host regs {regs:#010b}");
             assert_eq!(flags, 0, "reads host EFLAGS {flags:#06b}");
         }
+    }
+
+    /// The engine's JIT translation — optimize, then lower with
+    /// [`JIT_POOL`] registers — of every suite block, hashed: the static
+    /// pin `tests/codegen_pins.rs` cannot take (it reaches only the
+    /// public full-pool lowering). Recorded at the commit before the
+    /// block emitter replaced `backend::Lowerer`.
+    #[test]
+    fn jit_pool_code_is_pinned() {
+        use std::fmt::Write;
+        let mut text = String::new();
+        for (mem, blocks) in crate::tcg::tests::suite_blocks() {
+            for block in &blocks {
+                let tcg = translate_block(&mem, block);
+                if tcg.unsupported_at != Some(0) {
+                    let low = lower(&tcg);
+                    writeln!(text, "{:#x} {:?} {:?}", block.pc, low.code, low.exits).unwrap();
+                }
+            }
+        }
+        let got = ldbt_learn::cache::sig_hash(&text);
+        assert_eq!(got, 0x3111_81c8_15fd_9cae, "jit code hash: {got:#018x}");
     }
 }

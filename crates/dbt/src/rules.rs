@@ -7,8 +7,10 @@
 //! directly — bypassing the TCG IR — while uncovered instructions fall
 //! back to the TCG path. Rule host code cooperates with the translator's
 //! register state the way the paper's prototype reuses TCG's allocator:
-//! bound guest registers get home host registers, loaded on demand and
-//! written back at boundaries.
+//! rule applications and TCG stretches are emitted into the *same*
+//! `backend::Emitter`, which owns the guest-register homes
+//! (loaded on demand, written back at boundaries) and declares every
+//! exit; this module only plans which rule applies where.
 //!
 //! Condition codes follow §5: a rule's flag-setting host code leaves
 //! guest-visible flags in the *host* EFLAGS; if guest flags are live out
@@ -17,22 +19,18 @@
 //! consumer blocks materialize the env NZCV slots through the flag-mode
 //! dispatch stub in [`crate::backend`]. A rule whose *unemulated* flags
 //! would be consumed downstream is simply not applied (the paper's
-//! "lightweight analysis at translation time").
+//! "lightweight analysis at translation time") — read off the block's
+//! one `tcg::FlagLiveness`, the same pass the TCG front end
+//! prunes dead flag updates with.
 
-use crate::backend::lower_block;
-use crate::env::{env_mem, reg_mem, FLAGMODE_OFFSET, HOSTFLAGS_OFFSET};
-use crate::tcg::{flags_live_at, translate_block, GuestBlock, TcgBlock};
+use crate::backend::{Emitter, POOL};
+use crate::env::{env_mem, FLAGMODE_OFFSET, HOSTFLAGS_OFFSET};
+use crate::tcg::{translate_span, BlockEnd, FlagLiveness, GuestBlock};
 use ldbt_arm::{ArmInstr, ArmReg, Cond};
 use ldbt_isa::Memory;
 use ldbt_learn::rule::{Binding, RuleMatch};
 use ldbt_learn::{FaultPlan, FaultSite, Rule, RuleSet};
-#[cfg(test)]
-use ldbt_x86::AluOp;
-use ldbt_x86::{Cc, Gpr, Operand, X86Instr};
-use std::collections::HashMap;
-
-/// Host registers available as guest-register homes in rule segments.
-const RULE_POOL: [Gpr; 6] = [Gpr::Ecx, Gpr::Edx, Gpr::Ebx, Gpr::Esi, Gpr::Edi, Gpr::Ebp];
+use ldbt_x86::{Cc, Operand, X86Instr};
 
 /// Map an ARM condition to the x86 condition under the standard flag
 /// correspondence (N↔SF, Z↔ZF, V↔OF, C↔¬CF).
@@ -81,94 +79,6 @@ pub struct RuleLowering {
     /// shape (a rule body may legitimately end in `mov $imm, %eax; ret`
     /// lookalikes).
     pub exits: Vec<(usize, u32)>,
-}
-
-/// Guest flags `instrs` reads before writing them, and those it writes.
-fn flags_read_in(instrs: &[ArmInstr]) -> (u8, u8) {
-    let (mut live, mut written) = (0u8, 0u8);
-    for i in instrs {
-        live |= i.flags_read() & !written;
-        written |= i.flags_written();
-    }
-    (live, written)
-}
-
-/// Guest flags read by `rest`, the tail of `block`, before being written,
-/// plus conservative liveness at the end.
-fn flags_consumed_after(rest: &[ArmInstr], block: &GuestBlock, mem: &Memory) -> u8 {
-    let (mut live, written) = flags_read_in(rest);
-    if written != 0b1111 {
-        // Flags may escape through the block's successors.
-        let live_out = match block.instrs.last() {
-            Some(ArmInstr::B { offset, cond }) => {
-                let end_pc = block.pc.wrapping_add(4 * block.instrs.len() as u32);
-                let taken = end_pc.wrapping_add((*offset as u32).wrapping_mul(4));
-                let mut l = flags_live_at(mem, taken, 2);
-                if *cond != Cond::Al {
-                    l |= flags_live_at(mem, end_pc, 2);
-                }
-                l
-            }
-            _ => 0b1111,
-        };
-        live |= live_out & !written;
-    }
-    live
-}
-
-struct RuleHomes {
-    map: HashMap<ArmReg, Gpr>,
-    dirty: HashMap<ArmReg, bool>,
-    free: Vec<Gpr>,
-}
-
-impl RuleHomes {
-    fn new() -> RuleHomes {
-        RuleHomes {
-            map: HashMap::new(),
-            dirty: HashMap::new(),
-            free: RULE_POOL.iter().rev().copied().collect(),
-        }
-    }
-
-    /// Can `extra` more distinct guest registers be accommodated?
-    fn can_fit(&self, regs: &[ArmReg]) -> bool {
-        let new = regs.iter().filter(|r| !self.map.contains_key(r)).count();
-        new <= self.free.len()
-    }
-
-    fn home(&mut self, g: ArmReg, code: &mut Vec<X86Instr>) -> Gpr {
-        if let Some(h) = self.map.get(&g) {
-            return *h;
-        }
-        let h = self.free.pop().expect("checked by can_fit");
-        self.map.insert(g, h);
-        self.dirty.insert(g, false);
-        code.push(X86Instr::Mov { dst: Operand::Reg(h), src: Operand::Mem(reg_mem(g)) });
-        h
-    }
-
-    fn writeback(&mut self, code: &mut Vec<X86Instr>) {
-        let mut dirty: Vec<(ArmReg, Gpr)> = self
-            .map
-            .iter()
-            .filter(|(g, _)| self.dirty.get(g).copied().unwrap_or(false))
-            .map(|(g, h)| (*g, *h))
-            .collect();
-        dirty.sort_by_key(|(g, _)| g.index());
-        for (g, h) in dirty {
-            code.push(X86Instr::Mov { dst: Operand::Mem(reg_mem(g)), src: Operand::Reg(h) });
-        }
-        for d in self.dirty.values_mut() {
-            *d = false;
-        }
-    }
-
-    fn invalidate(&mut self) {
-        self.map.clear();
-        self.dirty.clear();
-        self.free = RULE_POOL.iter().rev().copied().collect();
-    }
 }
 
 /// One planned rule application.
@@ -220,6 +130,7 @@ pub fn lower_block_with_rules_suppress(
     let corrupt_at = fault.filter(|f| f.site == FaultSite::RuleCorrupt).map(|f| f.seed as usize);
     let instrs = &block.instrs;
     let n = instrs.len();
+    let live = FlagLiveness::of_block(mem, block);
     let mut out = RuleLowering {
         code: Vec::new(),
         covered: vec![false; n],
@@ -252,11 +163,12 @@ pub fn lower_block_with_rules_suppress(
             // EFLAGS): handled by only allowing flag-setting rules whose
             // flags are dead in-block after the rule (live-out uses the
             // lazy save instead).
-            if writes_flags && !rule.has_branch && flags_read_in(rest).0 != 0 {
+            if writes_flags && !rule.has_branch && live.read_in_block(i + len) != 0 {
                 return false;
             }
-            let asks = writes_flags || rule.unemulated_flags != 0;
-            let consumed = if asks { flags_consumed_after(rest, block, mem) } else { 0 };
+            // Guest flags read after the rule before being rewritten,
+            // in this block or (conservatively) in its successors.
+            let consumed = live.live_before(i + len);
             flags_live_out = writes_flags && consumed != 0;
             // §5 applicability: unemulated guest flags must not be
             // consumed downstream; without the lazy save, none may.
@@ -280,28 +192,28 @@ pub fn lower_block_with_rules_suppress(
         out.covered[p.start..p.start + p.m.rule.len()].fill(false);
     }
 
-    // --- Emit: rule applications, TCG for the stretches between them. ---
-    let mut homes = RuleHomes::new();
-    let mut at = 0usize;
+    // --- Emit: rule applications, TCG for the stretches between them,
+    // all into one emitter. ---
+    let mut em = Emitter::new(POOL.len());
+    let end_pc = block.pc.wrapping_add(4 * n as u32);
+    let (mut at, mut ended) = (0usize, false);
     for p in plans {
         let (start, rule, len) = (p.start, p.m.rule, p.m.rule.len());
         if at < start {
-            emit_tcg(mem, block, at..start, &mut homes, &mut out);
+            emit_tcg(block, at..start, &live, &mut em, &mut out);
         }
         at = start + len;
-        let code = &mut out.code;
         out.hits.push((len, p.m.key));
-        // Bound guest registers, in template order.
-        let bound: Vec<ArmReg> = p.m.binding.regs.values().copied().collect();
-        if !homes.can_fit(&bound) {
+        // Every bound guest register without a home needs a free pool
+        // register (only their number matters, not the binding's order).
+        if !em.fits(p.m.binding.regs.values().copied()) {
             // Very wide rule with a full home table: flush and
             // restart the table (rare).
-            homes.writeback(code);
-            homes.invalidate();
+            em.flush();
         }
         // Which guest regs does the rule define? (for dirty marks)
         let defined: Vec<ArmReg> = instrs[start..at].iter().filter_map(|g| g.def()).collect();
-        let host = rule.instantiate(&p.m.binding, |g| homes.home(g, code));
+        let host = rule.instantiate(&p.m.binding, |g| em.home(g));
         out.bindings.push(p.m.binding);
         // Split a trailing jcc off the template: the lazy flag
         // save and register writebacks must precede it (none of
@@ -311,24 +223,22 @@ pub fn lower_block_with_rules_suppress(
             _ => (host, None),
         };
         out.rule_instrs += body.len() + tail_jcc.is_some() as usize;
-        code.extend(body);
+        em.extend(body);
         for d in &defined {
-            if let Some(dirty) = homes.dirty.get_mut(d) {
-                *dirty = true;
-            }
+            em.mark_dirty(*d);
         }
         if corrupt_at == Some(p.index) {
             // Injected fault: clobber the first defined register's
             // home with a recognizably wrong constant.
-            if let Some(home) = defined.iter().find_map(|d| homes.map.get(d)).copied() {
-                code.push(X86Instr::mov_imm(home, 0x5a5a_5a5au32 as i32));
+            if let Some(home) = defined.iter().find_map(|d| em.home_of(*d)) {
+                em.emit(X86Instr::mov_imm(home, 0x5a5a_5a5au32 as i32));
             }
         }
         if p.flags_live_out {
             // The 3-instruction lazy save of paper §5.
-            code.push(X86Instr::Pushfd);
-            code.push(X86Instr::Pop { dst: Operand::Mem(env_mem(HOSTFLAGS_OFFSET)) });
-            code.push(X86Instr::Mov {
+            em.emit(X86Instr::Pushfd);
+            em.emit(X86Instr::Pop { dst: Operand::Mem(env_mem(HOSTFLAGS_OFFSET)) });
+            em.emit(X86Instr::Mov {
                 dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
                 src: Operand::Imm(1), // bit1 = 0: sub carry polarity
             });
@@ -336,74 +246,56 @@ pub fn lower_block_with_rules_suppress(
         if let Some(cc) = tail_jcc {
             // Terminal conditional branch: write everything back
             // (flag-safe movs), then branch between the two exits.
-            homes.writeback(code);
-            let end_pc = block.pc.wrapping_add(4 * n as u32);
             let ArmInstr::B { offset, .. } = instrs[n - 1] else {
                 unreachable!("branch rule must end on b")
             };
-            let taken = end_pc.wrapping_add((offset as u32).wrapping_mul(4));
-            code.push(X86Instr::Jcc { cc, target: 2 });
-            code.push(X86Instr::mov_imm(Gpr::Eax, end_pc as i32));
-            out.exits.push((code.len(), end_pc));
-            code.push(X86Instr::Ret);
-            code.push(X86Instr::mov_imm(Gpr::Eax, taken as i32));
-            out.exits.push((code.len(), taken));
-            code.push(X86Instr::Ret);
+            em.exit_on_cc(cc, end_pc.wrapping_add((offset as u32).wrapping_mul(4)), end_pc);
+            ended = true;
         }
     }
     if at < n {
-        emit_tcg(mem, block, at..n, &mut homes, &mut out);
+        emit_tcg(block, at..n, &live, &mut em, &mut out);
+        ended = true;
     }
-
     // If the block's last guest instruction was covered by a *non-branch*
     // rule (or the loop ended without a terminator segment), fall through
     // to the next PC.
-    let code = &mut out.code;
-    let ends_with_exit =
-        matches!(code.last(), Some(X86Instr::Ret) | Some(X86Instr::Halt) | Some(X86Instr::Trap));
-    if !ends_with_exit {
-        homes.writeback(code);
-        let next = block.pc.wrapping_add(4 * n as u32);
-        code.push(X86Instr::mov_imm(Gpr::Eax, next as i32));
-        out.exits.push((code.len(), next));
-        code.push(X86Instr::Ret);
+    if !ended {
+        em.exit(BlockEnd::Jump(end_pc));
     }
-    out
+    let low = em.finish();
+    RuleLowering { code: low.code, exits: low.exits, ..out }
 }
 
 /// Emit the uncovered stretch `span` of `block` through the TCG path.
 fn emit_tcg(
-    mem: &Memory,
     block: &GuestBlock,
     span: std::ops::Range<usize>,
-    homes: &mut RuleHomes,
+    live: &FlagLiveness,
+    em: &mut Emitter,
     out: &mut RuleLowering,
 ) {
-    // Flush rule homes: the TCG sub-block works env-to-env.
-    homes.writeback(&mut out.code);
-    homes.invalidate();
+    // Flush rule homes: the TCG stretch works env-to-env.
+    em.flush();
     let last = span.end == block.instrs.len();
-    let sub = GuestBlock {
-        pc: block.pc.wrapping_add(4 * span.start as u32),
-        instrs: block.instrs[span].to_vec(),
-    };
-    let tcg: TcgBlock = translate_block(mem, &sub);
+    // The final stretch ends where the block does and shares its
+    // live-out flags; a mid-block one conservatively leaves all live.
+    let pc = block.pc.wrapping_add(4 * span.start as u32);
+    let instrs = &block.instrs[span];
+    let live = FlagLiveness::with_live_out(instrs, if last { live.live_out } else { 0b1111 });
+    let tcg = translate_span(pc, instrs, &live);
     debug_assert_eq!(tcg.unsupported_at, None, "prefiltered by engine");
     out.tcg_ops += tcg.ops.len();
-    let sub = lower_block(&tcg);
+    em.lower_ops(&tcg);
     if last {
-        // Final segment: keep the sub-block's own terminator
-        // and adopt its declared exits, rebased.
-        let base = out.code.len();
-        out.exits.extend(sub.exits.iter().map(|&(at, pc)| (base + at, pc)));
-        out.code.extend(sub.code);
+        // Final segment: its terminator is the block's, declared exits
+        // and all.
+        em.exit(tcg.end);
     } else {
-        // Mid-block segment: strip the `movl $pc, %eax; ret`
-        // tail (fall through into the next segment); the
-        // stripped exit is dropped with it.
-        let body_len = sub.code.len().saturating_sub(2);
-        debug_assert!(matches!(sub.code.last(), Some(X86Instr::Ret)));
-        out.code.extend_from_slice(&sub.code[..body_len]);
+        // Mid-block segment: no exit stub (fall through into the next
+        // segment), but its homes go back to env — the other half of
+        // the rule/TCG boundary flush.
+        em.flush();
     }
 }
 
@@ -419,12 +311,12 @@ pub fn block_supported(block: &GuestBlock) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{ENV_BASE, HOST_STACK_TOP};
+    use crate::env::{FlagId, ENV_BASE, HOST_STACK_TOP};
     use ldbt_arm::{DpOp, Operand2};
     use ldbt_isa::{CostModel, ExecStats, Width};
     use ldbt_learn::rule::{ImmParam, ImmRel, ImmSlot};
     use ldbt_x86::interp::{run_seq, SeqExit};
-    use ldbt_x86::{X86Mem, X86State};
+    use ldbt_x86::{AluOp, Gpr, X86Mem, X86State};
 
     fn figure1_rule() -> Rule {
         Rule {
@@ -616,23 +508,30 @@ mod tests {
 
     #[test]
     fn mixed_block_correctness_against_interpreter() {
-        // A block with a store, a rule-covered pair, and a compare.
+        // An uncovered mvn, a rule-covered pair, then a store, an eor, a
+        // compare and a conditional branch: two TCG stretches separated
+        // by a rule application.
         let mut rules = RuleSet::new();
         rules.insert(figure1_rule());
         let instrs = vec![
+            ArmInstr::dp(DpOp::Mvn, ArmReg::R3, ArmReg::R0, Operand2::Reg(ArmReg::R0)),
             ArmInstr::dp(DpOp::Add, ArmReg::R1, ArmReg::R1, Operand2::Reg(ArmReg::R0)),
             ArmInstr::dp(DpOp::Sub, ArmReg::R1, ArmReg::R1, Operand2::Imm(7)),
             ArmInstr::str(ArmReg::R1, ldbt_arm::AddrMode::Imm(ArmReg::R6, 4)),
             ArmInstr::dp(DpOp::Eor, ArmReg::R2, ArmReg::R1, Operand2::Imm(0xff)),
+            ArmInstr::cmp(ArmReg::R2, Operand2::Reg(ArmReg::R3)),
+            ArmInstr::B { offset: 3, cond: Cond::Ne },
         ];
         let block = GuestBlock { pc: 0x1_0000, instrs: instrs.clone() };
         let mem = Memory::new();
         let low = lower_block_with_rules(&mem, &block, &rules);
-        let (st, exit) = run(&low.code, |st| {
+        assert_eq!(low.covered, vec![false, true, true, false, false, false, false]);
+        let setup = |st: &mut X86State| {
             set_guest(st, ArmReg::R0, 11);
             set_guest(st, ArmReg::R1, 100);
             set_guest(st, ArmReg::R6, 0x8000);
-        });
+        };
+        let (st, exit) = run(&low.code, setup);
         assert_eq!(exit, SeqExit::Returned);
         // Reference: the ARM interpreter.
         let mut arm = ldbt_arm::ArmState::new();
@@ -645,6 +544,33 @@ mod tests {
         assert_eq!(guest(&st, ArmReg::R1), arm.reg(ArmReg::R1));
         assert_eq!(guest(&st, ArmReg::R2), arm.reg(ArmReg::R2));
         assert_eq!(st.mem.read(0x8004, Width::W32), arm.mem.read(0x8004, Width::W32));
+        // The block declares exactly the exits of its last segment: the
+        // branch's two arms, each a `mov $pc, %eax; ret` — the first
+        // stretch fell through into the rule and left no stub behind.
+        let end_pc = 0x1_0000 + 4 * instrs.len() as u32;
+        let targets: Vec<u32> = low.exits.iter().map(|&(_, pc)| pc).collect();
+        assert_eq!(targets, vec![end_pc, end_pc + 12]);
+        for &(at, pc) in &low.exits {
+            assert_eq!(low.code[at], X86Instr::Ret);
+            assert_eq!(low.code[at - 1], X86Instr::mov_imm(Gpr::Eax, pc as i32));
+        }
+        let rets = low.code.iter().filter(|i| matches!(i, X86Instr::Ret)).count();
+        assert_eq!(rets, low.exits.len(), "every ret is a declared exit: {:?}", low.code);
+        // And it executes identically to the plain TCG lowering: same
+        // exit, same next pc, same guest registers, flags and memory.
+        let tcg = crate::backend::lower_block(&crate::tcg::translate_block(&mem, &block));
+        assert_eq!(tcg.exits.iter().map(|&(_, pc)| pc).collect::<Vec<_>>(), targets);
+        let (want, want_exit) = run(&tcg.code, setup);
+        assert_eq!(exit, want_exit);
+        assert_eq!(st.reg(Gpr::Eax), want.reg(Gpr::Eax), "next pc");
+        for r in ArmReg::ALL {
+            assert_eq!(guest(&st, r), guest(&want, r), "{r}");
+        }
+        for f in [FlagId::N, FlagId::Z, FlagId::C, FlagId::V] {
+            let slot = ENV_BASE + f.offset();
+            assert_eq!(st.mem.read(slot, Width::W32), want.mem.read(slot, Width::W32), "{f:?}");
+        }
+        assert_eq!(st.mem.read(0x8004, Width::W32), want.mem.read(0x8004, Width::W32));
     }
 
     #[test]

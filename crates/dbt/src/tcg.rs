@@ -9,6 +9,8 @@
 //! The front end already performs QEMU-style *flag liveness* pruning:
 //! NZCV updates that are provably dead (overwritten before use within
 //! the block and not live into any successor) are not materialized.
+//! `FlagLiveness` is that analysis, computed once per block and shared
+//! with the rule planner in [`crate::rules`].
 
 use crate::env::FlagId;
 use ldbt_arm::{encode::decode, AddrMode, ArmInstr, ArmReg, Cond, DpOp, Operand2, Shift};
@@ -204,6 +206,62 @@ pub fn flags_live_at(mem: &Memory, pc: u32, depth: u32) -> u8 {
         }
     }
     live | (0b1111 & !written)
+}
+
+/// NZCV liveness of one guest block, the single flag analysis of the
+/// translators: the TCG front end reads which flags an instruction's
+/// update must materialize, the rule planner which flags a rule's host
+/// code would leave to be consumed (paper §5).
+pub(crate) struct FlagLiveness {
+    /// Flags live into the block's successors.
+    pub(crate) live_out: u8,
+    /// Per position `i` in `0..=n`, the flags some instruction at or
+    /// after `i` reads before any rewrites them: `[0]` within the block
+    /// only, `[1]` counting `live_out` as a read at the end.
+    before: Vec<[u8; 2]>,
+}
+
+impl FlagLiveness {
+    /// Liveness of `block`: one scan of its successors in `mem`, one
+    /// backward walk over its instructions.
+    pub(crate) fn of_block(mem: &Memory, block: &GuestBlock) -> FlagLiveness {
+        let live_out = match block.instrs.last() {
+            Some(ArmInstr::B { offset, cond }) => {
+                let end_pc = block.pc.wrapping_add(4 * block.instrs.len() as u32);
+                let taken = end_pc.wrapping_add((*offset as u32).wrapping_mul(4));
+                let mut l = flags_live_at(mem, taken, 2);
+                if *cond != Cond::Al {
+                    l |= flags_live_at(mem, end_pc, 2);
+                }
+                l
+            }
+            _ => 0b1111, // calls/returns/halt: conservative
+        };
+        FlagLiveness::with_live_out(&block.instrs, live_out)
+    }
+
+    /// Liveness of an instruction span whose exit liveness is given (a
+    /// stretch cut out of a block: all-live in the middle, the block's
+    /// own `live_out` at its end).
+    pub(crate) fn with_live_out(instrs: &[ArmInstr], live_out: u8) -> FlagLiveness {
+        let mut before = vec![[0, live_out]; instrs.len() + 1];
+        for (i, ins) in instrs.iter().enumerate().rev() {
+            before[i] = before[i + 1].map(|l| ins.flags_read() | (l & !ins.flags_written()));
+        }
+        FlagLiveness { live_out, before }
+    }
+
+    /// Flags read by instruction `i` or a later one of the block before
+    /// being rewritten.
+    pub(crate) fn read_in_block(&self, i: usize) -> u8 {
+        self.before[i][0]
+    }
+
+    /// [`FlagLiveness::read_in_block`] plus the flags that reach the end
+    /// of the block unwritten and are live out of it.
+    pub(crate) fn live_before(&self, i: usize) -> u8 {
+        self.before[i][1]
+    }
 }
 
 /// The translated (micro-op) form of a guest block.
@@ -431,18 +489,6 @@ impl FrontEnd {
         }
     }
 
-    fn put_nz(&mut self, result: Temp, live: u8) {
-        if live & FlagId::N.mask() != 0 {
-            let n = self.alui(TcgAlu::Lshr, result, 31);
-            self.put_flag(FlagId::N, n);
-        }
-        if live & FlagId::Z.mask() != 0 {
-            let zero = self.movi(0);
-            let z = self.setc(TcgCond::Eq, result, zero);
-            self.put_flag(FlagId::Z, z);
-        }
-    }
-
     /// Select `t` when `cond` (0/1) else `f`, branch-free.
     fn select(&mut self, cond: Temp, t: Temp, f: Temp) -> Temp {
         let zero = self.movi(0);
@@ -617,19 +663,14 @@ impl FrontEnd {
     }
 
     fn put_nz_guarded(&mut self, result: Temp, live: u8, guard: Option<Temp>) {
-        match guard {
-            None => self.put_nz(result, live),
-            Some(g) => {
-                if live & FlagId::N.mask() != 0 {
-                    let n = self.alui(TcgAlu::Lshr, result, 31);
-                    self.put_flag_guarded(FlagId::N, n, Some(g));
-                }
-                if live & FlagId::Z.mask() != 0 {
-                    let zero = self.movi(0);
-                    let z = self.setc(TcgCond::Eq, result, zero);
-                    self.put_flag_guarded(FlagId::Z, z, Some(g));
-                }
-            }
+        if live & FlagId::N.mask() != 0 {
+            let n = self.alui(TcgAlu::Lshr, result, 31);
+            self.put_flag_guarded(FlagId::N, n, guard);
+        }
+        if live & FlagId::Z.mask() != 0 {
+            let zero = self.movi(0);
+            let z = self.setc(TcgCond::Eq, result, zero);
+            self.put_flag_guarded(FlagId::Z, z, guard);
         }
     }
 }
@@ -640,6 +681,12 @@ impl FrontEnd {
 /// stops early at the first unsupported instruction (the engine
 /// interprets it with a helper and resumes at the next PC).
 pub fn translate_block(mem: &Memory, block: &GuestBlock) -> TcgBlock {
+    translate_span(block.pc, &block.instrs, &FlagLiveness::of_block(mem, block))
+}
+
+/// [`translate_block`] for the instructions `instrs` at `pc0` under a
+/// liveness already computed for exactly that span.
+pub(crate) fn translate_span(pc0: u32, instrs: &[ArmInstr], live: &FlagLiveness) -> TcgBlock {
     let mut fe = FrontEnd {
         ops: Vec::new(),
         next_temp: 0,
@@ -647,37 +694,11 @@ pub fn translate_block(mem: &Memory, block: &GuestBlock) -> TcgBlock {
         writes_flags: false,
         flags_written_so_far: 0,
     };
-    let n = block.instrs.len();
-    let mut end = BlockEnd::Jump(block.pc.wrapping_add(4 * n as u32));
+    let mut end = BlockEnd::Jump(pc0.wrapping_add(4 * instrs.len() as u32));
     let mut unsupported_at = None;
-    for (idx, i) in block.instrs.iter().enumerate() {
-        let pc = block.pc.wrapping_add(4 * idx as u32);
+    for (idx, i) in instrs.iter().enumerate() {
+        let pc = pc0.wrapping_add(4 * idx as u32);
         let next = pc.wrapping_add(4);
-        // Flags worth materializing for this instruction: those read by a
-        // later in-block instruction before being rewritten, plus those
-        // live out of the block.
-        let flags_live = {
-            let written = i.flags_written();
-            let mut live = 0u8;
-            let mut redefined = 0u8;
-            for j in &block.instrs[idx + 1..] {
-                live |= j.flags_read() & written & !redefined;
-                redefined |= j.flags_written();
-            }
-            let live_out = match block.instrs.last() {
-                Some(ArmInstr::B { offset, cond }) => {
-                    let end_pc = block.pc.wrapping_add(4 * n as u32);
-                    let taken = end_pc.wrapping_add((*offset as u32).wrapping_mul(4));
-                    let mut l = flags_live_at(mem, taken, 2);
-                    if *cond != Cond::Al {
-                        l |= flags_live_at(mem, end_pc, 2);
-                    }
-                    l
-                }
-                _ => 0b1111, // calls/returns/halt: conservative
-            };
-            live | (live_out & written & !redefined)
-        };
         match *i {
             ArmInstr::B { offset, cond } => {
                 let taken = next.wrapping_add((offset as u32).wrapping_mul(4));
@@ -712,7 +733,10 @@ pub fn translate_block(mem: &Memory, block: &GuestBlock) -> TcgBlock {
                 break;
             }
             _ => {
-                if !fe.instr(i, flags_live) {
+                // Flags worth materializing for this instruction: those
+                // read by a later in-block instruction before being
+                // rewritten, plus those live out of the block.
+                if !fe.instr(i, i.flags_written() & live.live_before(idx + 1)) {
                     unsupported_at = Some(idx);
                     end = BlockEnd::Jump(pc); // engine interprets from here
                     break;
@@ -730,7 +754,7 @@ pub fn translate_block(mem: &Memory, block: &GuestBlock) -> TcgBlock {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::lower_block;
     use ldbt_x86::Gpr;
@@ -738,6 +762,154 @@ mod tests {
     fn tcg_of(instrs: Vec<ArmInstr>) -> TcgBlock {
         let mem = Memory::new();
         translate_block(&mem, &GuestBlock { pc: 0x1_0000, instrs })
+    }
+
+    /// Every block reachable from the entry of each of the twelve suite
+    /// `Test` images, with the memory it was decoded from.
+    pub(crate) fn suite_blocks() -> Vec<(Memory, Vec<GuestBlock>)> {
+        use ldbt_workloads::{source, Workload, SUITE};
+        let mut out = Vec::new();
+        for b in &SUITE {
+            let src = source(b, Workload::Test);
+            let image = ldbt_compiler::link::build_arm_image(&src, &ldbt_compiler::Options::o2())
+                .expect("suite compiles");
+            let mut mem = Memory::new();
+            image.load_into(&mut mem);
+            let (mut seen, mut work, mut blocks) = (Vec::new(), vec![image.entry], Vec::new());
+            while let Some(pc) = work.pop() {
+                if seen.contains(&pc) {
+                    continue;
+                }
+                seen.push(pc);
+                let block = decode_block(&mem, pc);
+                let end = pc.wrapping_add(4 * block.instrs.len() as u32);
+                match block.instrs.last() {
+                    None => continue,
+                    Some(ArmInstr::B { offset, cond }) => {
+                        work.push(end.wrapping_add((*offset as u32).wrapping_mul(4)));
+                        if *cond != Cond::Al {
+                            work.push(end);
+                        }
+                    }
+                    Some(ArmInstr::Bl { offset, .. }) => {
+                        work.extend([end, end.wrapping_add((*offset as u32).wrapping_mul(4))]);
+                    }
+                    Some(i) if i.is_block_end() => {}
+                    Some(_) => work.push(end),
+                }
+                blocks.push(block);
+            }
+            out.push((mem, blocks));
+        }
+        out
+    }
+
+    /// The flags instruction `idx` of `block` must materialize, as
+    /// `translate_block` derived them per instruction before
+    /// [`FlagLiveness`] (kept verbatim as the oracle).
+    fn flags_live_oracle(mem: &Memory, block: &GuestBlock, idx: usize) -> u8 {
+        let n = block.instrs.len();
+        let written = block.instrs[idx].flags_written();
+        let mut live = 0u8;
+        let mut redefined = 0u8;
+        for j in &block.instrs[idx + 1..] {
+            live |= j.flags_read() & written & !redefined;
+            redefined |= j.flags_written();
+        }
+        let live_out = match block.instrs.last() {
+            Some(ArmInstr::B { offset, cond }) => {
+                let end_pc = block.pc.wrapping_add(4 * n as u32);
+                let taken = end_pc.wrapping_add((*offset as u32).wrapping_mul(4));
+                let mut l = flags_live_at(mem, taken, 2);
+                if *cond != Cond::Al {
+                    l |= flags_live_at(mem, end_pc, 2);
+                }
+                l
+            }
+            _ => 0b1111, // calls/returns/halt: conservative
+        };
+        live | (live_out & written & !redefined)
+    }
+
+    /// Guest flags `instrs` reads before writing them, and those it
+    /// writes (the rule planner's former helper, verbatim).
+    fn flags_read_in(instrs: &[ArmInstr]) -> (u8, u8) {
+        let (mut live, mut written) = (0u8, 0u8);
+        for i in instrs {
+            live |= i.flags_read() & !written;
+            written |= i.flags_written();
+        }
+        (live, written)
+    }
+
+    /// Guest flags read by `rest`, the tail of `block`, before being
+    /// written, plus conservative liveness at the end (the rule
+    /// planner's former helper, verbatim).
+    fn flags_consumed_after(rest: &[ArmInstr], block: &GuestBlock, mem: &Memory) -> u8 {
+        let (mut live, written) = flags_read_in(rest);
+        if written != 0b1111 {
+            // Flags may escape through the block's successors.
+            let live_out = match block.instrs.last() {
+                Some(ArmInstr::B { offset, cond }) => {
+                    let end_pc = block.pc.wrapping_add(4 * block.instrs.len() as u32);
+                    let taken = end_pc.wrapping_add((*offset as u32).wrapping_mul(4));
+                    let mut l = flags_live_at(mem, taken, 2);
+                    if *cond != Cond::Al {
+                        l |= flags_live_at(mem, end_pc, 2);
+                    }
+                    l
+                }
+                _ => 0b1111,
+            };
+            live |= live_out & !written;
+        }
+        live
+    }
+
+    /// The one liveness pass reproduces both definitions it replaced, at
+    /// every position of every suite block — and, for a stretch cut out
+    /// of a block's middle, the conservative all-live exit.
+    #[test]
+    fn flag_liveness_equals_the_definitions_it_replaced() {
+        let mut positions = 0;
+        for (mem, blocks) in suite_blocks() {
+            for block in &blocks {
+                let n = block.instrs.len();
+                let live = FlagLiveness::of_block(&mem, block);
+                // (Every but the last instruction, cut out as a stretch.)
+                let mid = GuestBlock { pc: block.pc, instrs: block.instrs[..n - 1].to_vec() };
+                let mid_live = FlagLiveness::with_live_out(&mid.instrs, 0b1111);
+                for k in 0..=n {
+                    let rest = &block.instrs[k..];
+                    assert_eq!(live.read_in_block(k), flags_read_in(rest).0, "{:#x}+{k}", block.pc);
+                    assert_eq!(
+                        live.live_before(k),
+                        flags_consumed_after(rest, block, &mem),
+                        "{:#x}+{k}",
+                        block.pc
+                    );
+                    if k < n {
+                        let written = block.instrs[k].flags_written();
+                        assert_eq!(
+                            written & live.live_before(k + 1),
+                            flags_live_oracle(&mem, block, k),
+                            "{:#x}+{k}",
+                            block.pc
+                        );
+                    }
+                    if k + 1 < n {
+                        assert_eq!(
+                            mid.instrs[k].flags_written() & mid_live.live_before(k + 1),
+                            flags_live_oracle(&mem, &mid, k),
+                            "mid {:#x}+{k}",
+                            block.pc
+                        );
+                    }
+                    positions += 1;
+                }
+            }
+        }
+        assert!(positions > 5_000, "the suite has blocks: {positions}");
     }
 
     /// Live-in guest flags are an *explicit* frontend fact

@@ -162,26 +162,6 @@ done
 # gate is then build-only).
 cargo run -q --release -p ldbt-bench --bin serve_throughput -- --smoke
 
-# Dispatch-throughput gate. host_instrs is deterministic, so every engine
-# and ablation row (rules_nosb / rules_nofuse / rules_nora) must print
-# exactly the recorded count: a codegen change moves it on purpose and
-# re-records it here, a refactor must not move it at all. Wall clock is
-# not gated here — it swings with the machine; `perfbench` measures it
-# against bounds set from measured spread.
-./target/release/dispatch_gate | tee "$OBS_DIR/gate.txt"
-awk -F'[ =]+' '
-    $2 == "tcg"          { if ($6 != 8032563) bad = bad " tcg" }
-    $2 == "rules"        { if ($6 != 3784833) bad = bad " rules" }
-    $2 == "jit"          { if ($6 != 8953028) bad = bad " jit" }
-    $2 == "rules_nosb"   { if ($6 != 9102288) bad = bad " rules_nosb" }
-    $2 == "rules_nofuse" { if ($6 != 4380937) bad = bad " rules_nofuse" }
-    $2 == "rules_nora"   { if ($6 != 3964831) bad = bad " rules_nora" }
-    END {
-        if (bad != "") { print "dispatch gate FAILED:" bad; exit 1 }
-        print "dispatch gate ok"
-    }
-' "$OBS_DIR/gate.txt"
-
 # The benchmark's own cross-checks, last: one pass of each of the six
 # perfbench workloads (including `churn`: SMC purges, traps, watchdog
 # re-execution, repair), every run compared against the ARM interpreter.
