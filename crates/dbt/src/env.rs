@@ -166,8 +166,6 @@ pub(crate) fn step_guest(
 /// Default superblock formation threshold: a chain head must be
 /// dispatched this many times before the engine forms a region from it.
 pub const SB_THRESHOLD_DEFAULT: u64 = 64;
-/// Default tenant count for serve-mode drivers (`LDBT_TENANTS`).
-pub const TENANTS_DEFAULT: usize = 2;
 
 /// How a knob's raw environment value resolves to a number. Values are
 /// trimmed first; every kind sends unset and `""` to the knob's default,
@@ -203,8 +201,7 @@ pub(crate) enum KnobKind {
 /// | `LDBT_NOFUSE`       | guest memory-access fusion kill switch (superblocks still form, every guest memory access stays explicit) |
 /// | `LDBT_NOSMC`        | self-modifying-code protection kill switch (guest stores into translated code go unnoticed until the next engine reset, which checksum-revalidates the cache) |
 /// | `LDBT_REPAIR`       | counterexample-guided rule repair, default **on** — repair only runs after a watchdog mismatch, so a clean run pays nothing for it; off, a mismatch quarantines |
-/// | `LDBT_TENANTS`      | tenant count of serve-mode drivers such as `serve_throughput` |
-pub(crate) const KNOBS: [(&str, KnobKind, u64); 9] = [
+pub(crate) const KNOBS: [(&str, KnobKind, u64); 8] = [
     ("LDBT_WATCHDOG", KnobKind::Period, 0),
     ("LDBT_NOCHAIN", KnobKind::Disabler, 1),
     ("LDBT_NOSB", KnobKind::Disabler, 1),
@@ -213,7 +210,6 @@ pub(crate) const KNOBS: [(&str, KnobKind, u64); 9] = [
     ("LDBT_NOFUSE", KnobKind::Disabler, 1),
     ("LDBT_NOSMC", KnobKind::Disabler, 1),
     ("LDBT_REPAIR", KnobKind::Enabler, 1),
-    ("LDBT_TENANTS", KnobKind::Count, TENANTS_DEFAULT as u64),
 ];
 
 /// Resolve one knob from its raw environment value.
@@ -242,7 +238,6 @@ pub(crate) struct EngineEnv {
     pub(crate) fusion: bool,
     pub(crate) smc: bool,
     pub(crate) repair: bool,
-    pub(crate) tenants: usize,
 }
 
 impl EngineEnv {
@@ -257,7 +252,6 @@ impl EngineEnv {
             fusion: v[5] != 0,
             smc: v[6] != 0,
             repair: v[7] != 0,
-            tenants: v[8] as usize,
         }
     }
 }
@@ -281,11 +275,6 @@ pub fn repair_from_env() -> bool {
 /// Cached `LDBT_NOSMC` parse.
 pub fn smc_from_env() -> bool {
     engine_env().smc
-}
-
-/// Cached `LDBT_TENANTS` parse.
-pub fn tenants_from_env() -> usize {
-    engine_env().tenants
 }
 
 #[cfg(test)]
@@ -334,7 +323,6 @@ mod tests {
     #[test]
     fn knob_parse_table() {
         const D: u64 = SB_THRESHOLD_DEFAULT;
-        const T: u64 = TENANTS_DEFAULT as u64;
         let max = u64::MAX.to_string();
         // (variable, raw values, resolved value)
         let rows: &[(&str, &[&str], u64)] = &[
@@ -361,9 +349,6 @@ mod tests {
             // trigger never fire (no first-execution region, no division)
             // — the max value parses verbatim, and one past it is
             // garbage, not a wrap.
-            ("LDBT_TENANTS", &["", "0", "off", "garbage", "-2", "2x", " 0 "], T),
-            ("LDBT_TENANTS", &["1"], 1),
-            ("LDBT_TENANTS", &[" 8 "], 8),
             ("LDBT_SB_THRESHOLD", &["", "0", "off", "garbage", "-8", "8x", " 0 "], D),
             ("LDBT_SB_THRESHOLD", &["18446744073709551616"], D),
             ("LDBT_SB_THRESHOLD", &["1"], 1),
@@ -383,7 +368,7 @@ mod tests {
     fn engine_env_resolves_each_variable_into_its_own_field() {
         let unset = EngineEnv::resolve(|_| None);
         assert_eq!(unset.superblocks, Some(SB_THRESHOLD_DEFAULT));
-        assert_eq!((unset.watchdog, unset.tenants), (None, TENANTS_DEFAULT));
+        assert_eq!(unset.watchdog, None);
         let switches = |e: &EngineEnv| [e.chaining, e.region_alloc, e.fusion, e.smc, e.repair];
         assert_eq!(switches(&unset), [true; 5]);
         // Setting one variable moves exactly its field.
@@ -398,8 +383,7 @@ mod tests {
                 4 => EngineEnv { region_alloc: false, ..unset },
                 5 => EngineEnv { fusion: false, ..unset },
                 6 => EngineEnv { smc: false, ..unset },
-                7 => EngineEnv { repair: false, ..unset },
-                _ => EngineEnv { tenants: 7, ..unset },
+                _ => EngineEnv { repair: false, ..unset },
             };
             assert_eq!(set, want, "{var}");
         }

@@ -26,33 +26,11 @@
 use crate::backend::{Emitter, POOL};
 use crate::env::{env_mem, FLAGMODE_OFFSET, HOSTFLAGS_OFFSET};
 use crate::tcg::{translate_span, BlockEnd, FlagLiveness, GuestBlock};
-use ldbt_arm::{ArmInstr, ArmReg, Cond};
+use ldbt_arm::{ArmInstr, ArmReg};
 use ldbt_isa::Memory;
 use ldbt_learn::rule::{Binding, RuleMatch};
 use ldbt_learn::{FaultPlan, FaultSite, Rule, RuleSet};
-use ldbt_x86::{Cc, Operand, X86Instr};
-
-/// Map an ARM condition to the x86 condition under the standard flag
-/// correspondence (N↔SF, Z↔ZF, V↔OF, C↔¬CF).
-pub fn cond_to_cc(cond: Cond) -> Option<Cc> {
-    Some(match cond {
-        Cond::Eq => Cc::E,
-        Cond::Ne => Cc::Ne,
-        Cond::Cs => Cc::Ae,
-        Cond::Cc => Cc::B,
-        Cond::Mi => Cc::S,
-        Cond::Pl => Cc::Ns,
-        Cond::Vs => Cc::O,
-        Cond::Vc => Cc::No,
-        Cond::Hi => Cc::A,
-        Cond::Ls => Cc::Be,
-        Cond::Ge => Cc::Ge,
-        Cond::Lt => Cc::L,
-        Cond::Gt => Cc::G,
-        Cond::Le => Cc::Le,
-        Cond::Al => return None,
-    })
-}
+use ldbt_x86::{Operand, X86Instr};
 
 /// The result of translating one block with rules.
 #[derive(Debug, Clone)]
@@ -312,11 +290,11 @@ pub fn block_supported(block: &GuestBlock) -> bool {
 mod tests {
     use super::*;
     use crate::env::{FlagId, ENV_BASE, HOST_STACK_TOP};
-    use ldbt_arm::{DpOp, Operand2};
+    use ldbt_arm::{Cond, DpOp, Operand2};
     use ldbt_isa::{CostModel, ExecStats, Width};
     use ldbt_learn::rule::{ImmParam, ImmRel, ImmSlot};
     use ldbt_x86::interp::{run_seq, SeqExit};
-    use ldbt_x86::{AluOp, Gpr, X86Mem, X86State};
+    use ldbt_x86::{AluOp, Cc, Gpr, X86Mem, X86State};
 
     fn figure1_rule() -> Rule {
         Rule {

@@ -62,8 +62,14 @@ pub fn pair_signature(pair: &SnippetPair, max_tries: usize) -> String {
 /// this stable 64-bit digest instead. Collisions only smear trace
 /// attribution; the cache itself always keys on the full string.
 pub fn sig_hash(sig: &str) -> u64 {
+    fnv1a(sig.as_bytes())
+}
+
+/// 64-bit FNV-1a over raw bytes: [`sig_hash`] and the rule database
+/// checksum, so a string and its bytes hash alike.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in sig.bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

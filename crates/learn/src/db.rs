@@ -8,12 +8,17 @@
 //! the whole suite on every boot.
 //!
 //! The format is hand-rolled little-endian binary (no serde, in the
-//! spirit of `ldbt-obs`'s hand-rolled JSON): every enum gets an explicit
-//! tag in declaration order, every struct is written field by field, and
-//! collections are length-prefixed. Serialization is *structural*, not
-//! machine encoding — `X86Instr::Jcc` targets are instruction-relative
-//! indices, not byte displacements, and must round-trip exactly as the
-//! translator sees them.
+//! spirit of `ldbt-obs`'s hand-rolled JSON). A rule's instruction
+//! templates are stored in the ISAs' own machine encodings, one
+//! instruction at a time: each guest instruction as its ARM word
+//! (`ldbt_arm::encode`), each host instruction as its x86 bytes
+//! (`ldbt_x86::encode`), so the ISA crates are the only code that knows
+//! how an instruction becomes bytes. Per-instruction encoding writes a
+//! `Jcc` / `Jmp` / `Call` target field verbatim, so targets stay the
+//! instruction-relative indices the translator sees — not `assemble`'s
+//! byte displacements, which cannot express a target outside the
+//! sequence. Everything else is written field by field: enum tags by
+//! position, collections length-prefixed.
 //!
 //! ## File layout
 //!
@@ -23,27 +28,42 @@
 //! | version      | 4    | [`FORMAT_VERSION`], little-endian              |
 //! | fingerprint  | 8    | [`isa_fingerprint`] of the builder             |
 //! | payload len  | 8    | byte length of the payload                     |
-//! | checksum     | 8    | FNV-1a ([`sig_hash`]) over the payload bytes   |
+//! | checksum     | 8    | FNV-1a (as [`sig_hash`]) over the payload      |
 //! | payload      | n    | rule set, then memo cache                      |
+//!
+//! The payload is `prefer_shorter`, the rules, the tombstone keys, then
+//! the memo entries (signature, failed bit, then the rule or the
+//! failure). One rule is:
+//!
+//! | field          | encoding                                             |
+//! |----------------|------------------------------------------------------|
+//! | guest          | count, then one 4-byte ARM word per instruction      |
+//! | host           | count, then the x86 encodings back to back (decoding one returns its length) |
+//! | `host_reg_of`  | count, then (x86 register, ARM register) index pairs sorted by x86 register |
+//! | `imm_params`   | count, then each parameter's sites and template value |
+//! | flags          | `unemulated_flags` byte, `has_branch` bool           |
 //!
 //! A reader rejects (and the caller falls back to fresh learning) on bad
 //! magic, a version it does not speak, a fingerprint produced by a
 //! different ISA model, a checksum mismatch, a short file, or any
-//! malformed payload — a stale or corrupt database must never load
-//! half-way.
+//! malformed payload — an instruction its ISA will not decode included —
+//! so a stale or corrupt database never loads half-way.
 //!
 //! Writing is deterministic: rules serialize in [`RuleSet::iter`] order
 //! (canonical for any construction order), tombstone keys and the
 //! `host_reg_of` map are sorted, and memo entries are sorted by
 //! signature. Byte-identical inputs produce byte-identical files, which
-//! the warm-start CI gate relies on.
+//! the warm-start CI gate relies on. A rule or memo entry with an
+//! instruction its ISA encoder refuses, or does not decode back to the
+//! same instruction, is left out of the file; learning never produces
+//! one (every compiled instruction encodes), and the database is a cache,
+//! so the next boot re-verifies what is missing.
 
-use crate::cache::{sig_hash, VerifyCache, VerifyOutcome};
+use crate::cache::{fnv1a, sig_hash, VerifyCache, VerifyOutcome};
 use crate::rule::{ImmParam, ImmRel, ImmSlot, Rule, RuleSet};
 use crate::verify::VerifyFail;
-use ldbt_arm::{AddrMode, ArmInstr, ArmReg, Cond, DpOp, Operand2, Shift};
-use ldbt_isa::Width;
-use ldbt_x86::{AluOp, Cc, Gpr, Operand, ShiftOp, UnOp, X86Instr, X86Mem};
+use ldbt_arm::{encode as arm_codec, ArmInstr, ArmReg};
+use ldbt_x86::{encode as x86_codec, Gpr, X86Instr};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
@@ -51,28 +71,39 @@ use std::sync::{Mutex, OnceLock};
 /// On-disk magic, first 8 bytes of every database file.
 pub const MAGIC: &[u8; 8] = b"LDBTRUDB";
 
-/// Format version this build reads and writes. Version 2 stores
-/// tombstones under the FNV-1a [`crate::Rule::stable_key`]; version 1
-/// used std's unspecified `DefaultHasher` and is rejected.
-pub const FORMAT_VERSION: u32 = 2;
+/// Format version this build reads and writes. Version 3 stores
+/// instruction templates in the ISAs' machine encodings; version 2 wrote
+/// them structurally, tag by tag, and version 1 keyed tombstones by std's
+/// unspecified `DefaultHasher` instead of the FNV-1a
+/// [`crate::Rule::stable_key`]. Both are rejected. A change to either
+/// ISA's binary encoding changes what a file's bytes mean and must bump
+/// this.
+pub const FORMAT_VERSION: u32 = 3;
 
-/// Fingerprint of the ISA model the database was built against.
+/// The payload's positional tag tables: a value is written as its index
+/// here. Each lists every variant of its type
+/// (`tests::tag_tables_list_every_variant`).
+const IMM_SLOTS: [ImmSlot; 2] = [ImmSlot::Data, ImmSlot::MemOffset];
+const IMM_RELS: [ImmRel; 3] = [ImmRel::Id, ImmRel::Neg, ImmRel::Not];
+/// `Other`'s reason follows its tag as a string.
+const FAILS: [VerifyFail; 4] =
+    [VerifyFail::Registers, VerifyFail::Memory, VerifyFail::Branch, VerifyFail::Other("")];
+
+/// Fingerprint of the model the payload's positional tags index into.
 ///
-/// Hashes the variant counts of every serialized enum, so growing any
-/// instruction-set enum (which would shift the tags below) automatically
+/// Hashes the size of everything the payload writes as a position —
+/// register indices and the tag tables above — so growing any of them
 /// invalidates existing databases instead of mis-decoding them.
+/// Instructions need no entry: they are stored in their ISA's machine
+/// encoding, which does not renumber when an instruction set grows.
 pub fn isa_fingerprint() -> u64 {
     let text = format!(
-        "ldbt-rule-db;arm:instr8,op2-3,shift4,addr3,dp{},cond{},reg{};\
-         x86:instr20,operand3,alu{},shiftop3,unop4,cc{},gpr{};\
-         width{};immrel3,immslot2,verifyfail4,outcome2",
-        DpOp::ALL.len(),
-        Cond::ALL.len(),
+        "ldbt-rule-db;armreg{};gpr{};immslot{};immrel{};verifyfail{}",
         ArmReg::ALL.len(),
-        AluOp::ALL.len(),
-        Cc::ALL.len(),
         Gpr::ALL.len(),
-        Width::ALL.len(),
+        IMM_SLOTS.len(),
+        IMM_RELS.len(),
+        FAILS.len(),
     );
     sig_hash(&text)
 }
@@ -101,7 +132,7 @@ pub enum DbError {
     /// The file ends before its declared payload does.
     Truncated,
     /// The payload bytes are malformed (checksum mismatch, bad enum
-    /// tag, invalid UTF-8, trailing bytes, …).
+    /// tag, undecodable instruction, invalid UTF-8, trailing bytes, …).
     Corrupt(&'static str),
 }
 
@@ -143,16 +174,18 @@ pub fn to_bytes(rules: &RuleSet, cache: &VerifyCache) -> Vec<u8> {
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&isa_fingerprint().to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
 
-/// One rule in the payload encoding: injective and independent of
-/// `HashMap` order, which makes it the store's last-resort tie-break.
+/// One rule in the payload encoding: independent of `HashMap` order and
+/// injective over the rules the file stores, which makes it the store's
+/// last-resort tie-break. A rule the file would leave out renders up to
+/// its first refused instruction — still a deterministic order.
 pub(crate) fn rule_bytes(rule: &Rule) -> Vec<u8> {
     let mut w = W::default();
-    w.rule(rule);
+    let _ = w.rule(rule);
     w.buf
 }
 
@@ -185,7 +218,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<RuleDb, DbError> {
     if payload.len() > len {
         return Err(DbError::Corrupt("trailing bytes after payload"));
     }
-    if checksum(payload) != sum {
+    if fnv1a(payload) != sum {
         return Err(DbError::Corrupt("checksum mismatch"));
     }
     let mut r = R { buf: payload, pos: 0 };
@@ -210,17 +243,6 @@ pub fn save(path: &Path, rules: &RuleSet, cache: &VerifyCache) -> std::io::Resul
 pub fn load(path: &Path) -> Result<RuleDb, DbError> {
     let bytes = std::fs::read(path).map_err(DbError::Io)?;
     from_bytes(&bytes)
-}
-
-/// FNV-1a over raw payload bytes (the string hash from `cache`, reused
-/// byte-wise).
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Decode a `VerifyFail::Other` reason back to a `&'static str`.
@@ -256,6 +278,20 @@ fn intern_reason(s: &str) -> &'static str {
     leaked
 }
 
+/// A guest instruction's ARM word, if the encoder takes the instruction
+/// and decodes the word back to it.
+fn arm_word(i: &ArmInstr) -> Option<u32> {
+    let word = arm_codec::encode(i).ok()?;
+    (arm_codec::decode(word).ok()? == *i).then_some(word)
+}
+
+/// A host instruction's x86 bytes, if the encoder takes the instruction
+/// and decodes all of them back to it.
+fn x86_bytes(i: &X86Instr) -> Option<Vec<u8>> {
+    let bytes = x86_codec::encode(i).ok()?;
+    (x86_codec::decode(&bytes).ok()? == (*i, bytes.len())).then_some(bytes)
+}
+
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
@@ -275,9 +311,6 @@ impl W {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -292,356 +325,105 @@ impl W {
         self.len(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    fn arm_reg(&mut self, r: ArmReg) {
-        self.u8(r.index() as u8);
+    /// `v` as the position of its variant in `table`.
+    fn tag<T>(&mut self, table: &[T], v: &T) {
+        let d = std::mem::discriminant(v);
+        let at = table.iter().position(|t| std::mem::discriminant(t) == d);
+        self.u8(at.expect("tag tables list every variant") as u8);
     }
-    fn gpr(&mut self, g: Gpr) {
-        self.u8(g.index() as u8);
-    }
-    fn cond(&mut self, c: Cond) {
-        self.u8(Cond::ALL.iter().position(|x| *x == c).expect("cond in ALL") as u8);
-    }
-    fn dp_op(&mut self, op: DpOp) {
-        self.u8(DpOp::ALL.iter().position(|x| *x == op).expect("dp op in ALL") as u8);
-    }
-    fn alu_op(&mut self, op: AluOp) {
-        self.u8(AluOp::ALL.iter().position(|x| *x == op).expect("alu op in ALL") as u8);
-    }
-    fn cc(&mut self, cc: Cc) {
-        self.u8(Cc::ALL.iter().position(|x| *x == cc).expect("cc in ALL") as u8);
-    }
-    fn width(&mut self, w: Width) {
-        self.u8(Width::ALL.iter().position(|x| *x == w).expect("width in ALL") as u8);
-    }
-    fn shift(&mut self, s: Shift) {
-        match s {
-            Shift::Lsl(a) => (self.u8(0), self.u8(a)),
-            Shift::Lsr(a) => (self.u8(1), self.u8(a)),
-            Shift::Asr(a) => (self.u8(2), self.u8(a)),
-            Shift::Ror(a) => (self.u8(3), self.u8(a)),
-        };
-    }
-    fn operand2(&mut self, op2: Operand2) {
-        match op2 {
-            Operand2::Imm(v) => {
-                self.u8(0);
-                self.u32(v);
-            }
-            Operand2::Reg(r) => {
-                self.u8(1);
-                self.arm_reg(r);
-            }
-            Operand2::RegShift(r, s) => {
-                self.u8(2);
-                self.arm_reg(r);
-                self.shift(s);
-            }
+    /// A length-prefixed list, `put` writing each item.
+    fn each<T>(&mut self, items: &[T], mut put: impl FnMut(&mut W, &T)) {
+        self.len(items.len());
+        for item in items {
+            put(self, item);
         }
     }
-    fn addr_mode(&mut self, a: AddrMode) {
-        match a {
-            AddrMode::Imm(rn, off) => {
-                self.u8(0);
-                self.arm_reg(rn);
-                self.i32(off);
-            }
-            AddrMode::Reg(rn, rm) => {
-                self.u8(1);
-                self.arm_reg(rn);
-                self.arm_reg(rm);
-            }
-            AddrMode::RegShift(rn, rm, s) => {
-                self.u8(2);
-                self.arm_reg(rn);
-                self.arm_reg(rm);
-                self.u8(s);
+    /// A length-prefixed list of the items `put` accepts: an item it
+    /// refuses (`None`) is cut from the buffer again and not counted.
+    fn kept<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut put: impl FnMut(&mut W, T) -> Option<()>,
+    ) {
+        let at = self.buf.len();
+        self.u32(0);
+        let mut n = 0u32;
+        for item in items {
+            let start = self.buf.len();
+            match put(self, item) {
+                Some(()) => n += 1,
+                None => self.buf.truncate(start),
             }
         }
+        self.buf[at..at + 4].copy_from_slice(&n.to_le_bytes());
     }
 
-    fn arm_instr(&mut self, i: &ArmInstr) {
-        match *i {
-            ArmInstr::Dp { op, rd, rn, op2, set_flags, cond } => {
-                self.u8(0);
-                self.dp_op(op);
-                self.arm_reg(rd);
-                self.arm_reg(rn);
-                self.operand2(op2);
-                self.boolean(set_flags);
-                self.cond(cond);
-            }
-            ArmInstr::Mul { rd, rn, rm, set_flags, cond } => {
-                self.u8(1);
-                self.arm_reg(rd);
-                self.arm_reg(rn);
-                self.arm_reg(rm);
-                self.boolean(set_flags);
-                self.cond(cond);
-            }
-            ArmInstr::Ldr { rt, addr, width, signed, cond } => {
-                self.u8(2);
-                self.arm_reg(rt);
-                self.addr_mode(addr);
-                self.width(width);
-                self.boolean(signed);
-                self.cond(cond);
-            }
-            ArmInstr::Str { rt, addr, width, cond } => {
-                self.u8(3);
-                self.arm_reg(rt);
-                self.addr_mode(addr);
-                self.width(width);
-                self.cond(cond);
-            }
-            ArmInstr::B { offset, cond } => {
-                self.u8(4);
-                self.i32(offset);
-                self.cond(cond);
-            }
-            ArmInstr::Bl { offset, cond } => {
-                self.u8(5);
-                self.i32(offset);
-                self.cond(cond);
-            }
-            ArmInstr::Bx { rm, cond } => {
-                self.u8(6);
-                self.arm_reg(rm);
-                self.cond(cond);
-            }
-            ArmInstr::Svc { imm, cond } => {
-                self.u8(7);
-                self.u32(imm);
-                self.cond(cond);
-            }
-        }
-    }
-
-    fn x86_mem(&mut self, m: &X86Mem) {
-        match m.base {
-            Some(b) => {
-                self.u8(1);
-                self.gpr(b);
-            }
-            None => self.u8(0),
-        }
-        match m.index {
-            Some((r, scale)) => {
-                self.u8(1);
-                self.gpr(r);
-                self.u8(scale);
-            }
-            None => self.u8(0),
-        }
-        self.i32(m.disp);
-    }
-    fn operand(&mut self, op: &Operand) {
-        match op {
-            Operand::Reg(g) => {
-                self.u8(0);
-                self.gpr(*g);
-            }
-            Operand::Imm(v) => {
-                self.u8(1);
-                self.i32(*v);
-            }
-            Operand::Mem(m) => {
-                self.u8(2);
-                self.x86_mem(m);
-            }
-        }
-    }
-
-    fn x86_instr(&mut self, i: &X86Instr) {
-        match *i {
-            X86Instr::Mov { dst, src } => {
-                self.u8(0);
-                self.operand(&dst);
-                self.operand(&src);
-            }
-            X86Instr::Alu { op, dst, src } => {
-                self.u8(1);
-                self.alu_op(op);
-                self.operand(&dst);
-                self.operand(&src);
-            }
-            X86Instr::Lea { dst, addr } => {
-                self.u8(2);
-                self.gpr(dst);
-                self.x86_mem(&addr);
-            }
-            X86Instr::Imul { dst, src } => {
-                self.u8(3);
-                self.gpr(dst);
-                self.operand(&src);
-            }
-            X86Instr::Shift { op, dst, count } => {
-                self.u8(4);
-                self.u8(match op {
-                    ShiftOp::Shl => 0,
-                    ShiftOp::Shr => 1,
-                    ShiftOp::Sar => 2,
-                });
-                self.operand(&dst);
-                self.u8(count);
-            }
-            X86Instr::Un { op, dst } => {
-                self.u8(5);
-                self.u8(match op {
-                    UnOp::Neg => 0,
-                    UnOp::Not => 1,
-                    UnOp::Inc => 2,
-                    UnOp::Dec => 3,
-                });
-                self.operand(&dst);
-            }
-            X86Instr::Movx { sign, width, dst, src } => {
-                self.u8(6);
-                self.boolean(sign);
-                self.width(width);
-                self.gpr(dst);
-                self.operand(&src);
-            }
-            X86Instr::MovStore { width, src, dst } => {
-                self.u8(7);
-                self.width(width);
-                self.gpr(src);
-                self.x86_mem(&dst);
-            }
-            X86Instr::Setcc { cc, dst } => {
-                self.u8(8);
-                self.cc(cc);
-                self.gpr(dst);
-            }
-            X86Instr::Jcc { cc, target } => {
-                self.u8(9);
-                self.cc(cc);
-                self.i32(target);
-            }
-            X86Instr::Jmp { target } => {
-                self.u8(10);
-                self.i32(target);
-            }
-            X86Instr::JmpInd { src } => {
-                self.u8(11);
-                self.operand(&src);
-            }
-            X86Instr::Call { target } => {
-                self.u8(12);
-                self.i32(target);
-            }
-            X86Instr::Ret => self.u8(13),
-            X86Instr::Push { src } => {
-                self.u8(14);
-                self.operand(&src);
-            }
-            X86Instr::Pop { dst } => {
-                self.u8(15);
-                self.operand(&dst);
-            }
-            X86Instr::Pushfd => self.u8(16),
-            X86Instr::Popfd => self.u8(17),
-            X86Instr::Halt => self.u8(18),
-            X86Instr::ChainJmp { block } => {
-                self.u8(19);
-                self.u32(block);
-            }
-            X86Instr::Trap => self.u8(20),
-        }
-    }
-
-    fn imm_slot(&mut self, s: ImmSlot) {
-        self.u8(match s {
-            ImmSlot::Data => 0,
-            ImmSlot::MemOffset => 1,
-        });
-    }
-    fn imm_site(&mut self, site: (usize, ImmSlot)) {
-        self.len(site.0);
-        self.imm_slot(site.1);
+    fn imm_site(&mut self, &(idx, slot): &(usize, ImmSlot)) {
+        self.len(idx);
+        self.tag(&IMM_SLOTS, &slot);
     }
     fn imm_param(&mut self, p: &ImmParam) {
-        self.imm_site(p.guest_site);
-        self.len(p.extra_guest_sites.len());
-        for &s in &p.extra_guest_sites {
-            self.imm_site(s);
-        }
+        self.imm_site(&p.guest_site);
+        self.each(&p.extra_guest_sites, W::imm_site);
         self.i64(p.template_value);
-        self.len(p.host_sites.len());
-        for &(idx, slot, rel) in &p.host_sites {
-            self.len(idx);
-            self.imm_slot(slot);
-            self.u8(match rel {
-                ImmRel::Id => 0,
-                ImmRel::Neg => 1,
-                ImmRel::Not => 2,
-            });
-        }
+        self.each(&p.host_sites, |w, &(idx, slot, rel)| {
+            w.imm_site(&(idx, slot));
+            w.tag(&IMM_RELS, &rel);
+        });
     }
 
-    fn rule(&mut self, r: &Rule) {
+    /// `r`'s record; `None` — the buffer then holds a prefix of it — when
+    /// one of its instructions cannot be stored ([`arm_word`],
+    /// [`x86_bytes`]).
+    fn rule(&mut self, r: &Rule) -> Option<()> {
         self.len(r.guest.len());
         for i in &r.guest {
-            self.arm_instr(i);
+            self.u32(arm_word(i)?);
         }
         self.len(r.host.len());
         for i in &r.host {
-            self.x86_instr(i);
+            let bytes = x86_bytes(i)?;
+            self.buf.extend_from_slice(&bytes);
         }
         // HashMap: sort by host register index for deterministic bytes.
         let mut pairs: Vec<(Gpr, ArmReg)> = r.host_reg_of.iter().map(|(g, a)| (*g, *a)).collect();
         pairs.sort_by_key(|(g, _)| g.index());
-        self.len(pairs.len());
-        for (g, a) in pairs {
-            self.gpr(g);
-            self.arm_reg(a);
-        }
-        self.len(r.imm_params.len());
-        for p in &r.imm_params {
-            self.imm_param(p);
-        }
+        self.each(&pairs, |w, (g, a)| {
+            w.u8(g.index() as u8);
+            w.u8(a.index() as u8);
+        });
+        self.each(&r.imm_params, W::imm_param);
         self.u8(r.unemulated_flags);
         self.boolean(r.has_branch);
+        Some(())
     }
 
     fn rule_set(&mut self, rs: &RuleSet) {
         self.boolean(rs.prefer_shorter);
-        self.len(rs.len());
-        for r in rs.iter() {
-            self.rule(r);
-        }
-        let keys = rs.tombstoned_keys();
-        self.len(keys.len());
-        for k in keys {
-            self.u64(k);
-        }
+        self.kept(rs.iter(), W::rule);
+        self.each(&rs.tombstoned_keys(), |w, k| w.u64(*k));
     }
 
     fn cache(&mut self, cache: &VerifyCache) {
         let mut entries: Vec<(&str, &VerifyOutcome)> = cache.iter().collect();
         entries.sort_by_key(|(sig, _)| *sig);
-        self.len(entries.len());
-        for (sig, outcome) in entries {
-            self.string(sig);
+        self.kept(entries, |w, (sig, outcome)| {
+            w.string(sig);
             match outcome {
                 VerifyOutcome::Learned(r) => {
-                    self.u8(0);
-                    self.rule(r);
+                    w.boolean(false);
+                    w.rule(r)
                 }
                 VerifyOutcome::Failed(f) => {
-                    self.u8(1);
-                    match f {
-                        VerifyFail::Registers => self.u8(0),
-                        VerifyFail::Memory => self.u8(1),
-                        VerifyFail::Branch => self.u8(2),
-                        VerifyFail::Other(why) => {
-                            self.u8(3);
-                            self.string(why);
-                        }
+                    w.boolean(true);
+                    w.tag(&FAILS, f);
+                    if let VerifyFail::Other(why) = f {
+                        w.string(why);
                     }
+                    Some(())
                 }
             }
-        }
+        });
     }
 }
 
@@ -678,9 +460,6 @@ impl R<'_> {
     fn u32(&mut self) -> Res<u32> {
         Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
     }
-    fn i32(&mut self) -> Res<i32> {
-        Ok(i32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
-    }
     fn u64(&mut self) -> Res<u64> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
     }
@@ -701,270 +480,91 @@ impl R<'_> {
         let raw = self.bytes(n)?;
         String::from_utf8(raw.to_vec()).map_err(|_| DbError::Corrupt("bad utf-8"))
     }
-
-    fn pick<T: Copy>(&mut self, all: &[T], what: &'static str) -> Res<T> {
+    /// The entry of `table` at the next byte's position.
+    fn pick<T: Copy>(&mut self, table: &[T], what: &'static str) -> Res<T> {
         let tag = self.u8()? as usize;
-        all.get(tag).copied().ok_or(DbError::Corrupt(what))
+        table.get(tag).copied().ok_or(DbError::Corrupt(what))
     }
-    fn arm_reg(&mut self) -> Res<ArmReg> {
-        self.pick(&ArmReg::ALL, "bad arm reg")
-    }
-    fn gpr(&mut self) -> Res<Gpr> {
-        self.pick(&Gpr::ALL, "bad gpr")
-    }
-    fn cond(&mut self) -> Res<Cond> {
-        self.pick(&Cond::ALL, "bad cond")
-    }
-    fn dp_op(&mut self) -> Res<DpOp> {
-        self.pick(&DpOp::ALL, "bad dp op")
-    }
-    fn alu_op(&mut self) -> Res<AluOp> {
-        self.pick(&AluOp::ALL, "bad alu op")
-    }
-    fn cc(&mut self) -> Res<Cc> {
-        self.pick(&Cc::ALL, "bad cc")
-    }
-    fn width(&mut self) -> Res<Width> {
-        self.pick(&Width::ALL, "bad width")
-    }
-    fn shift(&mut self) -> Res<Shift> {
-        let tag = self.u8()?;
-        let a = self.u8()?;
-        Ok(match tag {
-            0 => Shift::Lsl(a),
-            1 => Shift::Lsr(a),
-            2 => Shift::Asr(a),
-            3 => Shift::Ror(a),
-            _ => return Err(DbError::Corrupt("bad shift")),
-        })
-    }
-    fn operand2(&mut self) -> Res<Operand2> {
-        Ok(match self.u8()? {
-            0 => Operand2::Imm(self.u32()?),
-            1 => Operand2::Reg(self.arm_reg()?),
-            2 => Operand2::RegShift(self.arm_reg()?, self.shift()?),
-            _ => return Err(DbError::Corrupt("bad operand2")),
-        })
-    }
-    fn addr_mode(&mut self) -> Res<AddrMode> {
-        Ok(match self.u8()? {
-            0 => AddrMode::Imm(self.arm_reg()?, self.i32()?),
-            1 => AddrMode::Reg(self.arm_reg()?, self.arm_reg()?),
-            2 => AddrMode::RegShift(self.arm_reg()?, self.arm_reg()?, self.u8()?),
-            _ => return Err(DbError::Corrupt("bad addr mode")),
-        })
+    /// A length-prefixed list, `item` reading each entry.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Res<T>) -> Res<Vec<T>> {
+        let n = self.len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     fn arm_instr(&mut self) -> Res<ArmInstr> {
-        Ok(match self.u8()? {
-            0 => ArmInstr::Dp {
-                op: self.dp_op()?,
-                rd: self.arm_reg()?,
-                rn: self.arm_reg()?,
-                op2: self.operand2()?,
-                set_flags: self.boolean()?,
-                cond: self.cond()?,
-            },
-            1 => ArmInstr::Mul {
-                rd: self.arm_reg()?,
-                rn: self.arm_reg()?,
-                rm: self.arm_reg()?,
-                set_flags: self.boolean()?,
-                cond: self.cond()?,
-            },
-            2 => ArmInstr::Ldr {
-                rt: self.arm_reg()?,
-                addr: self.addr_mode()?,
-                width: self.width()?,
-                signed: self.boolean()?,
-                cond: self.cond()?,
-            },
-            3 => ArmInstr::Str {
-                rt: self.arm_reg()?,
-                addr: self.addr_mode()?,
-                width: self.width()?,
-                cond: self.cond()?,
-            },
-            4 => ArmInstr::B { offset: self.i32()?, cond: self.cond()? },
-            5 => ArmInstr::Bl { offset: self.i32()?, cond: self.cond()? },
-            6 => ArmInstr::Bx { rm: self.arm_reg()?, cond: self.cond()? },
-            7 => ArmInstr::Svc { imm: self.u32()?, cond: self.cond()? },
-            _ => return Err(DbError::Corrupt("bad arm instr tag")),
-        })
+        arm_codec::decode(self.u32()?).map_err(|_| DbError::Corrupt("bad arm instruction"))
     }
-
-    fn x86_mem(&mut self) -> Res<X86Mem> {
-        let base = match self.u8()? {
-            0 => None,
-            1 => Some(self.gpr()?),
-            _ => return Err(DbError::Corrupt("bad mem base tag")),
-        };
-        let index = match self.u8()? {
-            0 => None,
-            1 => Some((self.gpr()?, self.u8()?)),
-            _ => return Err(DbError::Corrupt("bad mem index tag")),
-        };
-        Ok(X86Mem { base, index, disp: self.i32()? })
-    }
-    fn operand(&mut self) -> Res<Operand> {
-        Ok(match self.u8()? {
-            0 => Operand::Reg(self.gpr()?),
-            1 => Operand::Imm(self.i32()?),
-            2 => Operand::Mem(self.x86_mem()?),
-            _ => return Err(DbError::Corrupt("bad operand")),
-        })
-    }
-
     fn x86_instr(&mut self) -> Res<X86Instr> {
-        Ok(match self.u8()? {
-            0 => X86Instr::Mov { dst: self.operand()?, src: self.operand()? },
-            1 => X86Instr::Alu { op: self.alu_op()?, dst: self.operand()?, src: self.operand()? },
-            2 => X86Instr::Lea { dst: self.gpr()?, addr: self.x86_mem()? },
-            3 => X86Instr::Imul { dst: self.gpr()?, src: self.operand()? },
-            4 => X86Instr::Shift {
-                op: match self.u8()? {
-                    0 => ShiftOp::Shl,
-                    1 => ShiftOp::Shr,
-                    2 => ShiftOp::Sar,
-                    _ => return Err(DbError::Corrupt("bad shift op")),
-                },
-                dst: self.operand()?,
-                count: self.u8()?,
-            },
-            5 => X86Instr::Un {
-                op: match self.u8()? {
-                    0 => UnOp::Neg,
-                    1 => UnOp::Not,
-                    2 => UnOp::Inc,
-                    3 => UnOp::Dec,
-                    _ => return Err(DbError::Corrupt("bad un op")),
-                },
-                dst: self.operand()?,
-            },
-            6 => X86Instr::Movx {
-                sign: self.boolean()?,
-                width: self.width()?,
-                dst: self.gpr()?,
-                src: self.operand()?,
-            },
-            7 => {
-                X86Instr::MovStore { width: self.width()?, src: self.gpr()?, dst: self.x86_mem()? }
-            }
-            8 => X86Instr::Setcc { cc: self.cc()?, dst: self.gpr()? },
-            9 => X86Instr::Jcc { cc: self.cc()?, target: self.i32()? },
-            10 => X86Instr::Jmp { target: self.i32()? },
-            11 => X86Instr::JmpInd { src: self.operand()? },
-            12 => X86Instr::Call { target: self.i32()? },
-            13 => X86Instr::Ret,
-            14 => X86Instr::Push { src: self.operand()? },
-            15 => X86Instr::Pop { dst: self.operand()? },
-            16 => X86Instr::Pushfd,
-            17 => X86Instr::Popfd,
-            18 => X86Instr::Halt,
-            19 => X86Instr::ChainJmp { block: self.u32()? },
-            20 => X86Instr::Trap,
-            _ => return Err(DbError::Corrupt("bad x86 instr tag")),
-        })
+        let (instr, n) = x86_codec::decode(&self.buf[self.pos..])
+            .map_err(|_| DbError::Corrupt("bad x86 instruction"))?;
+        self.pos += n;
+        Ok(instr)
     }
 
-    fn imm_slot(&mut self) -> Res<ImmSlot> {
-        Ok(match self.u8()? {
-            0 => ImmSlot::Data,
-            1 => ImmSlot::MemOffset,
-            _ => return Err(DbError::Corrupt("bad imm slot")),
-        })
-    }
     fn imm_site(&mut self) -> Res<(usize, ImmSlot)> {
-        Ok((self.len()?, self.imm_slot()?))
+        Ok((self.len()?, self.pick(&IMM_SLOTS, "bad imm slot")?))
     }
     fn imm_param(&mut self) -> Res<ImmParam> {
-        let guest_site = self.imm_site()?;
-        let n_extra = self.len()?;
-        let mut extra_guest_sites = Vec::with_capacity(n_extra);
-        for _ in 0..n_extra {
-            extra_guest_sites.push(self.imm_site()?);
-        }
-        let template_value = self.i64()?;
-        let n_host = self.len()?;
-        let mut host_sites = Vec::with_capacity(n_host);
-        for _ in 0..n_host {
-            let idx = self.len()?;
-            let slot = self.imm_slot()?;
-            let rel = match self.u8()? {
-                0 => ImmRel::Id,
-                1 => ImmRel::Neg,
-                2 => ImmRel::Not,
-                _ => return Err(DbError::Corrupt("bad imm rel")),
-            };
-            host_sites.push((idx, slot, rel));
-        }
-        Ok(ImmParam { guest_site, extra_guest_sites, template_value, host_sites })
+        Ok(ImmParam {
+            guest_site: self.imm_site()?,
+            extra_guest_sites: self.list(R::imm_site)?,
+            template_value: self.i64()?,
+            host_sites: self.list(|r| {
+                let (idx, slot) = r.imm_site()?;
+                Ok((idx, slot, r.pick(&IMM_RELS, "bad imm rel")?))
+            })?,
+        })
     }
 
     fn rule(&mut self) -> Res<Rule> {
-        let n_guest = self.len()?;
-        let mut guest = Vec::with_capacity(n_guest);
-        for _ in 0..n_guest {
-            guest.push(self.arm_instr()?);
-        }
-        let n_host = self.len()?;
-        let mut host = Vec::with_capacity(n_host);
-        for _ in 0..n_host {
-            host.push(self.x86_instr()?);
-        }
-        let n_regs = self.len()?;
-        let mut host_reg_of = HashMap::with_capacity(n_regs);
-        for _ in 0..n_regs {
-            let g = self.gpr()?;
-            let a = self.arm_reg()?;
-            host_reg_of.insert(g, a);
-        }
-        let n_params = self.len()?;
-        let mut imm_params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            imm_params.push(self.imm_param()?);
-        }
-        let unemulated_flags = self.u8()?;
-        let has_branch = self.boolean()?;
-        Ok(Rule { guest, host, host_reg_of, imm_params, unemulated_flags, has_branch })
+        Ok(Rule {
+            guest: self.list(R::arm_instr)?,
+            host: self.list(R::x86_instr)?,
+            host_reg_of: self
+                .list(|r| {
+                    Ok((r.pick(&Gpr::ALL, "bad gpr")?, r.pick(&ArmReg::ALL, "bad arm reg")?))
+                })?
+                .into_iter()
+                .collect(),
+            imm_params: self.list(R::imm_param)?,
+            unemulated_flags: self.u8()?,
+            has_branch: self.boolean()?,
+        })
     }
 
     fn rule_set(&mut self) -> Res<RuleSet> {
         let prefer_shorter = self.boolean()?;
         let mut rs = if prefer_shorter { RuleSet::new() } else { RuleSet::new_first_found() };
-        let n = self.len()?;
-        for _ in 0..n {
-            let rule = self.rule()?;
+        for rule in self.list(R::rule)? {
             // The source set was deduplicated, so every serialized rule
             // must insert cleanly; a collision means the payload lies.
             if !rs.insert(rule) {
                 return Err(DbError::Corrupt("duplicate rule"));
             }
         }
-        let n_tomb = self.len()?;
-        for _ in 0..n_tomb {
-            let key = self.u64()?;
+        for key in self.list(R::u64)? {
             rs.tombstone(key);
         }
         Ok(rs)
     }
 
+    fn outcome(&mut self) -> Res<VerifyOutcome> {
+        if !self.boolean()? {
+            return Ok(VerifyOutcome::Learned(self.rule()?));
+        }
+        Ok(VerifyOutcome::Failed(match self.pick(&FAILS, "bad verify fail")? {
+            VerifyFail::Other(_) => VerifyFail::Other(intern_reason(&self.string()?)),
+            f => f,
+        }))
+    }
+
     fn cache(&mut self) -> Res<VerifyCache> {
-        let n = self.len()?;
         let mut cache = VerifyCache::new();
-        for _ in 0..n {
-            let sig = self.string()?;
-            let outcome = match self.u8()? {
-                0 => VerifyOutcome::Learned(self.rule()?),
-                1 => VerifyOutcome::Failed(match self.u8()? {
-                    0 => VerifyFail::Registers,
-                    1 => VerifyFail::Memory,
-                    2 => VerifyFail::Branch,
-                    3 => VerifyFail::Other(intern_reason(&self.string()?)),
-                    _ => return Err(DbError::Corrupt("bad verify fail")),
-                }),
-                _ => return Err(DbError::Corrupt("bad outcome tag")),
-            };
+        for (sig, outcome) in self.list(|r| Ok((r.string()?, r.outcome()?)))? {
             cache.insert(sig, outcome);
         }
         Ok(cache)
@@ -976,7 +576,10 @@ mod tests {
     use super::*;
     use crate::budget::REASON_SOLVER_BUDGET;
     use ldbt_arm::ArmInstr as AI;
+    use ldbt_arm::{AddrMode, Cond, DpOp, Operand2};
+    use ldbt_isa::Width;
     use ldbt_x86::X86Instr as XI;
+    use ldbt_x86::{AluOp, Cc, Operand, X86Mem};
 
     fn imm_rule() -> Rule {
         Rule {
@@ -994,6 +597,9 @@ mod tests {
         }
     }
 
+    /// Branch targets outside the rule's own host sequence — backwards
+    /// past its start and forwards past its end — as rule hosts keep the
+    /// compiler's function-relative targets.
     fn mem_rule() -> Rule {
         Rule {
             guest: vec![
@@ -1022,7 +628,10 @@ mod tests {
                     dst: Operand::Reg(Gpr::Eax),
                     src: Operand::Reg(Gpr::Edi),
                 },
-                XI::Jcc { cc: Cc::Ne, target: 1 },
+                XI::Jcc { cc: Cc::Ne, target: 9 },
+                XI::Jmp { target: -7 },
+                XI::Call { target: 1 << 20 },
+                XI::Jcc { cc: Cc::L, target: -(1 << 30) },
                 XI::MovStore {
                     width: Width::W16,
                     src: Gpr::Eax,
@@ -1064,6 +673,15 @@ mod tests {
         (rs, cache)
     }
 
+    /// Re-seal a file's header around an edited payload, so the decoder
+    /// proper runs on it instead of the checksum catching the edit.
+    fn reseal(bytes: &mut [u8]) {
+        let payload_len = (bytes.len() - 36) as u64;
+        bytes[20..28].copy_from_slice(&payload_len.to_le_bytes());
+        let sum = fnv1a(&bytes[36..]);
+        bytes[28..36].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn round_trip_is_byte_identical_and_behavior_preserving() {
         let (rs, cache) = sample_db();
@@ -1100,6 +718,57 @@ mod tests {
     }
 
     #[test]
+    fn out_of_sequence_branch_targets_round_trip() {
+        // `assemble` cannot lay these targets out; per-instruction
+        // encoding keeps them verbatim.
+        let host = mem_rule().host;
+        assert_eq!(x86_codec::assemble(&host), Err(x86_codec::EncodeX86Error::BranchLayout));
+        let db = from_bytes(&to_bytes(&sample_db().0, &VerifyCache::new())).expect("loads");
+        let back = db.rules.find_by_key(mem_rule().stable_key()).expect("rule survives");
+        assert_eq!(back.host, host);
+        assert_eq!(rule_bytes(back), rule_bytes(&mem_rule()));
+    }
+
+    #[test]
+    fn unstorable_entries_are_left_out() {
+        // Out of the ARM encoder's range, refused by the x86 encoder, and
+        // an encoding that decodes to a different (commuted) instruction.
+        let wide = Rule {
+            guest: vec![AI::dp(DpOp::Eor, ArmReg::R5, ArmReg::R5, Operand2::Imm(0x1000))],
+            ..imm_rule()
+        };
+        let chain = Rule {
+            guest: vec![AI::dp(DpOp::Sub, ArmReg::R7, ArmReg::R7, Operand2::Imm(5))],
+            host: vec![XI::ChainJmp { block: 7 }],
+            ..imm_rule()
+        };
+        let test_rm = XI::Alu {
+            op: AluOp::Test,
+            dst: Operand::Reg(Gpr::Ecx),
+            src: Operand::Mem(X86Mem::base(Gpr::Edx)),
+        };
+        let commuted = Rule {
+            guest: vec![AI::dp(DpOp::Orr, ArmReg::R6, ArmReg::R6, Operand2::Imm(1))],
+            host: vec![test_rm],
+            ..imm_rule()
+        };
+        let (mut rs, mut cache) = sample_db();
+        let (want_rules, want_cache) = (to_bytes(&rs, &VerifyCache::new()), to_bytes(&rs, &cache));
+        for (n, bad) in [wide, chain, commuted].into_iter().enumerate() {
+            assert!(rs.insert(bad.clone()));
+            cache.insert(format!("sig-bad-{n}"), VerifyOutcome::Learned(bad.clone()));
+            // The tie-break still renders such a rule, deterministically.
+            assert_eq!(rule_bytes(&bad), rule_bytes(&bad.clone()));
+        }
+        let db = from_bytes(&to_bytes(&rs, &cache)).expect("the storable rest loads");
+        assert_eq!((db.rules.len(), db.cache.len()), (2, sample_db().1.len()));
+        // Every other entry loads as if the refused ones had never been
+        // there.
+        assert_eq!(to_bytes(&db.rules, &VerifyCache::new()), want_rules);
+        assert_eq!(to_bytes(&db.rules, &db.cache), want_cache);
+    }
+
+    #[test]
     fn serialization_is_deterministic() {
         let (rs, cache) = sample_db();
         assert_eq!(to_bytes(&rs, &cache), to_bytes(&rs, &cache));
@@ -1116,9 +785,12 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected() {
         let (rs, cache) = sample_db();
-        let mut bytes = to_bytes(&rs, &cache);
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        assert!(matches!(from_bytes(&bytes), Err(DbError::Version(v)) if v == FORMAT_VERSION + 1));
+        // The next version, and the structural version 2 this one replaced.
+        for v in [FORMAT_VERSION + 1, 2] {
+            let mut bytes = to_bytes(&rs, &cache);
+            bytes[8..12].copy_from_slice(&v.to_le_bytes());
+            assert!(matches!(from_bytes(&bytes), Err(DbError::Version(got)) if got == v));
+        }
     }
 
     #[test]
@@ -1138,22 +810,52 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert!(matches!(from_bytes(&flipped), Err(DbError::Corrupt(_))));
-        // Fix up the checksum over a corrupted payload: decoding still
-        // rejects structurally invalid bytes (here, an enum tag driven
-        // out of range).
-        let mut retagged = bytes.clone();
-        retagged[37] = 0xee; // inside the first rule's encoding
-        let sum = super::checksum(&retagged[36..]);
-        retagged[28..36].copy_from_slice(&sum.to_le_bytes());
-        assert!(from_bytes(&retagged).is_err());
+        // Re-sealed around a corrupted payload, decoding still rejects
+        // structurally invalid bytes: here the condition nibble of the
+        // first rule's first ARM word (after `prefer_shorter`, the rule
+        // count and the guest count) driven to the reserved 0b1111.
+        let mut recond = bytes.clone();
+        recond[36 + 1 + 4 + 4 + 3] |= 0xf0;
+        reseal(&mut recond);
+        assert!(matches!(from_bytes(&recond), Err(DbError::Corrupt("bad arm instruction"))));
     }
 
     #[test]
     fn truncated_file_is_rejected() {
         let (rs, cache) = sample_db();
         let bytes = to_bytes(&rs, &cache);
-        for cut in [0, 4, 12, 30, 36, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             assert!(from_bytes(&bytes[..cut]).is_err(), "a file cut to {cut} bytes must not load");
+            // Re-sealed, the cut reaches the decoder, which must refuse
+            // it too: nothing of a payload is optional.
+            if cut > 36 {
+                let mut sealed = bytes[..cut].to_vec();
+                reseal(&mut sealed);
+                assert!(from_bytes(&sealed).is_err(), "a payload cut to {cut} bytes must not load");
+            }
+        }
+    }
+
+    #[test]
+    fn tag_tables_list_every_variant() {
+        // Each `let` pattern names every variant of its type, so adding
+        // one fails to compile here: append it to its table as well.
+        for v in [ImmSlot::Data, ImmSlot::MemOffset] {
+            let (ImmSlot::Data | ImmSlot::MemOffset) = v;
+            assert!(IMM_SLOTS.contains(&v), "{v:?}");
+        }
+        for v in [ImmRel::Id, ImmRel::Neg, ImmRel::Not] {
+            let (ImmRel::Id | ImmRel::Neg | ImmRel::Not) = v;
+            assert!(IMM_RELS.contains(&v), "{v:?}");
+        }
+        for v in
+            [VerifyFail::Registers, VerifyFail::Memory, VerifyFail::Branch, VerifyFail::Other("")]
+        {
+            let (VerifyFail::Registers
+            | VerifyFail::Memory
+            | VerifyFail::Branch
+            | VerifyFail::Other(_)) = v;
+            assert!(FAILS.contains(&v), "{v:?}");
         }
     }
 

@@ -156,12 +156,6 @@ for watchdog in 0 1; do
     done
 done
 
-# Multi-tenant serving smoke: 2 tenants over the serve mix must reach
-# >=1.5x solo aggregate guest-instrs/sec. Real parallelism needs cores;
-# on hosts with fewer than 4 the binary skips with a notice (and this
-# gate is then build-only).
-cargo run -q --release -p ldbt-bench --bin serve_throughput -- --smoke
-
 # The benchmark's own cross-checks, last: one pass of each of the six
 # perfbench workloads (including `churn`: SMC purges, traps, watchdog
 # re-execution, repair), every run compared against the ARM interpreter.

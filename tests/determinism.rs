@@ -6,15 +6,23 @@
 //! pure-sequential path produces — contents *and* rule-store iteration
 //! order. Only the wall-clock durations may differ, so those are
 //! excluded from the comparison via `LearnStats::counters`.
+//!
+//! The suite's learned rules and memo also pin the rule store and the
+//! rule database: the store is a function of its contents, and every
+//! learned rule and memo outcome survives the database exactly, while no
+//! truncated or mutated database can panic its decoder.
 
 use ldbt_arm::ArmReg;
 use ldbt_compiler::{link::build_arm_image, Options};
+use ldbt_core::experiment::ProgramRules;
 use ldbt_dbt::engine::{RunOutcome, Translator};
 use ldbt_dbt::Engine;
-use ldbt_learn::cache::VerifyCache;
+use ldbt_learn::cache::{VerifyCache, VerifyOutcome};
+use ldbt_learn::db::{from_bytes, to_bytes};
 use ldbt_learn::pipeline::{learn_from_source, learn_from_source_cached, LearnConfig};
-use ldbt_learn::Rule;
+use ldbt_learn::{Rule, RuleSet};
 use ldbt_workloads::{source, Workload, SUITE};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 
 #[test]
@@ -37,9 +45,7 @@ fn parallel_learning_matches_sequential_on_the_suite() {
             "{}: Table-1 counters diverge between sequential and parallel",
             b.name
         );
-        let order = |r: &ldbt_learn::RuleSet| -> Vec<String> {
-            r.iter().map(Rule::canonical_text).collect()
-        };
+        let order = |r: &RuleSet| -> Vec<String> { r.iter().map(Rule::canonical_text).collect() };
         assert_eq!(
             order(&s.rules),
             order(&p.rules),
@@ -377,11 +383,37 @@ fn rule_attribution_and_run_report_are_deterministic() {
     ldbt_obs::selfcheck::check_run_report(&full).unwrap();
 }
 
-/// The twelve per-program suite rule sets, learned once per test binary.
-fn suite_sets() -> &'static [ldbt_core::experiment::ProgramRules] {
-    static SETS: std::sync::OnceLock<Vec<ldbt_core::experiment::ProgramRules>> =
+/// The twelve per-program suite rule sets and the verification memo they
+/// share, learned once per test binary as `experiment::learn_all` learns
+/// them (which keeps the memo to itself).
+fn suite() -> &'static (Vec<ProgramRules>, VerifyCache) {
+    static SUITE_RULES: std::sync::OnceLock<(Vec<ProgramRules>, VerifyCache)> =
         std::sync::OnceLock::new();
-    SETS.get_or_init(|| ldbt_core::experiment::learn_all(&Options::o2()).unwrap())
+    SUITE_RULES.get_or_init(|| {
+        let (config, mut cache) = (LearnConfig::default(), VerifyCache::new());
+        let sets = SUITE
+            .iter()
+            .map(|b| {
+                let src = source(b, Workload::Ref);
+                let report =
+                    learn_from_source_cached(b.name, &src, &Options::o2(), &config, &mut cache)
+                        .unwrap();
+                ProgramRules { name: b.name.to_string(), rules: report.rules, stats: report.stats }
+            })
+            .collect();
+        (sets, cache)
+    })
+}
+
+fn suite_sets() -> &'static [ProgramRules] {
+    &suite().0
+}
+
+/// The twelve suite sets merged into one store.
+fn suite_merged() -> RuleSet {
+    let mut all = RuleSet::new();
+    suite_sets().iter().for_each(|p| all.merge(&p.rules));
+    all
 }
 
 /// A rule's identity texts, spelled out the slow way — render each
@@ -456,7 +488,6 @@ fn identity_texts_match_the_replace_based_reference_on_every_suite_rule() {
 /// database bytes and carry the same tombstones.
 #[test]
 fn rule_store_is_canonical_for_any_construction_order() {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
     let sets = suite_sets();
     let forward: Vec<usize> = (0..sets.len()).collect();
     let mut shuffled = forward.clone();
@@ -470,7 +501,7 @@ fn rule_store_is_canonical_for_any_construction_order() {
     // tombstone travels a different way in every order.
     let victim = sets[0].rules.iter().next().unwrap().stable_key();
     let build = |order: &[usize], by_insert: bool| {
-        let mut all = ldbt_learn::RuleSet::new();
+        let mut all = RuleSet::new();
         for (nth, &k) in order.iter().enumerate() {
             let mut part = sets[k].rules.clone();
             if nth == 0 {
@@ -484,7 +515,7 @@ fn rule_store_is_canonical_for_any_construction_order() {
             }
         }
         let order: Vec<Rule> = all.iter().cloned().collect();
-        let bytes = ldbt_learn::db::to_bytes(&all, &VerifyCache::new());
+        let bytes = to_bytes(&all, &VerifyCache::new());
         (order, bytes, all.tombstoned_keys())
     };
     let reference = build(&forward, false);
@@ -498,6 +529,111 @@ fn rule_store_is_canonical_for_any_construction_order() {
     }
 }
 
+/// Every rule the suite learns — each program's set, their merge — and
+/// every memo outcome survives the rule database as an equal rule or
+/// outcome and re-encodes to the same bytes; and each of their guest and
+/// host instructions round-trips through its ISA codec on its own, the
+/// per-instruction encoding the database stores.
+#[test]
+fn every_suite_rule_and_memo_outcome_survives_the_rule_database() {
+    let (sets, memo) = suite();
+    let merged = suite_merged();
+    let none = VerifyCache::new();
+    let dbs = sets.iter().map(|p| (&p.rules, &none)).chain([(&merged, memo)]);
+    for (rules, cache) in dbs {
+        let bytes = to_bytes(rules, cache);
+        let db = from_bytes(&bytes).expect("a learned database loads");
+        assert!(db.rules.iter().eq(rules.iter()), "rules or their order changed");
+        assert_eq!(db.rules.tombstoned_keys(), rules.tombstoned_keys());
+        assert_eq!(db.cache.len(), cache.len(), "memo entries lost");
+        for (sig, outcome) in cache.iter() {
+            match (outcome, db.cache.get(sig).expect("memo entry survives")) {
+                (VerifyOutcome::Learned(a), VerifyOutcome::Learned(b)) => assert_eq!(a, b),
+                (VerifyOutcome::Failed(a), VerifyOutcome::Failed(b)) => assert_eq!(a, b),
+                _ => panic!("memo outcome kind changed for {sig:?}"),
+            }
+        }
+        assert!(to_bytes(&db.rules, &db.cache) == bytes, "re-encoding changed the bytes");
+    }
+    let memo_rules = memo.iter().filter_map(|(_, o)| match o {
+        VerifyOutcome::Learned(r) => Some(r),
+        VerifyOutcome::Failed(_) => None,
+    });
+    let mut instrs = 0;
+    for r in sets.iter().flat_map(|p| p.rules.iter()).chain(memo_rules) {
+        for g in &r.guest {
+            let word = ldbt_arm::encode::encode(g).expect("learned guest encodes");
+            assert_eq!(ldbt_arm::encode::decode(word), Ok(*g));
+        }
+        for h in &r.host {
+            let bytes = ldbt_x86::encode::encode(h).expect("learned host encodes");
+            assert_eq!(ldbt_x86::encode::decode(&bytes), Ok((*h, bytes.len())));
+        }
+        instrs += r.guest.len() + r.host.len();
+    }
+    assert!(instrs > 1000, "only {instrs} instructions round-tripped");
+}
+
+/// Re-seal a rule database file around an edited payload: rewrite the
+/// header's payload length and checksum (FNV-1a over the payload, as
+/// `cache::sig_hash` hashes a string's bytes), so the decoder proper
+/// runs on the edit instead of the checksum refusing it.
+fn reseal(file: &mut [u8]) {
+    let len = (file.len() - 36) as u64;
+    file[20..28].copy_from_slice(&len.to_le_bytes());
+    let basis = ldbt_learn::cache::sig_hash(""); // FNV-1a of nothing
+    let sum =
+        file[36..].iter().fold(basis, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    file[28..36].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Byte-level fuzz of `db::from_bytes` on real suite databases: every
+/// truncation of the merged rules and memo, every truncation of one
+/// program's rules re-sealed so the decoder sees the short payload, and
+/// seeded single- and multi-byte mutations of the merged database,
+/// re-sealed, all end in `Ok` or `Err` — never a panic — and what loads
+/// also saves.
+#[test]
+fn rule_database_decoder_survives_truncation_and_mutation() {
+    let loads = |file: &[u8]| match from_bytes(file) {
+        Ok(db) => !to_bytes(&db.rules, &db.cache).is_empty(),
+        Err(_) => false,
+    };
+    let bytes = to_bytes(&suite_merged(), &suite().1);
+    let mut same = bytes.clone();
+    reseal(&mut same);
+    assert!(same == bytes, "reseal must reproduce an untouched file");
+    for cut in 0..bytes.len() {
+        assert!(!loads(&bytes[..cut]), "a file cut to {cut} bytes loaded");
+    }
+    let small = suite_sets().iter().min_by_key(|p| p.rules.len()).expect("suite");
+    let one = to_bytes(&small.rules, &VerifyCache::new());
+    for cut in 37..one.len() {
+        let mut short = one[..cut].to_vec();
+        reseal(&mut short);
+        assert!(!loads(&short), "{}: a payload cut to {cut} bytes loaded", small.name);
+    }
+    let mut rng = StdRng::seed_from_u64(25);
+    let (mut ok, mut err) = (0, 0);
+    for round in 0..600 {
+        let mut file = bytes.clone();
+        let flips = if round % 3 == 0 { rng.gen_range(2..9) } else { 1 };
+        for _ in 0..flips {
+            let at = rng.gen_range(36..file.len());
+            file[at] = rng.next_u64() as u8;
+        }
+        reseal(&mut file);
+        if loads(&file) {
+            ok += 1;
+        } else {
+            err += 1;
+        }
+    }
+    // Both outcomes occur: the mutations reach past the header checks
+    // into the payload decoder.
+    assert!(ok > 0 && err > 0, "{ok} mutated databases loaded, {err} refused");
+}
+
 /// `RuleSet::longest_match` against the exhaustive scan it replaced —
 /// every length `n-i..1` through `lookup`, first accepted — on every
 /// position of every block of the twelve `Test` images: same rule, never
@@ -506,8 +642,7 @@ fn rule_store_is_canonical_for_any_construction_order() {
 #[test]
 fn longest_match_equals_the_exhaustive_scan_on_the_suite() {
     use ldbt_arm::ArmInstr;
-    let mut rules = ldbt_learn::RuleSet::new();
-    suite_sets().iter().for_each(|p| rules.merge(&p.rules));
+    let mut rules = suite_merged();
     let mut blocks: Vec<Vec<ArmInstr>> = Vec::new();
     for b in &SUITE {
         let image = build_arm_image(&source(b, Workload::Test), &Options::o2()).unwrap();
