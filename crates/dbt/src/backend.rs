@@ -12,15 +12,27 @@
 //!
 //! * the guest register file lives in the env; each guest register
 //!   accessed by a block gets a *home* host register, loaded on first use
-//!   and written back (if dirty) at every block exit,
+//!   and written back (if dirty) at every block exit. A home lives for
+//!   the whole block, across every rule/TCG boundary; it leaves early only
+//!   under pool pressure, to make room for a rule's bound registers, or
+//!   because it sits in `%ecx`, the flag stub's scratch,
 //! * `%eax` is the dispatcher register (the block returns the next guest
 //!   PC in it) and doubles as scratch,
-//! * temporaries that exceed the register pool spill to env slots,
-//! * blocks that read live-in guest flags get a prologue stub that, when
-//!   a predecessor left lazily-saved host flags (paper §5), materializes
-//!   the env NZCV slots from the saved EFLAGS image — the moral
-//!   equivalent of the paper's two-version blocks, selected by the same
-//!   boolean flag-mode.
+//! * temporaries that exceed the register pool spill to env slots;
+//!   temps and spill slots belong to one TCG stretch,
+//! * condition codes follow one flag-mode protocol (env `flagmode`):
+//!   - only the §5 lazy save ([`Emitter::lazy_flag_save`]) sets it
+//!     nonzero, after a rule body whose guest flags are live out in host
+//!     EFLAGS;
+//!   - a TCG stretch that writes guest flags stores 0, and so does the
+//!     flag stub;
+//!   - the stub runs at the head of a stretch that reads live-in flags,
+//!     or writes some while others pass through it live, and, when
+//!     flag-mode is nonzero, materializes the env NZCV slots from the
+//!     saved EFLAGS image — the moral equivalent of the paper's
+//!     two-version blocks, selected by the same boolean;
+//!   - inside a block the emitter knows when flag-mode is 0 (after a
+//!     store or a stub, until a lazy save) and then emits neither.
 
 use crate::env::{
     env_mem, flag_mem, reg_mem, FlagId, FLAGMODE_OFFSET, HOSTFLAGS_OFFSET, SPILL_OFFSET,
@@ -86,6 +98,13 @@ pub(crate) struct Emitter {
     temp_loc: Vec<Option<TLoc>>,
     last_use: Vec<usize>,
     free_slots: Vec<u32>,
+    /// Block-local fact: env flag-mode is known to be 0 here, so the
+    /// NZCV slots are authoritative. Set by a stretch's flag stub or
+    /// flag-mode store, cleared by a §5 lazy save.
+    flagmode_zero: bool,
+    /// Host instructions spent at rule/TCG boundaries (the
+    /// `rule_boundary_instrs` counter).
+    pub(crate) boundary_instrs: usize,
 }
 
 impl Emitter {
@@ -102,6 +121,8 @@ impl Emitter {
             temp_loc: Vec::new(),
             last_use: Vec::new(),
             free_slots: (0..SPILL_SLOTS).rev().collect(),
+            flagmode_zero: false,
+            boundary_instrs: 0,
         }
     }
 
@@ -142,18 +163,14 @@ impl Emitter {
         for r in pool.iter().copied() {
             if let RegUse::Home(g) = self.reg_state[r.index()] {
                 if matches!(self.home[g.index()], Some((_, true))) {
-                    dirty.get_or_insert((r, g, true));
+                    dirty.get_or_insert(r);
                 } else {
-                    clean.get_or_insert((r, g, false));
+                    clean.get_or_insert(r);
                 }
             }
         }
-        if let Some((r, g, is_dirty)) = clean.or(dirty) {
-            if is_dirty {
-                self.store_home(g, r);
-            }
-            self.home[g.index()] = None;
-            self.reg_state[r.index()] = RegUse::Free;
+        if let Some(r) = clean.or(dirty) {
+            self.evict(r);
             return r;
         }
         // All pool regs hold temps: spill the one used furthest away.
@@ -178,6 +195,17 @@ impl Emitter {
         self.temp_loc[victim_temp.0 as usize] = Some(TLoc::Spill(slot));
         self.reg_state[victim_reg.index()] = RegUse::Free;
         victim_reg
+    }
+
+    /// Forget the home `r` holds, if any, writing it back when dirty.
+    fn evict(&mut self, r: Gpr) {
+        if let RegUse::Home(g) = self.reg_state[r.index()] {
+            if matches!(self.home[g.index()], Some((_, true))) {
+                self.store_home(g, r);
+            }
+            self.home[g.index()] = None;
+            self.reg_state[r.index()] = RegUse::Free;
+        }
     }
 
     /// The current home of a guest register, if it has one.
@@ -208,18 +236,37 @@ impl Emitter {
         Some(r)
     }
 
-    /// Can every guest register of `regs` that has no home yet get a
-    /// free pool register? (A repeated register counts each time.)
-    pub(crate) fn fits(&self, regs: impl Iterator<Item = ArmReg>) -> bool {
-        let free = self.pool.iter().filter(|r| self.reg_state[r.index()] == RegUse::Free);
-        regs.filter(|g| self.home_of(*g).is_none()).count() <= free.count()
+    /// Make room for a rule application over the guest registers
+    /// `bound`: evict the homes of other guest registers, clean ones
+    /// first, until every bound register without a home can take a free
+    /// pool register. Homes the rule binds stay where they are.
+    pub(crate) fn make_room(&mut self, bound: impl Iterator<Item = ArmReg>) {
+        let keep = bound.fold(0u16, |m, g| m | 1 << g.index());
+        let need = (0..16).filter(|&i| keep >> i & 1 != 0 && self.home[i].is_none()).count();
+        let at = self.code.len();
+        loop {
+            let free = self.pool.iter().filter(|r| self.reg_state[r.index()] == RegUse::Free);
+            if free.count() >= need {
+                break;
+            }
+            let victim = |dirty: bool| {
+                self.pool.iter().copied().find(|r| match self.reg_state[r.index()] {
+                    RegUse::Home(g) => {
+                        keep >> g.index() & 1 == 0 && self.home[g.index()] == Some((*r, dirty))
+                    }
+                    _ => false,
+                })
+            };
+            let Some(r) = victim(false).or_else(|| victim(true)) else { break };
+            self.evict(r);
+        }
+        self.boundary_instrs += self.code.len() - at;
     }
 
     /// The home of a guest register a rule body names, loaded on first
-    /// use. The caller has made room ([`Emitter::fits`], else
-    /// [`Emitter::flush`]).
+    /// use. The caller has made room ([`Emitter::make_room`]).
     pub(crate) fn home(&mut self, g: ArmReg) -> Gpr {
-        self.guest_home(g, true).expect("checked by fits")
+        self.guest_home(g, true).expect("room made for every bound register")
     }
 
     /// A rule body defined `g`: its home, if any, now differs from env.
@@ -238,17 +285,16 @@ impl Emitter {
         }
     }
 
-    /// Write dirty homes back and forget every home, temp and spill
-    /// slot: what follows starts env-to-env, from the state of a fresh
-    /// emitter. Called at each boundary between a rule application and a
-    /// TCG stretch, and when a wide rule finds the home table full.
-    pub(crate) fn flush(&mut self) {
-        self.writeback();
-        self.reg_state = [RegUse::Free; 8];
-        self.home = [None; 16];
-        self.temp_loc.clear();
-        self.free_slots.clear();
-        self.free_slots.extend((0..SPILL_SLOTS).rev());
+    /// The three-instruction lazy save of paper §5 after a rule body
+    /// that left guest flags in host EFLAGS: flag-mode becomes nonzero.
+    pub(crate) fn lazy_flag_save(&mut self) {
+        self.emit(X86Instr::Pushfd);
+        self.emit(X86Instr::Pop { dst: Operand::Mem(env_mem(HOSTFLAGS_OFFSET)) });
+        self.emit(X86Instr::Mov {
+            dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
+            src: Operand::Imm(1), // bit1 = 0: sub carry polarity
+        });
+        self.flagmode_zero = false;
     }
 
     /// Materialize a temp into a pool register, un-spilling it if needed.
@@ -305,9 +351,15 @@ impl Emitter {
     }
 
     /// Lower a TCG stretch — flag prologue and ops, not the terminator —
-    /// into the block. The caller ends it with [`Emitter::exit`] (the
-    /// stretch closes the block) or [`Emitter::flush`] (more follows).
+    /// into the block. The caller ends it with [`Emitter::exit`] when the
+    /// stretch closes the block; otherwise the next rule application or
+    /// stretch continues from the homes and flag-mode fact it leaves.
+    /// Temps and spill slots are the stretch's own.
     pub(crate) fn lower_ops(&mut self, block: &TcgBlock) {
+        debug_assert!(
+            !self.reg_state.iter().any(|s| matches!(s, RegUse::Temp(_))),
+            "temps never cross a stretch"
+        );
         let temps = block.ops.iter().filter_map(|o| o.def()).map(|t| t.0 as usize + 1).max();
         self.last_use.clear();
         self.last_use.resize(temps.unwrap_or(0), 0);
@@ -321,14 +373,27 @@ impl Emitter {
         }
         self.temp_loc.clear();
         self.temp_loc.resize(self.last_use.len(), None);
-        if block.reads_live_in_flags {
+        self.free_slots.clear();
+        self.free_slots.extend((0..SPILL_SLOTS).rev());
+        // Flag prologue, decided on the fact the stretch starts from: in
+        // one stretch the mode store still follows a stub, which region
+        // specialization drops as known zero.
+        let (at, first) = (self.code.len(), self.code.is_empty());
+        let stub = !self.flagmode_zero && (block.reads_live_in_flags || block.merges_live_in_flags);
+        if stub {
+            // The stub's scratch register.
+            self.evict(Gpr::Ecx);
             self.flag_stub();
         }
-        if block.writes_flags {
+        if block.writes_flags && !self.flagmode_zero {
             self.emit(X86Instr::Mov {
                 dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
                 src: Operand::Imm(0),
             });
+        }
+        self.flagmode_zero |= stub || block.writes_flags;
+        if !first {
+            self.boundary_instrs += self.code.len() - at;
         }
         for (idx, op) in block.ops.iter().enumerate() {
             self.lower_op(op);
@@ -476,8 +541,9 @@ impl Emitter {
         r
     }
 
-    /// The flag-materialization prologue for blocks that read live-in
-    /// guest flags (see module docs). Ends just before the block body.
+    /// The flag-materialization prologue of a stretch that reads or
+    /// merges live-in guest flags (see module docs). Ends just before the
+    /// stretch body, with flag-mode 0. Scratch: `%ecx`, `%eax`, EFLAGS.
     fn flag_stub(&mut self) {
         let code = &mut self.code;
         code.push(X86Instr::Alu {

@@ -304,6 +304,7 @@ impl Engine {
             + self.tcost.per_tcg_op * low.tcg_ops as u64;
         self.stats.add(DbtCtr::RuleLookups, low.lookups as u64);
         self.stats.add(DbtCtr::GuestStaticCovered, covered);
+        self.stats.add(DbtCtr::RuleBoundaryInstrs, low.boundary_instrs as u64);
         // Hit-rule aggregation happens once here, not per dispatch
         // (a translated block is always dispatched at least once).
         for &(len, key) in &low.hits {

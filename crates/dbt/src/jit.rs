@@ -210,6 +210,7 @@ pub fn optimize_block(block: &TcgBlock) -> TcgBlock {
         end,
         reads_live_in_flags: block.reads_live_in_flags,
         writes_flags: block.writes_flags,
+        merges_live_in_flags: block.merges_live_in_flags,
         unsupported_at: block.unsupported_at,
     }
 }

@@ -8,29 +8,33 @@
 //! back to the TCG path. Rule host code cooperates with the translator's
 //! register state the way the paper's prototype reuses TCG's allocator:
 //! rule applications and TCG stretches are emitted into the *same*
-//! `backend::Emitter`, which owns the guest-register homes
-//! (loaded on demand, written back at boundaries) and declares every
-//! exit; this module only plans which rule applies where.
+//! `backend::Emitter`, whose guest-register homes, dirty bits and
+//! flag-mode fact carry across every rule/TCG boundary of the block
+//! (homes are written back at the block's exits, or when evicted) and
+//! which declares every exit; this module only plans which rule applies
+//! where.
 //!
 //! Condition codes follow §5: a rule's flag-setting host code leaves
 //! guest-visible flags in the *host* EFLAGS; if guest flags are live out
 //! of the block the translator appends the three-instruction lazy save
 //! (`pushfd; popl env.hostflags; movl $mode, env.flagmode`), and
-//! consumer blocks materialize the env NZCV slots through the flag-mode
-//! dispatch stub in [`crate::backend`]. A rule whose *unemulated* flags
-//! would be consumed downstream is simply not applied (the paper's
-//! "lightweight analysis at translation time") — read off the block's
-//! one `tcg::FlagLiveness`, the same pass the TCG front end
-//! prunes dead flag updates with.
+//! consumer stretches materialize the env NZCV slots through the
+//! flag-mode dispatch stub in [`crate::backend`], whose module docs state
+//! the protocol. A rule whose *unemulated* flags would be consumed
+//! downstream is simply not applied (the paper's "lightweight analysis
+//! at translation time"), and neither is one that would lazily save over
+//! a live flag it does not write — both read off the block's one
+//! `tcg::FlagLiveness`, the same pass the TCG front end prunes dead flag
+//! updates with; every TCG stretch is translated under the liveness at
+//! its own end.
 
 use crate::backend::{Emitter, POOL};
-use crate::env::{env_mem, FLAGMODE_OFFSET, HOSTFLAGS_OFFSET};
 use crate::tcg::{translate_span, BlockEnd, FlagLiveness, GuestBlock};
 use ldbt_arm::{ArmInstr, ArmReg};
 use ldbt_isa::Memory;
 use ldbt_learn::rule::{Binding, RuleMatch};
 use ldbt_learn::{FaultPlan, FaultSite, Rule, RuleSet};
-use ldbt_x86::{Operand, X86Instr};
+use ldbt_x86::X86Instr;
 
 /// The result of translating one block with rules.
 #[derive(Debug, Clone)]
@@ -57,6 +61,8 @@ pub struct RuleLowering {
     /// shape (a rule body may legitimately end in `mov $imm, %eax; ret`
     /// lookalikes).
     pub exits: Vec<(usize, u32)>,
+    /// Host instructions spent on rule/TCG boundaries.
+    pub boundary_instrs: usize,
 }
 
 /// One planned rule application.
@@ -118,6 +124,7 @@ pub fn lower_block_with_rules_suppress(
         rule_instrs: 0,
         lookups: 0,
         exits: Vec::new(),
+        boundary_instrs: 0,
     };
 
     // --- Plan: longest match at every position (paper §4), filtered by
@@ -135,7 +142,8 @@ pub fn lower_block_with_rules_suppress(
             {
                 return false;
             }
-            let writes_flags = seq.iter().any(|x| x.flags_written() != 0);
+            let written = seq.iter().fold(0, |w, x| w | x.flags_written());
+            let writes_flags = written != 0;
             // Flags defined by the rule but *read via env* by a later
             // uncovered instruction cannot be seen (they live in host
             // EFLAGS): handled by only allowing flag-setting rules whose
@@ -149,8 +157,12 @@ pub fn lower_block_with_rules_suppress(
             let consumed = live.live_before(i + len);
             flags_live_out = writes_flags && consumed != 0;
             // §5 applicability: unemulated guest flags must not be
-            // consumed downstream; without the lazy save, none may.
-            rule.unemulated_flags & consumed == 0 && (lazy_flags || !flags_live_out)
+            // consumed downstream, and flags consumed after the rule need
+            // the lazy save — on, and writing every consumed flag: the
+            // consumer's stub materializes all four from the saved
+            // EFLAGS, so a flag the rule passes through would be lost.
+            rule.unemulated_flags & consumed == 0
+                && (!flags_live_out || lazy_flags && consumed & !written == 0)
         };
         let (found, probes) = rules.longest_match(&instrs[i..], accept);
         out.lookups += probes;
@@ -183,12 +195,8 @@ pub fn lower_block_with_rules_suppress(
         at = start + len;
         out.hits.push((len, p.m.key));
         // Every bound guest register without a home needs a free pool
-        // register (only their number matters, not the binding's order).
-        if !em.fits(p.m.binding.regs.values().copied()) {
-            // Very wide rule with a full home table: flush and
-            // restart the table (rare).
-            em.flush();
-        }
+        // register; homes of registers the rule does not bind make way.
+        em.make_room(p.m.binding.actuals());
         // Which guest regs does the rule define? (for dirty marks)
         let defined: Vec<ArmReg> = instrs[start..at].iter().filter_map(|g| g.def()).collect();
         let host = rule.instantiate(&p.m.binding, |g| em.home(g));
@@ -213,13 +221,7 @@ pub fn lower_block_with_rules_suppress(
             }
         }
         if p.flags_live_out {
-            // The 3-instruction lazy save of paper §5.
-            em.emit(X86Instr::Pushfd);
-            em.emit(X86Instr::Pop { dst: Operand::Mem(env_mem(HOSTFLAGS_OFFSET)) });
-            em.emit(X86Instr::Mov {
-                dst: Operand::Mem(env_mem(FLAGMODE_OFFSET)),
-                src: Operand::Imm(1), // bit1 = 0: sub carry polarity
-            });
+            em.lazy_flag_save();
         }
         if let Some(cc) = tail_jcc {
             // Terminal conditional branch: write everything back
@@ -241,11 +243,15 @@ pub fn lower_block_with_rules_suppress(
     if !ended {
         em.exit(BlockEnd::Jump(end_pc));
     }
+    let boundary_instrs = em.boundary_instrs;
     let low = em.finish();
-    RuleLowering { code: low.code, exits: low.exits, ..out }
+    RuleLowering { code: low.code, exits: low.exits, boundary_instrs, ..out }
 }
 
-/// Emit the uncovered stretch `span` of `block` through the TCG path.
+/// Emit the uncovered stretch `span` of `block` through the TCG path,
+/// translated under the flags live where it ends. A mid-block stretch
+/// falls through into the next rule application with its homes in
+/// place; the final one ends the block with the block's terminator.
 fn emit_tcg(
     block: &GuestBlock,
     span: std::ops::Range<usize>,
@@ -253,27 +259,15 @@ fn emit_tcg(
     em: &mut Emitter,
     out: &mut RuleLowering,
 ) {
-    // Flush rule homes: the TCG stretch works env-to-env.
-    em.flush();
     let last = span.end == block.instrs.len();
-    // The final stretch ends where the block does and shares its
-    // live-out flags; a mid-block one conservatively leaves all live.
     let pc = block.pc.wrapping_add(4 * span.start as u32);
-    let instrs = &block.instrs[span];
-    let live = FlagLiveness::with_live_out(instrs, if last { live.live_out } else { 0b1111 });
-    let tcg = translate_span(pc, instrs, &live);
+    let live = FlagLiveness::with_live_out(&block.instrs[span.clone()], live.live_before(span.end));
+    let tcg = translate_span(pc, &block.instrs[span], &live);
     debug_assert_eq!(tcg.unsupported_at, None, "prefiltered by engine");
     out.tcg_ops += tcg.ops.len();
     em.lower_ops(&tcg);
     if last {
-        // Final segment: its terminator is the block's, declared exits
-        // and all.
         em.exit(tcg.end);
-    } else {
-        // Mid-block segment: no exit stub (fall through into the next
-        // segment), but its homes go back to env — the other half of
-        // the rule/TCG boundary flush.
-        em.flush();
     }
 }
 
@@ -289,12 +283,14 @@ pub fn block_supported(block: &GuestBlock) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{FlagId, ENV_BASE, HOST_STACK_TOP};
-    use ldbt_arm::{Cond, DpOp, Operand2};
+    use crate::env::{load_guest, step_guest, FlagId, ENV_BASE, FLAGMODE_OFFSET, HOST_STACK_TOP};
+    use ldbt_arm::{AddrMode, ArmState, Cond, DpOp, Operand2, Shift};
     use ldbt_isa::{CostModel, ExecStats, Width};
     use ldbt_learn::rule::{ImmParam, ImmRel, ImmSlot};
     use ldbt_x86::interp::{run_seq, SeqExit};
-    use ldbt_x86::{AluOp, Cc, Gpr, X86Mem, X86State};
+    use ldbt_x86::{AluOp, Cc, Gpr, Operand, X86Mem, X86State};
+    use proptest::test_runner::TestRng;
+    use ArmReg::*;
 
     fn figure1_rule() -> Rule {
         Rule {
@@ -389,23 +385,336 @@ mod tests {
         assert_eq!(guest(&st, ArmReg::R4), 55);
     }
 
-    #[test]
-    fn branch_rule_emits_two_exits() {
-        let mut rules = RuleSet::new();
-        rules.insert(Rule {
-            guest: vec![
-                ArmInstr::cmp(ArmReg::R2, Operand2::Reg(ArmReg::R3)),
-                ArmInstr::B { offset: 0, cond: Cond::Ne },
-            ],
-            host: vec![
+    /// A hand-checked rule over the template registers `r0`, `r1`, …,
+    /// which its host template names as `POOL[0]`, `POOL[1]`, … (`%ecx`,
+    /// `%edx`, …).
+    fn rule(guest: Vec<ArmInstr>, host: Vec<X86Instr>, imm_params: Vec<ImmParam>) -> Rule {
+        let regs = guest.iter().flat_map(|g| g.uses().into_iter().chain(g.def()));
+        let n = regs.map(|r| r.index() + 1).max().unwrap_or(0);
+        Rule {
+            host_reg_of: POOL[..n].iter().copied().zip(ArmReg::ALL).collect(),
+            has_branch: guest.last().is_some_and(|g| g.is_block_end()),
+            guest,
+            host,
+            imm_params,
+            unemulated_flags: 0,
+        }
+    }
+
+    /// One immediate parameter shared by guest instruction 0 and host
+    /// instruction 0, in `slot`.
+    fn imm0(slot: ImmSlot, value: i64) -> Vec<ImmParam> {
+        vec![ImmParam {
+            guest_site: (0, slot),
+            extra_guest_sites: vec![],
+            template_value: value,
+            host_sites: vec![(0, slot, ImmRel::Id)],
+        }]
+    }
+
+    /// `cmp r0, r1; bne` ↦ `cmpl %edx, %ecx; jne`.
+    fn cmp_bne_rule() -> Rule {
+        rule(
+            vec![ArmInstr::cmp(R0, Operand2::Reg(R1)), ArmInstr::B { offset: 0, cond: Cond::Ne }],
+            vec![
                 X86Instr::alu_rr(AluOp::Cmp, Gpr::Ecx, Gpr::Edx),
                 X86Instr::Jcc { cc: Cc::Ne, target: 0 },
             ],
-            host_reg_of: [(Gpr::Ecx, ArmReg::R2), (Gpr::Edx, ArmReg::R3)].into_iter().collect(),
-            imm_params: vec![],
-            unemulated_flags: 0,
-            has_branch: true,
-        });
+            vec![],
+        )
+    }
+
+    /// `cmp r0, r1` ↦ `cmpl %edx, %ecx`: all four flags.
+    fn cmp_rule() -> Rule {
+        let host = vec![X86Instr::alu_rr(AluOp::Cmp, Gpr::Ecx, Gpr::Edx)];
+        rule(vec![ArmInstr::cmp(R0, Operand2::Reg(R1))], host, vec![])
+    }
+
+    /// `ands r0, r0, r1` ↦ `andl %edx, %ecx`: N and Z only; C and V pass
+    /// through the guest but not the host.
+    fn ands_rule() -> Rule {
+        let host = vec![X86Instr::alu_rr(AluOp::And, Gpr::Ecx, Gpr::Edx)];
+        rule(vec![ArmInstr::dps(DpOp::And, R0, R0, Operand2::Reg(R1))], host, vec![])
+    }
+
+    /// The rules of the mixed-block tests: besides the three above, a
+    /// move, an add, a load, a store, and one rule binding six registers
+    /// — as many as the pool holds.
+    fn mixed_rules() -> RuleSet {
+        let mem4 = |r: Gpr| X86Mem { base: Some(r), index: None, disp: 4 };
+        let sum = |a: Gpr, b: Gpr| X86Mem { base: Some(a), index: Some((b, 1)), disp: 0 };
+        let mut rules = RuleSet::new();
+        for r in [
+            cmp_bne_rule(),
+            cmp_rule(),
+            ands_rule(),
+            rule(
+                vec![ArmInstr::mov(R0, Operand2::Imm(1))],
+                vec![X86Instr::mov_imm(Gpr::Ecx, 1)],
+                imm0(ImmSlot::Data, 1),
+            ),
+            rule(
+                vec![ArmInstr::dp(DpOp::Add, R0, R0, Operand2::Reg(R1))],
+                vec![X86Instr::alu_rr(AluOp::Add, Gpr::Ecx, Gpr::Edx)],
+                vec![],
+            ),
+            rule(
+                vec![ArmInstr::ldr(R0, AddrMode::Imm(R1, 4))],
+                vec![X86Instr::Mov {
+                    dst: Operand::Reg(Gpr::Ecx),
+                    src: Operand::Mem(mem4(Gpr::Edx)),
+                }],
+                imm0(ImmSlot::MemOffset, 4),
+            ),
+            rule(
+                vec![ArmInstr::str(R0, AddrMode::Imm(R1, 4))],
+                vec![X86Instr::Mov {
+                    dst: Operand::Mem(mem4(Gpr::Edx)),
+                    src: Operand::Reg(Gpr::Ecx),
+                }],
+                imm0(ImmSlot::MemOffset, 4),
+            ),
+            rule(
+                vec![
+                    ArmInstr::dp(DpOp::Add, R0, R1, Operand2::Reg(R2)),
+                    ArmInstr::dp(DpOp::Add, R3, R4, Operand2::Reg(R5)),
+                ],
+                vec![
+                    X86Instr::Lea { dst: Gpr::Ecx, addr: sum(Gpr::Edx, Gpr::Ebx) },
+                    X86Instr::Lea { dst: Gpr::Esi, addr: sum(Gpr::Edi, Gpr::Ebp) },
+                ],
+                vec![],
+            ),
+        ] {
+            rules.insert(r);
+        }
+        rules
+    }
+
+    /// Base of the data area the generated blocks load from and store to
+    /// (through `r6`, which they never write).
+    const DATA: u32 = 0x8000;
+
+    /// Run one block on both sides — `code`, its translation, on `st`,
+    /// the ARM interpreter on `arm` — and compare everything guest
+    /// visible: the next pc, every guest register, NZCV as the env
+    /// materializes it (flag-mode included), and the data area.
+    fn run_both(st: &mut X86State, arm: &mut ArmState, code: &[X86Instr], block: &GuestBlock) {
+        let what = format!("{:x?} -> {code:?}", block.instrs);
+        let mut stats = ExecStats::new();
+        let exit = run_seq(st, code, 100_000, &CostModel::default(), &mut stats);
+        assert_eq!(exit, SeqExit::Returned, "{what}");
+        let mut next = block.pc;
+        for (k, i) in block.instrs.iter().enumerate() {
+            next = step_guest(arm, i, block.pc + 4 * k as u32).expect("no trap").0;
+        }
+        assert_eq!(st.reg(Gpr::Eax), next, "next pc of {what}");
+        for r in ArmReg::ALL.into_iter().filter(|r| *r != Pc) {
+            assert_eq!(guest(st, r), arm.reg(r), "{r} after {what}");
+        }
+        assert_eq!(load_guest(st.mem.clone()).flags, arm.flags, "NZCV after {what}");
+        for a in (DATA..DATA + 64).step_by(4) {
+            assert_eq!(st.mem.read(a, Width::W32), arm.mem.read(a, Width::W32), "{a:#x}: {what}");
+        }
+    }
+
+    /// An x86 state and an ARM state holding the same guest state.
+    fn twin_states(regs: [u32; 15], flags: ldbt_arm::Flags) -> (X86State, ArmState) {
+        let mut st = X86State::new();
+        st.set_reg(Gpr::Esp, HOST_STACK_TOP);
+        let mut arm = ArmState::new();
+        for (r, v) in ArmReg::ALL.into_iter().zip(regs) {
+            set_guest(&mut st, r, v);
+            arm.set_reg(r, v);
+        }
+        for (f, on) in
+            [(FlagId::N, flags.n), (FlagId::Z, flags.z), (FlagId::C, flags.c), (FlagId::V, flags.v)]
+        {
+            st.mem.write(ENV_BASE + f.offset(), on as u32, Width::W32);
+        }
+        arm.flags = flags;
+        for a in (DATA..DATA + 64).step_by(4) {
+            st.mem.write(a, a.wrapping_mul(0x9e37_79b9), Width::W32);
+            arm.mem.write(a, a.wrapping_mul(0x9e37_79b9), Width::W32);
+        }
+        (st, arm)
+    }
+
+    /// A rule that writes only N and Z must not lazily save while C or V
+    /// is consumed after it: the consumer's stub materializes all four
+    /// flags from the saved EFLAGS, and `andl` clears OF where the guest
+    /// kept V.
+    #[test]
+    fn lazy_save_never_overwrites_a_flag_the_rule_passes_through() {
+        let mut rules = RuleSet::new();
+        rules.insert(ands_rule());
+        // `ands r4, r4, r5; b 0x2_0000`, and there `bvs`.
+        let ands = ArmInstr::dps(DpOp::And, R4, R4, Operand2::Reg(R5));
+        let head = GuestBlock {
+            pc: 0x1_0000,
+            instrs: vec![ands, ArmInstr::B { offset: (0x2_0000 - 0x1_0008) / 4, cond: Cond::Al }],
+        };
+        let bvs =
+            GuestBlock { pc: 0x2_0000, instrs: vec![ArmInstr::B { offset: 4, cond: Cond::Vs }] };
+        let mut mem = Memory::new();
+        mem.write(bvs.pc, ldbt_arm::encode::encode(&bvs.instrs[0]).unwrap(), Width::W32);
+        let low = lower_block_with_rules(&mem, &head, &rules);
+        let tail = crate::backend::lower_block(&crate::tcg::translate_block(&mem, &bvs));
+        let mut regs = [0; 15];
+        (regs[4], regs[5]) = (0xff, 0x0f);
+        let (mut st, mut arm) =
+            twin_states(regs, ldbt_arm::Flags { n: false, z: false, c: true, v: true });
+        run_both(&mut st, &mut arm, &low.code, &head);
+        run_both(&mut st, &mut arm, &tail.code, &bvs);
+        assert_eq!(st.reg(Gpr::Eax), 0x2_0014, "V survives: bvs taken");
+        assert_eq!(low.covered, vec![false, false], "C and V are consumed: no lazy save");
+    }
+
+    /// A TCG stretch that writes some flags after a lazily saved rule
+    /// must materialize the saved ones first: its flag-mode store makes
+    /// every env slot authoritative, the ones it passes through included.
+    #[test]
+    fn partial_flag_writer_after_a_lazy_save_materializes_first() {
+        let mut rules = RuleSet::new();
+        rules.insert(cmp_rule());
+        let block = GuestBlock {
+            pc: 0x1_0000,
+            instrs: vec![
+                ArmInstr::cmp(R5, Operand2::Reg(R6)),
+                ArmInstr::dps(DpOp::And, R1, R1, Operand2::Reg(R2)),
+                ArmInstr::B { offset: 0, cond: Cond::Al },
+            ],
+        };
+        let low = lower_block_with_rules(&Memory::new(), &block, &rules);
+        assert_eq!(low.covered, vec![true, false, false]);
+        assert!(low.code.contains(&X86Instr::Pushfd), "the cmp rule saves lazily");
+        let mut regs = [0; 15];
+        (regs[1], regs[2], regs[5], regs[6]) = (0xf0, 0x0f, 1, 2);
+        let (mut st, mut arm) =
+            twin_states(regs, ldbt_arm::Flags { n: false, z: false, c: true, v: true });
+        run_both(&mut st, &mut arm, &low.code, &block);
+        assert_eq!(st.mem.read(ENV_BASE + FLAGMODE_OFFSET, Width::W32), 0);
+    }
+
+    /// Seeded blocks that interleave rule applications and TCG stretches,
+    /// run back to back against the ARM interpreter (see [`run_both`]).
+    /// The generator must reach four cases: a dirty home in `%ecx` the
+    /// flag stub evicts, a rule evicting homes to make room, a lazy save
+    /// before a stretch that materializes it, and a branch rule ending a
+    /// block.
+    #[test]
+    fn mixed_blocks_match_the_interpreter() {
+        let rules = mixed_rules();
+        let mut rng = TestRng::deterministic("mixed_blocks_match_the_interpreter");
+        let mut below = move |n: usize| (rng.next_u64() % n as u64) as usize;
+        let data = [R0, R1, R2, R3, R4, R5, R7, R8, R9, R10, R11];
+        let wide = [
+            ArmInstr::dp(DpOp::Add, R0, R1, Operand2::Reg(R2)),
+            ArmInstr::dp(DpOp::Add, R3, R4, Operand2::Reg(R5)),
+        ];
+        let wide = rules.longest_match(&wide, |_, _| true).0.expect("the wide rule").key;
+        let cmp_bne = cmp_bne_rule().stable_key();
+        let is_home_slot = |m: X86Mem| ArmReg::ALL.iter().any(|g| m == crate::env::reg_mem(*g));
+        let mut seen = [0usize; 4];
+        for _ in 0..300 {
+            let mut regs = [0u32; 15];
+            for (k, r) in regs.iter_mut().enumerate() {
+                *r = (below(1 << 16) as u32).wrapping_mul(0x1_0001).wrapping_add(k as u32);
+            }
+            regs[6] = DATA;
+            let bit = |b: usize| b & 1 != 0;
+            let f = below(16);
+            let flags =
+                ldbt_arm::Flags { n: bit(f >> 3), z: bit(f >> 2), c: bit(f >> 1), v: bit(f) };
+            let (mut st, mut arm) = twin_states(regs, flags);
+            let mut saved_at_exit = false;
+            for b in 0..6 {
+                let mut instrs = Vec::new();
+                for _ in 0..1 + below(6) {
+                    instrs.extend(gen_shape(&mut below, &data));
+                }
+                instrs.extend(match below(4) {
+                    0 => vec![ArmInstr::B { offset: 5, cond: Cond::Al }],
+                    1 => vec![ArmInstr::B { offset: 5, cond: Cond::ALL[below(14)] }],
+                    _ => {
+                        let (a, c) = (data[below(11)], data[below(11)]);
+                        vec![
+                            ArmInstr::cmp(a, Operand2::Reg(c)),
+                            ArmInstr::B { offset: 5, cond: Cond::Ne },
+                        ]
+                    }
+                });
+                let block = GuestBlock { pc: 0x1_0000 + 0x100 * b, instrs };
+                let low = lower_block_with_rules(&Memory::new(), &block, &rules);
+                let code = &low.code;
+                // Which cases this block exercises.
+                let stub_at = |i: usize| {
+                    matches!(code[i], X86Instr::Alu { op: AluOp::Cmp, dst: Operand::Mem(m), .. }
+                        if m == crate::env::env_mem(FLAGMODE_OFFSET))
+                };
+                let stub = (0..code.len()).find(|&i| stub_at(i));
+                let save = code.iter().position(|i| *i == X86Instr::Pushfd);
+                seen[0] += stub.is_some_and(|i| {
+                    i > 0 && matches!(code[i - 1], X86Instr::Mov { dst: Operand::Mem(m), src: Operand::Reg(Gpr::Ecx) } if is_home_slot(m))
+                }) as usize;
+                seen[1] +=
+                    low.hits.iter().any(|h| h.1 == wide) as usize * (!low.covered[0]) as usize;
+                seen[2] += (stub.is_some()
+                    && (saved_at_exit || save.is_some_and(|s| Some(s) < stub)))
+                    as usize;
+                seen[3] += low.hits.iter().any(|h| h.1 == cmp_bne) as usize;
+                saved_at_exit = save.is_some() && stub.is_none_or(|i| save > Some(i));
+                run_both(&mut st, &mut arm, code, &block);
+            }
+        }
+        assert!(seen.iter().all(|n| *n > 0), "cases reached: {seen:?}");
+    }
+
+    /// One instruction shape of the mixed-block generator: the guest
+    /// side of a rule over random registers, or anything the TCG path
+    /// takes (flag setters, flag readers, predicated moves, carries).
+    fn gen_shape(below: &mut impl FnMut(usize) -> usize, data: &[ArmReg; 11]) -> Vec<ArmInstr> {
+        let mut reg = || data[below(11)];
+        let (a, b, c) = (reg(), reg(), reg());
+        let off = 4 * below(16) as i32;
+        match below(12) {
+            0 => vec![ArmInstr::mov(a, Operand2::Imm(below(256) as u32))],
+            1 => vec![ArmInstr::dp(DpOp::Add, a, a, Operand2::Reg(b))],
+            2 => vec![ArmInstr::cmp(a, Operand2::Reg(b))],
+            3 => vec![ArmInstr::dps(DpOp::And, a, a, Operand2::Reg(b))],
+            4 => vec![ArmInstr::ldr(a, AddrMode::Imm(R6, off))],
+            5 => vec![ArmInstr::str(a, AddrMode::Imm(R6, off))],
+            6 => {
+                // Six distinct registers, as the wide rule needs.
+                let mut six = Vec::new();
+                while six.len() < 6 {
+                    let r = data[below(11)];
+                    if !six.contains(&r) {
+                        six.push(r);
+                    }
+                }
+                vec![
+                    ArmInstr::dp(DpOp::Add, six[0], six[1], Operand2::Reg(six[2])),
+                    ArmInstr::dp(DpOp::Add, six[3], six[4], Operand2::Reg(six[5])),
+                ]
+            }
+            k => {
+                let op = DpOp::ALL[below(15)];
+                let op2 = match below(3) {
+                    0 => Operand2::Imm(below(256) as u32),
+                    1 => Operand2::Reg(b),
+                    _ => Operand2::RegShift(b, Shift::Lsr(1 + below(31) as u8)),
+                };
+                let cond = if k == 7 { Cond::ALL[below(14)] } else { Cond::Al };
+                vec![ArmInstr::Dp { op, rd: a, rn: c, op2, set_flags: below(2) == 0, cond }]
+            }
+        }
+    }
+
+    #[test]
+    fn branch_rule_emits_two_exits() {
+        let mut rules = RuleSet::new();
+        rules.insert(cmp_bne_rule());
         let block = GuestBlock {
             pc: 0x1_0000,
             instrs: vec![
@@ -566,7 +875,7 @@ mod tests {
         let full = lower_block_with_rules(&mem, &block, &rules);
         assert_eq!(full.hits.len(), 1);
         assert_eq!(full.bindings.len(), full.hits.len(), "bindings parallel hits");
-        assert_eq!(full.bindings[0].regs[&ArmReg::R0], ArmReg::R4);
+        assert_eq!(full.bindings[0].reg(ArmReg::R0), Some(ArmReg::R4));
         let probe = lower_block_with_rules_suppress(&mem, &block, &rules, true, None, Some(0));
         assert_eq!(probe.hits.len(), 0, "suppressed application emits no rule");
         assert!(probe.bindings.is_empty());

@@ -84,6 +84,13 @@ pub enum DbtCtr {
     /// Guest traps surfaced to the driver: trap instruction (`svc #n`,
     /// n ≠ 0), undecodable word, or out-of-range memory access.
     Traps,
+    /// Host instructions the rule translator emitted at boundaries
+    /// between a rule application and a TCG stretch: writebacks of the
+    /// homes evicted there (to make room for a rule, or out of the flag
+    /// stub's `%ecx`), plus the flag stub and flag-mode store of a
+    /// stretch that does not start the block. Static, summed over
+    /// translations.
+    RuleBoundaryInstrs,
 }
 
 /// Registry names, in [`DbtCtr`] declaration order (the snapshot and
@@ -116,6 +123,7 @@ pub const DBT_COUNTER_NAMES: &[&str] = &[
     "fuse_elim",
     "smc_invalidations",
     "traps",
+    "rule_boundary_instrs",
 ];
 
 /// Statistics accumulated by an [`crate::Engine`] run.
@@ -274,6 +282,11 @@ impl DbtStats {
     /// Guest traps surfaced to the driver.
     pub fn traps(&self) -> u64 {
         self.get(DbtCtr::Traps)
+    }
+
+    /// Host instructions emitted at rule/TCG boundaries.
+    pub fn rule_boundary_instrs(&self) -> u64 {
+        self.get(DbtCtr::RuleBoundaryInstrs)
     }
 
     /// Static rule coverage `Sₚ = Σ Bᵢ / m` (Figure 11).

@@ -167,8 +167,18 @@ pub fn decode_block(mem: &Memory, pc: u32) -> GuestBlock {
     GuestBlock { pc, instrs }
 }
 
+/// The flags `i` always overwrites: a predicated flag setter writes only
+/// when its condition holds, so it kills nothing.
+fn flags_killed(i: &ArmInstr) -> u8 {
+    if i.is_predicated() {
+        0
+    } else {
+        i.flags_written()
+    }
+}
+
 /// NZCV liveness into the code starting at `pc`: a flag is live if some
-/// instruction reads it before any instruction writes it.
+/// instruction reads it before any instruction overwrites it.
 ///
 /// The scan is linear and bounded; unknown control flow is conservative
 /// (all unwritten flags live).
@@ -181,7 +191,7 @@ pub fn flags_live_at(mem: &Memory, pc: u32, depth: u32) -> u8 {
             return live | (0b1111 & !written);
         };
         live |= i.flags_read() & !written;
-        written |= i.flags_written();
+        written |= flags_killed(&i);
         if written == 0b1111 {
             return live;
         }
@@ -213,11 +223,10 @@ pub fn flags_live_at(mem: &Memory, pc: u32, depth: u32) -> u8 {
 /// update must materialize, the rule planner which flags a rule's host
 /// code would leave to be consumed (paper §5).
 pub(crate) struct FlagLiveness {
-    /// Flags live into the block's successors.
-    pub(crate) live_out: u8,
     /// Per position `i` in `0..=n`, the flags some instruction at or
     /// after `i` reads before any rewrites them: `[0]` within the block
-    /// only, `[1]` counting `live_out` as a read at the end.
+    /// only, `[1]` counting the flags live into the block's successors
+    /// as a read at the end.
     before: Vec<[u8; 2]>,
 }
 
@@ -241,14 +250,14 @@ impl FlagLiveness {
     }
 
     /// Liveness of an instruction span whose exit liveness is given (a
-    /// stretch cut out of a block: all-live in the middle, the block's
-    /// own `live_out` at its end).
+    /// stretch cut out of a block: the block's `live_before` where the
+    /// stretch ends).
     pub(crate) fn with_live_out(instrs: &[ArmInstr], live_out: u8) -> FlagLiveness {
         let mut before = vec![[0, live_out]; instrs.len() + 1];
         for (i, ins) in instrs.iter().enumerate().rev() {
-            before[i] = before[i + 1].map(|l| ins.flags_read() | (l & !ins.flags_written()));
+            before[i] = before[i + 1].map(|l| ins.flags_read() | (l & !flags_killed(ins)));
         }
-        FlagLiveness { live_out, before }
+        FlagLiveness { before }
     }
 
     /// Flags read by instruction `i` or a later one of the block before
@@ -275,6 +284,11 @@ pub struct TcgBlock {
     pub reads_live_in_flags: bool,
     /// Whether the block writes any guest flag slot.
     pub writes_flags: bool,
+    /// Whether the block writes some guest flag slots while a flag live
+    /// at its end passes through it unwritten: the env NZCV it leaves
+    /// merges fresh slots with live-in ones, so a pending §5 lazy save
+    /// must be materialized before it writes.
+    pub merges_live_in_flags: bool,
     /// Instructions the front end could not translate (the engine falls
     /// back to single-step interpretation for them). `None` when fully
     /// translated; otherwise the index of the first unsupported guest
@@ -744,11 +758,14 @@ pub(crate) fn translate_span(pc0: u32, instrs: &[ArmInstr], live: &FlagLiveness)
             }
         }
     }
+    let done = unsupported_at.unwrap_or(instrs.len());
+    let written = instrs[..done].iter().fold(0, |w, i| w | flags_killed(i));
     TcgBlock {
         ops: fe.ops,
         end,
         reads_live_in_flags: fe.reads_live_in_flags,
         writes_flags: fe.writes_flags,
+        merges_live_in_flags: fe.writes_flags && live.live_before(done) & !written != 0,
         unsupported_at,
     }
 }
@@ -867,8 +884,9 @@ pub(crate) mod tests {
     }
 
     /// The one liveness pass reproduces both definitions it replaced, at
-    /// every position of every suite block — and, for a stretch cut out
-    /// of a block's middle, the conservative all-live exit.
+    /// every position of every suite block — and for a stretch cut out
+    /// of a block's middle under a given exit liveness (all live here,
+    /// which the oracle assumes for a block that does not end in `b`).
     #[test]
     fn flag_liveness_equals_the_definitions_it_replaced() {
         let mut positions = 0;
@@ -910,6 +928,29 @@ pub(crate) mod tests {
             }
         }
         assert!(positions > 5_000, "the suite has blocks: {positions}");
+    }
+
+    /// A predicated flag setter writes only when its condition holds, so
+    /// the flags set before it stay live across it and are materialized.
+    #[test]
+    fn predicated_flag_setter_kills_nothing() {
+        let instrs = [
+            ArmInstr::dps(DpOp::And, ArmReg::R9, ArmReg::R9, Operand2::Reg(ArmReg::R1)),
+            ArmInstr::Dp {
+                op: DpOp::Tst,
+                rd: ArmReg::R9,
+                rn: ArmReg::R9,
+                op2: Operand2::Reg(ArmReg::R2),
+                set_flags: true,
+                cond: Cond::Eq,
+            },
+        ];
+        let live = FlagLiveness::with_live_out(&instrs, 0b1000);
+        assert_eq!(live.live_before(1), 0b1100, "Z for the condition, N through the tst");
+        let tcg = translate_span(0x1_0000, &instrs, &live);
+        let puts_n = tcg.ops.iter().filter(|o| matches!(o, TcgOp::PutFlag(FlagId::N, _))).count();
+        assert_eq!(puts_n, 2, "the ands materializes N too: {:?}", tcg.ops);
+        assert!(!tcg.merges_live_in_flags, "the ands writes every flag live at the end");
     }
 
     /// Live-in guest flags are an *explicit* frontend fact

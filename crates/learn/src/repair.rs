@@ -173,7 +173,7 @@ pub fn diagnose(rule: &Rule) -> Vec<Falsified> {
 /// register-index order, so the comparison sees only differences that
 /// come from the *rules*, never from allocation order.
 fn identity_alloc(binding: &Binding) -> impl FnMut(ArmReg) -> Gpr + '_ {
-    let mut actual: Vec<ArmReg> = binding.regs.values().copied().collect();
+    let mut actual: Vec<ArmReg> = binding.actuals().collect();
     actual.sort_by_key(|r| r.index());
     move |g: ArmReg| {
         let i = actual.iter().position(|r| *r == g).expect("actual register is bound");

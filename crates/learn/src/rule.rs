@@ -60,11 +60,36 @@ pub struct ImmParam {
 /// concrete guest code.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Binding {
-    /// Template guest register → actual guest register.
-    pub regs: HashMap<ArmReg, ArmReg>,
+    /// Template guest register → actual guest register, indexed by the
+    /// template register's [`ArmReg::index`].
+    pub regs: [Option<ArmReg>; 16],
     /// Bound value per immediate parameter (indexed like
     /// [`Rule::imm_params`]).
     pub imms: Vec<i64>,
+}
+
+impl Binding {
+    /// The actual guest register bound to template register `t`.
+    pub fn reg(&self, t: ArmReg) -> Option<ArmReg> {
+        self.regs[t.index()]
+    }
+
+    /// Every bound actual guest register, in template-register order.
+    pub fn actuals(&self) -> impl Iterator<Item = ArmReg> + '_ {
+        self.regs.iter().flatten().copied()
+    }
+}
+
+/// The immediate of `i` in `slot`, if it has one there.
+fn imm_in(i: &ArmInstr, slot: ImmSlot) -> Option<i64> {
+    match (*i, slot) {
+        (ArmInstr::Dp { op2: Operand2::Imm(v), .. }, ImmSlot::Data) => Some(v as i64),
+        (ArmInstr::Ldr { addr: AddrMode::Imm(_, off), .. }, ImmSlot::MemOffset)
+        | (ArmInstr::Str { addr: AddrMode::Imm(_, off), .. }, ImmSlot::MemOffset) => {
+            Some(off as i64)
+        }
+        _ => None,
+    }
 }
 
 /// A learned, verified, parameterized translation rule.
@@ -108,56 +133,36 @@ impl Rule {
     ///
     /// Registers unify up to a *bijective* renaming; immediates at
     /// parameterized sites bind, all others must match exactly; branch
-    /// offsets are ignored (targets are re-resolved by the DBT).
+    /// offsets are ignored (targets are re-resolved by the DBT). A miss
+    /// allocates nothing.
     pub fn matches(&self, seq: &[ArmInstr]) -> Option<Binding> {
         if seq.len() != self.guest.len() {
             return None;
         }
-        let mut regs: HashMap<ArmReg, ArmReg> = HashMap::new();
-        let mut taken: HashMap<ArmReg, ArmReg> = HashMap::new();
-        let mut imms = vec![0i64; self.imm_params.len()];
-        // (param index, is_primary_site).
-        let param_of = |site: (usize, ImmSlot)| -> Option<(usize, bool)> {
-            for (k, p) in self.imm_params.iter().enumerate() {
-                if p.guest_site == site {
-                    return Some((k, true));
-                }
-                if p.extra_guest_sites.contains(&site) {
-                    return Some((k, false));
-                }
-            }
-            None
-        };
+        let mut regs = [None; 16];
+        let mut taken = 0u16;
         let mut bind_reg = |t: ArmReg, a: ArmReg| -> bool {
-            match regs.get(&t) {
-                Some(prev) => *prev == a,
+            match regs[t.index()] {
+                Some(prev) => prev == a,
+                None if taken >> a.index() & 1 != 0 => false,
                 None => {
-                    if taken.contains_key(&a) {
-                        return false;
-                    }
-                    regs.insert(t, a);
-                    taken.insert(a, t);
+                    regs[t.index()] = Some(a);
+                    taken |= 1 << a.index();
                     true
                 }
             }
         };
-        let mut bound = vec![false; self.imm_params.len()];
-        let mut bind_imm =
-            |idx: usize, slot: ImmSlot, tmpl: i64, actual: i64, imms: &mut Vec<i64>| -> bool {
-                match param_of((idx, slot)) {
-                    Some((p, _)) => {
-                        if bound[p] {
-                            // A shared parameter: every site must agree.
-                            imms[p] == actual
-                        } else {
-                            bound[p] = true;
-                            imms[p] = actual;
-                            true
-                        }
-                    }
-                    None => tmpl == actual,
-                }
-            };
+        // A parameter's value is the actual immediate at its primary
+        // site; every other site it owns must agree with that one.
+        let mut bind_imm = |idx: usize, slot: ImmSlot, tmpl: i64, actual: i64| -> bool {
+            let site = (idx, slot);
+            let owner = |p: &&ImmParam| p.guest_site == site || p.extra_guest_sites.contains(&site);
+            match self.imm_params.iter().find(owner) {
+                Some(p) if p.guest_site == site => true,
+                Some(p) => imm_in(&seq[p.guest_site.0], p.guest_site.1) == Some(actual),
+                None => tmpl == actual,
+            }
+        };
         for (idx, (t, a)) in self.guest.iter().zip(seq).enumerate() {
             match (*t, *a) {
                 (
@@ -175,7 +180,7 @@ impl Rule {
                     }
                     match (top2, aop2) {
                         (Operand2::Imm(tv), Operand2::Imm(av)) => {
-                            if !bind_imm(idx, ImmSlot::Data, tv as i64, av as i64, &mut imms) {
+                            if !bind_imm(idx, ImmSlot::Data, tv as i64, av as i64) {
                                 return None;
                             }
                         }
@@ -210,7 +215,7 @@ impl Rule {
                     if tw != aw || tsg != asg || tc != ac || !bind_reg(trt, art) {
                         return None;
                     }
-                    if !match_addr(idx, ta, aa, &mut bind_reg, &mut bind_imm, &mut imms) {
+                    if !match_addr(idx, ta, aa, &mut bind_reg, &mut bind_imm) {
                         return None;
                     }
                 }
@@ -221,7 +226,7 @@ impl Rule {
                     if tw != aw || tc != ac || !bind_reg(trt, art) {
                         return None;
                     }
-                    if !match_addr(idx, ta, aa, &mut bind_reg, &mut bind_imm, &mut imms) {
+                    if !match_addr(idx, ta, aa, &mut bind_reg, &mut bind_imm) {
                         return None;
                     }
                 }
@@ -233,7 +238,9 @@ impl Rule {
                 _ => return None,
             }
         }
-        Some(Binding { regs, imms })
+        let imms = self.imm_params.iter();
+        let imms = imms.map(|p| imm_in(&seq[p.guest_site.0], p.guest_site.1).unwrap_or(0));
+        Some(Binding { regs, imms: imms.collect() })
     }
 
     /// Instantiate the host template under a binding.
@@ -251,17 +258,16 @@ impl Rule {
         binding: &Binding,
         mut host_reg_alloc: impl FnMut(ArmReg) -> Gpr,
     ) -> Vec<X86Instr> {
-        let mut sub_reg =
-            |h: Gpr| -> Gpr {
-                let template_guest = self.host_reg_of.get(&h).copied().unwrap_or_else(|| {
+        let mut sub_reg = |h: Gpr| -> Gpr {
+            let template_guest =
+                self.host_reg_of.get(&h).copied().unwrap_or_else(|| {
                     panic!("host register {h} has no guest correspondence in rule")
                 });
-                let actual_guest =
-                    binding.regs.get(&template_guest).copied().unwrap_or_else(|| {
-                        panic!("guest template register {template_guest} unbound")
-                    });
-                host_reg_alloc(actual_guest)
-            };
+            let actual_guest = binding
+                .reg(template_guest)
+                .unwrap_or_else(|| panic!("guest template register {template_guest} unbound"));
+            host_reg_alloc(actual_guest)
+        };
         let imm_at = |idx: usize, slot: ImmSlot, template: i64| -> i64 {
             for (p, param) in self.imm_params.iter().enumerate() {
                 for (hi, hslot, rel) in &param.host_sites {
@@ -469,12 +475,11 @@ fn match_addr(
     t: AddrMode,
     a: AddrMode,
     bind_reg: &mut impl FnMut(ArmReg, ArmReg) -> bool,
-    bind_imm: &mut impl FnMut(usize, ImmSlot, i64, i64, &mut Vec<i64>) -> bool,
-    imms: &mut Vec<i64>,
+    bind_imm: &mut impl FnMut(usize, ImmSlot, i64, i64) -> bool,
 ) -> bool {
     match (t, a) {
         (AddrMode::Imm(trn, toff), AddrMode::Imm(arn, aoff)) => {
-            bind_reg(trn, arn) && bind_imm(idx, ImmSlot::MemOffset, toff as i64, aoff as i64, imms)
+            bind_reg(trn, arn) && bind_imm(idx, ImmSlot::MemOffset, toff as i64, aoff as i64)
         }
         (AddrMode::Reg(trn, trm), AddrMode::Reg(arn, arm)) => {
             bind_reg(trn, arn) && bind_reg(trm, arm)
@@ -855,8 +860,8 @@ mod tests {
             ArmInstr::dp(DpOp::Sub, ArmReg::R4, ArmReg::R4, Operand2::Imm(12)),
         ];
         let b = rule.matches(&seq).expect("must match");
-        assert_eq!(b.regs[&ArmReg::R0], ArmReg::R4);
-        assert_eq!(b.regs[&ArmReg::R1], ArmReg::R7);
+        assert_eq!(b.reg(ArmReg::R0), Some(ArmReg::R4));
+        assert_eq!(b.reg(ArmReg::R1), Some(ArmReg::R7));
         assert_eq!(b.imms, vec![12]);
     }
 

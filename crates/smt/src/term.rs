@@ -1015,7 +1015,9 @@ mod tests {
         assert_eq!(p.display(t), "(+ x 4#32)");
     }
 
+    /// The width check is a `debug_assert`: release builds skip it.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics_in_debug() {
         let mut p = TermPool::new();

@@ -32,8 +32,10 @@ use std::sync::Arc;
 /// lowered by the TCG path, by the JIT's op pipeline and by the rule
 /// translator under the program's leave-one-out rule set; each
 /// translator's `code` + `exits`, in walk order, rendered with `Debug`
-/// and hashed. Recorded at the commit before the block emitter replaced
-/// `backend::Lowerer` and `rules::RuleHomes`.
+/// and hashed. The tcg and jit hashes were recorded at the commit before
+/// the block emitter replaced `backend::Lowerer` and `rules::RuleHomes`;
+/// the rules hash when rule applications and TCG stretches started
+/// sharing one register and flag state across the whole block.
 #[test]
 fn static_code_is_pinned() {
     let all = learn_all(&Options::o2()).expect("suite compiles");
@@ -79,7 +81,7 @@ fn static_code_is_pinned() {
         }
     }
     let got = [sig_hash(&tcg_text), sig_hash(&jit_text), sig_hash(&rules_text)];
-    let want = [0xb9b4_f290_a127_0a2d_u64, 0x1440_2376_d8a4_4a5e, 0x42ed_8862_33a7_35cf];
+    let want = [0xb9b4_f290_a127_0a2d_u64, 0x1440_2376_d8a4_4a5e, 0x163a_d3ae_ca13_2f93];
     assert_eq!(
         got, want,
         "tcg / jit / rules code hashes: {:#018x} / {:#018x} / {:#018x}",
@@ -117,19 +119,11 @@ fn dispatch_guest_counts_are_pinned() {
     // (row, engine, [host_instrs, mem_loads, mem_stores, ra_promoted, fuse_elim])
     let rows: [(&str, Engine, [u64; 5]); 6] = [
         ("tcg", Engine::new(&image, Translator::Tcg), [8_032_563, 916_124, 1_227_688, 0, 95]),
-        ("rules", with_rules(), [3_784_833, 394_674, 783_780, 8, 111]),
+        ("rules", with_rules(), [3_831_645, 394_032, 591_394, 9, 42]),
         ("jit", Engine::new(&image, Translator::Jit), [8_953_028, 996_842, 1_456_209, 22, 25]),
-        (
-            "rules_nosb",
-            with_rules().with_superblocks(None),
-            [9_102_288, 1_743_586, 1_353_459, 0, 0],
-        ),
-        ("rules_nofuse", with_rules().with_fusion(false), [4_380_937, 397_546, 1_164_588, 9, 0]),
-        (
-            "rules_nora",
-            with_rules().with_region_alloc(false),
-            [3_964_831, 580_609, 969_715, 0, 111],
-        ),
+        ("rules_nosb", with_rules().with_superblocks(None), [7_949_900, 1_167_328, 777_329, 0, 0]),
+        ("rules_nofuse", with_rules().with_fusion(false), [3_996_037, 396_904, 588_458, 10, 0]),
+        ("rules_nora", with_rules().with_region_alloc(false), [4_011_643, 579_967, 777_329, 0, 42]),
     ];
     for (name, mut e, want) in rows {
         assert_eq!(e.run(3_000_000_000), RunOutcome::Halted, "{name}");
