@@ -9,27 +9,29 @@
 use ldbt_bench::{hr, learn_everything};
 use ldbt_compiler::Options;
 use ldbt_core::experiment::{geomean, loo_rules};
-use ldbt_core::{run_benchmark, EngineKind};
+use ldbt_core::{run_benchmark, Config, EngineKind};
 use ldbt_dbt::engine::Translator;
 use ldbt_dbt::Engine;
-use ldbt_learn::pipeline::learn_from_source_with_tries;
-use ldbt_learn::RuleSet;
+use ldbt_learn::pipeline::learn_from_source_cached;
+use ldbt_learn::{LearnConfig, RuleSet, VerifyCache};
 use ldbt_workloads::{source, Workload, SUITE};
 use std::sync::Arc;
 
 const TARGETS: [&str; 4] = ["mcf", "hmmer", "libquantum", "astar"];
 
-fn run_with(name: &str, translator: Translator) -> ldbt_dbt::DbtStats {
+fn run_with(name: &str, translator: Translator, cfg: &Config) -> ldbt_dbt::DbtStats {
     let b = ldbt_workloads::benchmark(name).unwrap();
     let src = source(b, Workload::Ref);
     let image = ldbt_compiler::link::build_arm_image(&src, &Options::o2()).unwrap();
-    let mut e = Engine::new(&image, translator);
+    let mut e = cfg.apply(Engine::new(&image, translator));
     assert_eq!(e.run(3_000_000_000), ldbt_dbt::engine::RunOutcome::Halted);
     e.stats
 }
 
 fn main() {
-    let all = learn_everything();
+    let cfg = Config::from_env();
+    let o2 = Options::o2();
+    let all = learn_everything(&cfg);
 
     println!("Ablation 1: duplicate-rule selection policy (ref workload)");
     hr(72);
@@ -43,16 +45,10 @@ fn main() {
                 first_found.insert(r.clone());
             }
         }
-        let base = run_benchmark(name, Workload::Ref, EngineKind::Tcg, &Options::o2(), None);
-        let a =
-            run_benchmark(name, Workload::Ref, EngineKind::Rules, &Options::o2(), Some(&shortest));
-        let b = run_benchmark(
-            name,
-            Workload::Ref,
-            EngineKind::Rules,
-            &Options::o2(),
-            Some(&first_found),
-        );
+        let base = run_benchmark(name, Workload::Ref, EngineKind::Tcg, &o2, None, &cfg);
+        let a = run_benchmark(name, Workload::Ref, EngineKind::Rules, &o2, Some(&shortest), &cfg);
+        let b =
+            run_benchmark(name, Workload::Ref, EngineKind::Rules, &o2, Some(&first_found), &cfg);
         println!(
             "{:<12} shortest-host {:>5.2}x   first-found {:>5.2}x",
             name,
@@ -110,9 +106,9 @@ fn main() {
     hr(72);
     for name in TARGETS {
         let rules = Arc::new(loo_rules(&all, name));
-        let base = run_with(name, Translator::Tcg);
-        let lazy = run_with(name, Translator::Rules(Arc::clone(&rules)));
-        let strict = run_with(name, Translator::RulesNoLazyFlags(rules));
+        let base = run_with(name, Translator::Tcg, &cfg);
+        let lazy = run_with(name, Translator::Rules(Arc::clone(&rules)), &cfg);
+        let strict = run_with(name, Translator::RulesNoLazyFlags(rules), &cfg);
         println!(
             "{:<12} lazy-flag-save {:>5.2}x (Dp {:>4.1}%)   no-lazy {:>5.2}x (Dp {:>4.1}%)",
             name,
@@ -127,10 +123,12 @@ fn main() {
     println!("Ablation 4: initial-mapping tries (rules learned, whole suite)");
     hr(72);
     for tries in [1usize, 2, 3, 5, 8] {
+        let learn = LearnConfig { max_tries: tries, ..cfg.learn() };
         let mut total = 0usize;
         for b in &SUITE {
             let src = source(b, Workload::Ref);
-            let r = learn_from_source_with_tries(b.name, &src, &Options::o2(), tries).unwrap();
+            let r = learn_from_source_cached(b.name, &src, &o2, &learn, &mut VerifyCache::new())
+                .unwrap();
             total += r.stats.rules;
         }
         println!("max tries {tries}: {total} rules learned");
@@ -141,9 +139,9 @@ fn main() {
         .iter()
         .map(|name| {
             let rules = loo_rules(&all, name);
-            let base = run_benchmark(name, Workload::Ref, EngineKind::Tcg, &Options::o2(), None);
+            let base = run_benchmark(name, Workload::Ref, EngineKind::Tcg, &o2, None, &cfg);
             let ours =
-                run_benchmark(name, Workload::Ref, EngineKind::Rules, &Options::o2(), Some(&rules));
+                run_benchmark(name, Workload::Ref, EngineKind::Rules, &o2, Some(&rules), &cfg);
             ours.speedup_over(&base)
         })
         .collect();

@@ -2,10 +2,12 @@
 
 use ldbt_bench::{hr, learn_everything};
 use ldbt_core::experiment::{dynamic_reduction, speedups};
+use ldbt_core::Config;
 
 fn main() {
-    let all = learn_everything();
-    let rows = speedups(&all, &ldbt_compiler::Options::o2());
+    let cfg = Config::from_env();
+    let all = learn_everything(&cfg);
+    let rows = speedups(&all, &ldbt_compiler::Options::o2(), &cfg);
     let red = dynamic_reduction(&rows);
     println!("Figure 10. Dynamic host instructions reduced vs the TCG baseline (ref)");
     hr(40);

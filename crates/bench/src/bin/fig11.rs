@@ -2,10 +2,12 @@
 
 use ldbt_bench::{hr, learn_everything};
 use ldbt_core::experiment::{coverage, speedups};
+use ldbt_core::Config;
 
 fn main() {
-    let all = learn_everything();
-    let rows = speedups(&all, &ldbt_compiler::Options::o2());
+    let cfg = Config::from_env();
+    let all = learn_everything(&cfg);
+    let rows = speedups(&all, &ldbt_compiler::Options::o2(), &cfg);
     let cov = coverage(&rows);
     println!("Figure 11. Static (Sp) and dynamic (Dp) coverage of the rules (ref)");
     hr(44);

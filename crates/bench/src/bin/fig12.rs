@@ -2,10 +2,12 @@
 
 use ldbt_bench::{hr, learn_everything};
 use ldbt_core::experiment::{hit_length_distribution, speedups};
+use ldbt_core::Config;
 
 fn main() {
-    let all = learn_everything();
-    let rows = speedups(&all, &ldbt_compiler::Options::o2());
+    let cfg = Config::from_env();
+    let all = learn_everything(&cfg);
+    let rows = speedups(&all, &ldbt_compiler::Options::o2(), &cfg);
     let dist = hit_length_distribution(&rows);
     println!("Figure 12. Length distribution of hit translation rules (ref)");
     hr(70);

@@ -2,9 +2,10 @@
 
 use ldbt_bench::hr;
 use ldbt_core::experiment::figure6;
+use ldbt_core::Config;
 
 fn main() {
-    let rows = figure6().expect("suite compiles");
+    let rows = figure6(&Config::from_env()).expect("suite compiles");
     println!("Figure 6. Sensitivity of learning on optimization levels (#rules)");
     hr(60);
     println!("{:<12} {:>6} {:>6} {:>6} {:>6}", "bench", "-O0", "-O1", "-O2", "-O3");

@@ -1,9 +1,11 @@
 //! Figure 7: the learning-sensitivity demonstration.
 
 use ldbt_core::experiment::figure7;
+use ldbt_core::Config;
 
 fn main() {
-    let (o0_rules, o0_fails, o2_rules, o2_fails) = figure7().expect("probe compiles");
+    let (o0_rules, o0_fails, o2_rules, o2_fails) =
+        figure7(&Config::from_env()).expect("probe compiles");
     println!("Figure 7. Different optimization levels for learning rules (mcf stand-in)");
     println!("  -O0: {o0_rules} rules learned ({o0_fails} parameterization failures)");
     println!("  -O2: {o2_rules} rules learned ({o2_fails} parameterization failures)");

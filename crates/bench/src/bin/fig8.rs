@@ -2,10 +2,12 @@
 
 use ldbt_bench::{hr, learn_everything};
 use ldbt_core::experiment::{geomean, speedups};
+use ldbt_core::Config;
 
 fn main() {
-    let all = learn_everything();
-    let rows = speedups(&all, &ldbt_compiler::Options::o2());
+    let cfg = Config::from_env();
+    let all = learn_everything(&cfg);
+    let rows = speedups(&all, &ldbt_compiler::Options::o2(), &cfg);
     println!("Figure 8. Speedup over the TCG baseline (guest built LLVM-style, -O2)");
     hr(72);
     println!(

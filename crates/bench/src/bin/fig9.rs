@@ -3,10 +3,12 @@
 
 use ldbt_bench::{hr, learn_everything};
 use ldbt_core::experiment::{geomean, speedups};
+use ldbt_core::Config;
 
 fn main() {
-    let all = learn_everything();
-    let rows = speedups(&all, &ldbt_compiler::Options::gcc());
+    let cfg = Config::from_env();
+    let all = learn_everything(&cfg);
+    let rows = speedups(&all, &ldbt_compiler::Options::gcc(), &cfg);
     println!("Figure 9. Speedup over the TCG baseline (guest built GCC-style, -O2;");
     println!("          rules learned from LLVM-style binaries)");
     hr(72);

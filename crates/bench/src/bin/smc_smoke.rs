@@ -1,24 +1,24 @@
-//! `smc_smoke`: translation-cache coherence gate for self-modifying code.
+//! `smc_smoke`: translation-cache coherence smoke for self-modifying code.
 //!
-//! Runs the self-patching loop of `ldbt_workloads::asm::smc_image` and
-//! prints only guest-visible state — the final registers and the
-//! patched body word — so `scripts/tier1.sh` can byte-compare two runs:
+//! Runs the self-patching loop of `ldbt_workloads::asm::smc_image` on
+//! every engine (tcg / jit / rules) under the process's configuration
+//! ([`Config::from_env`]) and asserts each run is bit-identical to the
+//! ARM interpreter and actually took SMC invalidations. It prints only
+//! guest-visible state — the final registers and the patched body word —
+//! so a traced and an untraced run print the same bytes;
+//! `scripts/tier1.sh` traces one and checks that every purge it logs
+//! names its reason.
 //!
-//! * default: every engine (tcg / jit / rules) with coherence on; the
-//!   binary asserts each run is bit-identical to the ARM interpreter
-//!   and actually took SMC invalidations;
-//! * `LDBT_NOSMC=1`: coherence is off, so translated code would run
-//!   stale — the binary falls back to the ARM interpreter (the forced
-//!   fallback for uncoherent caches; the watchdog cannot substitute
-//!   here because it only samples rule-covered blocks).
-//!
-//! Both modes must print the same bytes: the guest-visible outcome of a
-//! self-modifying program must not depend on the coherence knob, only
-//! *how* it is reached does.
+//! With SMC protection off (`LDBT_NOSMC`) translated code would run
+//! stale, so no engine runs and the lines come from the interpreter
+//! alone (the watchdog cannot substitute: it only samples rule-covered
+//! blocks). In-process, `tests/engine_edge_cases.rs` checks the coherent
+//! engines on this image and the configuration matrix the incoherent
+//! ones on programs that never store into their code.
 
 use ldbt_arm::{ArmMachine, ArmReg, ArmStop};
 use ldbt_dbt::engine::{RunOutcome, Translator};
-use ldbt_dbt::{env, Engine};
+use ldbt_dbt::{Config, Engine};
 use ldbt_isa::Width;
 use ldbt_learn::RuleSet;
 use ldbt_workloads::asm::{smc_image, SMC_BODY_WORD, SMC_RESULT};
@@ -27,6 +27,7 @@ use std::sync::Arc;
 const FUEL: u64 = 200_000_000;
 
 fn main() {
+    let cfg = Config::from_env();
     let img = smc_image();
     let body = img.base + 4 * SMC_BODY_WORD;
 
@@ -40,13 +41,13 @@ fn main() {
     let want_body = m.state.mem.read(body, Width::W32);
     assert_eq!(want_regs[0], SMC_RESULT, "interpreter result drifted");
 
-    if env::smc_from_env() {
+    if cfg.smc {
         for (name, translator) in [
             ("tcg", Translator::Tcg),
             ("jit", Translator::Jit),
             ("rules", Translator::Rules(Arc::new(RuleSet::new()))),
         ] {
-            let mut e = Engine::new(&img, translator);
+            let mut e = cfg.apply(Engine::new(&img, translator));
             assert_eq!(e.run(FUEL), RunOutcome::Halted, "{name}: did not halt");
             for r in ArmReg::ALL {
                 if r != ArmReg::Pc {

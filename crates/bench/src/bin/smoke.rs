@@ -10,13 +10,16 @@
 //! the `obs_selfcheck` binary.
 
 use ldbt_compiler::Options;
+use ldbt_core::learn::pipeline::learn_from_source_cached;
 use ldbt_core::workloads::{benchmark, source, Workload};
-use ldbt_core::{report, run_benchmark, EngineKind};
+use ldbt_core::{report, run_benchmark, Config, EngineKind, VerifyCache};
 
 fn main() {
+    let cfg = Config::from_env();
     let b = benchmark("mcf").expect("suite has mcf");
     let src = source(b, Workload::Ref);
-    let learned = ldbt_core::learn::pipeline::learn_from_source("mcf", &src, &Options::o2())
+    let mut cache = VerifyCache::new();
+    let learned = learn_from_source_cached("mcf", &src, &Options::o2(), &cfg.learn(), &mut cache)
         .expect("mcf compiles");
     let s = &learned.stats;
     println!(
@@ -24,14 +27,10 @@ fn main() {
         s.total, s.rules, s.cache_hits, s.cache_misses
     );
 
-    let tcg = run_benchmark("mcf", Workload::Test, EngineKind::Tcg, &Options::o2(), None);
-    let rules = run_benchmark(
-        "mcf",
-        Workload::Test,
-        EngineKind::Rules,
-        &Options::o2(),
-        Some(&learned.rules),
-    );
+    let o2 = Options::o2();
+    let tcg = run_benchmark("mcf", Workload::Test, EngineKind::Tcg, &o2, None, &cfg);
+    let rules =
+        run_benchmark("mcf", Workload::Test, EngineKind::Rules, &o2, Some(&learned.rules), &cfg);
     for run in [&tcg, &rules] {
         println!(
             "{} mcf: guest_dyn={} host_instrs={} blocks={} total_cycles={} coverage={:.4} rules_hit={} checksum={:#010x}",

@@ -4,11 +4,12 @@ use ldbt_bench::{deterministic_output, hr, learn_everything, table1_row};
 use ldbt_compiler::Options;
 use ldbt_core::experiment::{loo_rules, table1};
 use ldbt_core::workloads::Workload;
-use ldbt_core::{report, run_benchmark, EngineKind};
+use ldbt_core::{report, run_benchmark, Config, EngineKind};
 use std::time::Duration;
 
 fn main() {
-    let all = learn_everything();
+    let cfg = Config::from_env();
+    let all = learn_everything(&cfg);
     let rows = table1(&all);
     let deterministic = deterministic_output();
     println!("Table 1. Learning results (synthetic SPEC CINT2006 stand-ins)");
@@ -37,8 +38,8 @@ fn main() {
         // A rules-engine run on the test workload surfaces the runtime
         // fault-containment counters (nonzero only with LDBT_WATCHDOG).
         let rules = loo_rules(&all, b.name);
-        let run =
-            run_benchmark(b.name, Workload::Test, EngineKind::Rules, &Options::o2(), Some(&rules));
+        let o2 = Options::o2();
+        let run = run_benchmark(b.name, Workload::Test, EngineKind::Rules, &o2, Some(&rules), &cfg);
         wd_tot.0 += run.stats.watchdog_checks();
         wd_tot.1 += run.stats.quarantined_rules();
         wd_tot.2 += run.stats.wd_repaired();
@@ -101,7 +102,7 @@ fn main() {
     );
     println!(
         "threads: {} (override with LDBT_THREADS; 1 = sequential)",
-        ldbt_core::configured_threads()
+        cfg.learn().effective_threads()
     );
     if let Some(p) = report::write_if_configured(&bench_runs, &learn_stats) {
         eprintln!("run report: {}", p.display());

@@ -22,6 +22,7 @@
 
 use ldbt_core::experiment::ProgramRules;
 use ldbt_core::learn::LearnStats;
+use ldbt_core::Config;
 
 /// Pretty-print a horizontal rule.
 pub fn hr(width: usize) {
@@ -71,10 +72,11 @@ pub fn print_rows(rows: &[(String, String)]) {
     }
 }
 
-/// Shared preamble: learn from all suite programs, printing progress.
-pub fn learn_everything() -> Vec<ProgramRules> {
+/// Shared preamble: learn from all suite programs under `config`,
+/// printing progress.
+pub fn learn_everything(config: &Config) -> Vec<ProgramRules> {
     eprintln!("learning rules from the 12 suite programs (leave-one-out sets are assembled per target)...");
-    ldbt_core::experiment::learn_all(&ldbt_compiler::Options::o2()).expect("suite compiles")
+    ldbt_core::experiment::learn_all(&ldbt_compiler::Options::o2(), config).expect("suite compiles")
 }
 
 /// Whether `LDBT_DETERMINISTIC=1` is set: experiment binaries then zero

@@ -3,10 +3,10 @@
 //! Each function returns plain data; the `ldbt-bench` binaries print the
 //! rows and EXPERIMENTS.md records paper-vs-measured values.
 
-use crate::{run_benchmark, BenchRun, EngineKind};
+use crate::{run_benchmark, BenchRun, Config, EngineKind};
 use ldbt_compiler::{CompileError, OptLevel, Options};
-use ldbt_learn::pipeline::{learn_from_source, learn_from_source_cached};
-use ldbt_learn::{LearnConfig, LearnStats, RuleSet, VerifyCache};
+use ldbt_learn::pipeline::learn_from_source_cached;
+use ldbt_learn::{LearnStats, RuleSet, VerifyCache};
 use ldbt_workloads::{source, Benchmark, Workload, SUITE};
 
 /// Per-program learned rules (kept separate so leave-one-out sets can be
@@ -29,8 +29,10 @@ pub struct ProgramRules {
 /// cache is shared across the suite so cross-program snippet repeats
 /// verify only once.
 ///
-/// With `LDBT_RULEDB=<path>` set, the verification memo warm-starts
-/// from the persistent rule database ([`ldbt_learn::db`]): every
+/// Learning runs under `config`'s learner settings ([`Config::learn`]).
+/// With a rule database configured ([`Config::ruledb`], the
+/// `LDBT_RULEDB` knob), the verification memo warm-starts from it
+/// ([`ldbt_learn::db`]): every
 /// signature already memoized on disk skips symexec+SAT entirely, so a
 /// second boot replays the suite at ~100% memo hit rate with
 /// byte-identical learned rules. After learning, the merged suite rules
@@ -41,10 +43,10 @@ pub struct ProgramRules {
 /// # Errors
 ///
 /// Returns a [`CompileError`] if a generated program fails to compile.
-pub fn learn_all(options: &Options) -> Result<Vec<ProgramRules>, CompileError> {
-    let config = LearnConfig::default();
-    let db_path = ldbt_learn::db::env_path();
-    let mut cache = match &db_path {
+pub fn learn_all(options: &Options, config: &Config) -> Result<Vec<ProgramRules>, CompileError> {
+    let db_path = &config.ruledb;
+    let config = config.learn();
+    let mut cache = match db_path {
         Some(path) => match ldbt_learn::db::load(path) {
             Ok(db) => db.cache,
             Err(ldbt_learn::DbError::Io(_)) => VerifyCache::new(), // first boot
@@ -65,7 +67,7 @@ pub fn learn_all(options: &Options) -> Result<Vec<ProgramRules>, CompileError> {
             stats: report.stats,
         });
     }
-    if let Some(path) = &db_path {
+    if let Some(path) = db_path {
         let mut merged = RuleSet::new();
         for p in &out {
             merged.merge(&p.rules);
@@ -111,11 +113,11 @@ pub fn table1(all: &[ProgramRules]) -> Vec<(&'static Benchmark, usize, LearnStat
 /// # Errors
 ///
 /// Propagates compile errors.
-pub fn figure6() -> Result<Vec<(String, [usize; 4])>, CompileError> {
+pub fn figure6(config: &Config) -> Result<Vec<(String, [usize; 4])>, CompileError> {
     // One memo cache across all programs *and* levels: snippet
     // signatures are content-based, so repeats between optimization
     // levels verify once too.
-    let config = LearnConfig::default();
+    let config = config.learn();
     let mut cache = VerifyCache::new();
     let mut rows = Vec::new();
     for b in &SUITE {
@@ -148,11 +150,21 @@ pub fn figure6() -> Result<Vec<(String, [usize; 4])>, CompileError> {
 /// # Errors
 ///
 /// Propagates compile errors.
-pub fn figure7() -> Result<(usize, usize, usize, usize), CompileError> {
+pub fn figure7(config: &Config) -> Result<(usize, usize, usize, usize), CompileError> {
     let b = ldbt_workloads::benchmark("mcf").expect("suite program");
     let src = source(b, Workload::Ref);
-    let o0 = learn_from_source("mcf", &src, &Options::level(OptLevel::O0))?;
-    let o2 = learn_from_source("mcf", &src, &Options::level(OptLevel::O2))?;
+    let config = config.learn();
+    let learn = |level| {
+        learn_from_source_cached(
+            "mcf",
+            &src,
+            &Options::level(level),
+            &config,
+            &mut VerifyCache::new(),
+        )
+    };
+    let o0 = learn(OptLevel::O0)?;
+    let o2 = learn(OptLevel::O2)?;
     Ok((
         o0.rules.len(),
         o0.stats.par_num + o0.stats.par_name + o0.stats.par_failg,
@@ -184,8 +196,9 @@ pub struct SpeedupRow {
 /// rule prototype and the JIT backend over QEMU-style TCG.
 ///
 /// `guest` selects the compiler style used to build the *guest* binaries;
-/// rules always come from LLVM-style learning (`all`).
-pub fn speedups(all: &[ProgramRules], guest: &Options) -> Vec<SpeedupRow> {
+/// rules always come from LLVM-style learning (`all`). Every engine
+/// runs under `config`.
+pub fn speedups(all: &[ProgramRules], guest: &Options, config: &Config) -> Vec<SpeedupRow> {
     SUITE
         .iter()
         .map(|b| {
@@ -197,6 +210,7 @@ pub fn speedups(all: &[ProgramRules], guest: &Options) -> Vec<SpeedupRow> {
                     kind,
                     guest,
                     if kind == EngineKind::Rules { Some(&rules) } else { None },
+                    config,
                 )
             };
             let base_test = get(Workload::Test, EngineKind::Tcg);
@@ -285,7 +299,7 @@ mod tests {
 
     #[test]
     fn figure7_probe_shows_optimization_sensitivity() {
-        let (o0_rules, _o0_fails, o2_rules, _o2_fails) = figure7().unwrap();
+        let (o0_rules, _o0_fails, o2_rules, _o2_fails) = figure7(&Config::DEFAULT).unwrap();
         assert!(o2_rules > 0, "O2 learns from the probe");
         assert!(
             o0_rules < o2_rules,
@@ -297,7 +311,7 @@ mod tests {
     fn loo_excludes_target_program() {
         // Learn from two tiny programs directly to keep the test fast.
         let mk = |name: &str, src: &str| {
-            let r = learn_from_source(name, src, &Options::o2()).unwrap();
+            let r = ldbt_learn::pipeline::learn_from_source(name, src, &Options::o2()).unwrap();
             ProgramRules { name: name.into(), rules: r.rules, stats: r.stats }
         };
         let a = mk("a", "int f(int x, int y) { return x + y - 1; }\nint main() { return f(1,2); }");

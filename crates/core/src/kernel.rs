@@ -233,15 +233,46 @@ mod tests {
         }
     }
 
+    /// The watchdog × superblock cells, every engine. The rules engine
+    /// runs the suite's rules plus one verified rule for the `subs; bne`
+    /// that closes each process's loop: every kernel block the suite's
+    /// rules cover ends in an `svc`, and a trap exit ends the run before
+    /// the watchdog checks the block, so without it the watchdog would
+    /// sample nothing.
     #[test]
     fn dbt_kernel_matches_under_watchdog_and_without_superblocks() {
+        use ldbt_arm::{ArmInstr, Cond, DpOp, Operand2};
+        use ldbt_x86::{AluOp, Cc, Gpr, X86Instr};
+        let pair = ldbt_learn::extract::SnippetPair {
+            loc: ldbt_isa::SourceLoc::line(1),
+            func: "kernel".into(),
+            guest: vec![
+                (ArmInstr::dps(DpOp::Sub, ArmReg::R1, ArmReg::R1, Operand2::Imm(1)), None),
+                (ArmInstr::B { offset: -7, cond: Cond::Ne }, None),
+            ],
+            host: vec![
+                (X86Instr::alu_ri(AluOp::Sub, Gpr::Ecx, 1), None),
+                (X86Instr::Jcc { cc: Cc::Ne, target: 0 }, None),
+            ],
+        };
+        let mappings = ldbt_learn::param::initial_mappings(&pair).unwrap();
+        let loop_rule = mappings.iter().find_map(|m| ldbt_learn::verify::verify(&pair, m).ok());
+        let o2 = ldbt_compiler::Options::o2();
+        let (mut rules, _) = crate::learn_suite(&o2, None, &crate::Config::DEFAULT).unwrap();
+        assert!(rules.insert(loop_rule.expect("subs; bne verifies")));
+        let rules = Arc::new(rules);
         let want = run_mini_kernel_interp();
         for wd in [None, Some(1)] {
-            for sb in [None, Some(4)] {
-                let got = run_mini_kernel_dbt(Translator::Tcg, |e| {
-                    e.with_watchdog(wd).with_superblocks(sb)
-                });
-                assert_eq!(got, want, "wd={wd:?} sb={sb:?}");
+            for sb in [None, Some(4), Some(ldbt_dbt::env::SB_THRESHOLD_DEFAULT)] {
+                for t in [Translator::Tcg, Translator::Jit, Translator::Rules(Arc::clone(&rules))] {
+                    let label = format!("{t:?} wd={wd:?} sb={sb:?}");
+                    let engine = Engine::new(&mini_kernel_image(), t.clone());
+                    let mut cpu = DbtCpu(engine.with_watchdog(wd).with_superblocks(sb));
+                    assert_eq!(schedule(&mut cpu, &entries()), want, "{label}");
+                    if wd.is_some() && matches!(t, Translator::Rules(_)) {
+                        assert!(cpu.0.stats.watchdog_checks() > 0, "{label}: never sampled");
+                    }
+                }
             }
         }
     }

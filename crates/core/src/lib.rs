@@ -17,13 +17,16 @@
 //! 3. [`experiment`] contains one driver per table/figure of the paper.
 //!
 //! ```no_run
-//! use ldbt_core::{learn_suite, run_benchmark, EngineKind};
+//! use ldbt_core::{learn_suite, run_benchmark, Config, EngineKind};
 //! use ldbt_compiler::Options;
 //! use ldbt_workloads::Workload;
 //!
-//! let (rules, _) = learn_suite(&Options::o2(), Some("mcf")).unwrap();
-//! let baseline = run_benchmark("mcf", Workload::Ref, EngineKind::Tcg, &Options::o2(), None);
-//! let ours = run_benchmark("mcf", Workload::Ref, EngineKind::Rules, &Options::o2(), Some(&rules));
+//! let cfg = Config::DEFAULT;
+//! let (rules, _) = learn_suite(&Options::o2(), Some("mcf"), &cfg).unwrap();
+//! let baseline =
+//!     run_benchmark("mcf", Workload::Ref, EngineKind::Tcg, &Options::o2(), None, &cfg);
+//! let ours =
+//!     run_benchmark("mcf", Workload::Ref, EngineKind::Rules, &Options::o2(), Some(&rules), &cfg);
 //! println!("speedup: {:.2}x", ours.speedup_over(&baseline));
 //! ```
 
@@ -34,8 +37,9 @@ pub mod serve;
 
 pub use ldbt_compiler as compiler;
 pub use ldbt_dbt as dbt;
+pub use ldbt_dbt::Config;
 pub use ldbt_learn as learn;
-pub use ldbt_learn::{configured_threads, LearnConfig, VerifyCache};
+pub use ldbt_learn::{LearnConfig, VerifyCache};
 pub use ldbt_workloads as workloads;
 
 use ldbt_compiler::{link::build_arm_image, CompileError, Options};
@@ -97,7 +101,7 @@ impl BenchRun {
 ///
 /// Rules are always learned from `Ref`-workload sources compiled with
 /// `options` (the workload only changes iteration counts, not code
-/// shape).
+/// shape), under `config`'s learner settings ([`Config::learn`]).
 ///
 /// # Errors
 ///
@@ -105,8 +109,9 @@ impl BenchRun {
 pub fn learn_suite(
     options: &Options,
     exclude: Option<&str>,
+    config: &Config,
 ) -> Result<(RuleSet, Vec<LearnStats>), CompileError> {
-    let config = ldbt_learn::LearnConfig::default();
+    let config = config.learn();
     let mut cache = ldbt_learn::VerifyCache::new();
     let mut rules = RuleSet::new();
     let mut stats = Vec::new();
@@ -127,8 +132,9 @@ pub fn learn_suite(
 /// Host-instruction fuel for benchmark runs.
 pub const RUN_FUEL: u64 = 3_000_000_000;
 
-/// Run one benchmark under an engine, validating correctness against the
-/// ARM interpreter.
+/// Run one benchmark under an engine configured by `config`
+/// ([`Config::apply`]), validating correctness against the ARM
+/// interpreter.
 ///
 /// # Panics
 ///
@@ -141,6 +147,7 @@ pub fn run_benchmark(
     engine: EngineKind,
     guest_options: &Options,
     rules: Option<&RuleSet>,
+    config: &Config,
 ) -> BenchRun {
     let b = benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let src = source(b, workload);
@@ -161,7 +168,7 @@ pub fn run_benchmark(
             Translator::Rules(Arc::new(rules.expect("Rules engine needs a rule set").clone()))
         }
     };
-    let mut e = Engine::new(&image, translator);
+    let mut e = config.apply(Engine::new(&image, translator));
     let out = e.run(RUN_FUEL);
     assert_eq!(out, RunOutcome::Halted, "{name}: DBT did not halt under {engine:?}");
     let got = e.guest_reg(ldbt_arm::ArmReg::R0);
@@ -196,17 +203,19 @@ mod tests {
 
     #[test]
     fn tcg_baseline_runs_mcf_test() {
-        let run = run_benchmark("mcf", Workload::Test, EngineKind::Tcg, &Options::o2(), None);
+        let cfg = Config::DEFAULT;
+        let run = run_benchmark("mcf", Workload::Test, EngineKind::Tcg, &Options::o2(), None, &cfg);
         assert!(run.stats.guest_dyn() > 0);
         assert!(run.stats.exec.host_instrs > run.stats.guest_dyn(), "expansion > 1x");
     }
 
     #[test]
     fn rules_engine_correct_and_faster_on_ref() {
-        let (rules, _) = learn_suite(&Options::o2(), Some("mcf")).unwrap();
-        let base = run_benchmark("mcf", Workload::Ref, EngineKind::Tcg, &Options::o2(), None);
-        let ours =
-            run_benchmark("mcf", Workload::Ref, EngineKind::Rules, &Options::o2(), Some(&rules));
+        let cfg = Config::DEFAULT;
+        let (rules, _) = learn_suite(&Options::o2(), Some("mcf"), &cfg).unwrap();
+        let o2 = Options::o2();
+        let base = run_benchmark("mcf", Workload::Ref, EngineKind::Tcg, &o2, None, &cfg);
+        let ours = run_benchmark("mcf", Workload::Ref, EngineKind::Rules, &o2, Some(&rules), &cfg);
         assert_eq!(base.checksum, ours.checksum);
         let speedup = ours.speedup_over(&base);
         assert!(

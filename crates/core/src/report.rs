@@ -132,14 +132,15 @@ pub fn write_if_configured(benches: &[BenchRun], learn: &[LearnStats]) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_benchmark, EngineKind};
+    use crate::{run_benchmark, Config, EngineKind};
     use ldbt_compiler::Options;
     use ldbt_obs::selfcheck::check_run_report;
     use ldbt_workloads::Workload;
 
     #[test]
     fn report_passes_its_own_selfcheck() {
-        let run = run_benchmark("mcf", Workload::Test, EngineKind::Tcg, &Options::o2(), None);
+        let cfg = Config::DEFAULT;
+        let run = run_benchmark("mcf", Workload::Test, EngineKind::Tcg, &Options::o2(), None, &cfg);
         let learn = LearnStats { name: "demo".into(), total: 3, rules: 1, ..Default::default() };
         let report = run_report(&[run], &[learn]);
         let text = report.render();
@@ -154,9 +155,10 @@ mod tests {
 
     #[test]
     fn rules_profile_is_sorted_and_checksummed() {
-        let (rules, _) = crate::learn_suite(&Options::o2(), Some("mcf")).unwrap();
-        let run =
-            run_benchmark("mcf", Workload::Test, EngineKind::Rules, &Options::o2(), Some(&rules));
+        let cfg = Config::DEFAULT;
+        let (rules, _) = crate::learn_suite(&Options::o2(), Some("mcf"), &cfg).unwrap();
+        let o2 = Options::o2();
+        let run = run_benchmark("mcf", Workload::Test, EngineKind::Rules, &o2, Some(&rules), &cfg);
         assert!(!run.profile.rules.is_empty(), "rules engine attributes rule hits");
         let text = run_report(&[run], &[]).render();
         check_run_report(&text).unwrap();

@@ -25,7 +25,7 @@ pub use crate::api::{RunOutcome, TransCost, Translator, TrapKind};
 use crate::backend::{lower_block, lower_undecodable, POOL};
 use crate::cache::{CachedBlock, CodeCache, InvalidateReason};
 use crate::env::{
-    engine_env, env_mem, load_guest, reg_mem, step_guest, store_guest, FlagId, ENV_BASE,
+    env_mem, load_guest, reg_mem, step_guest, store_guest, Config, FlagId, ENV_BASE,
     GUEST_MEM_LIMIT, HOST_STACK_TOP,
 };
 use crate::guardian::{GuardCx, Guardian};
@@ -76,9 +76,10 @@ impl Engine {
     /// Create an engine for a linked guest image.
     ///
     /// The watchdog period, chaining flag, superblock config, region
-    /// passes, SMC protection, fault plan, and repair flag default from
-    /// the `LDBT_*` environment (see [`crate::env::KNOBS`] and
-    /// `LDBT_FAULT`); the `with_*` builders override them explicitly.
+    /// passes, SMC protection, fault plan, and repair flag start at
+    /// [`Config::DEFAULT`]; the `with_*` builders override them, and
+    /// [`Config::apply`] sets them all from one configuration. Nothing is
+    /// read from the environment.
     pub fn new(image: &ArmImage, translator: Translator) -> Engine {
         let mut state = X86State::new();
         image.load_into(&mut state.mem);
@@ -91,21 +92,21 @@ impl Engine {
             Translator::Rules(r) => (Some(RuleHandle::new(r, true)), false),
             Translator::RulesNoLazyFlags(r) => (Some(RuleHandle::new(r, false)), false),
         };
-        let env = engine_env();
+        let d = Config::DEFAULT;
         Engine {
             state,
             stats: DbtStats::new(),
-            cache: CodeCache::new(env.chaining, env.smc),
-            guardian: Guardian::new(env.watchdog, env.repair, ldbt_learn::fault::env_plan()),
+            cache: CodeCache::new(d.chaining, d.smc),
+            guardian: Guardian::new(d.watchdog, d.repair, d.fault),
             rules,
             jit,
             cost: CostModel::default(),
             tcost: TransCost::default(),
             entry: image.entry,
             pc: image.entry,
-            sb_cfg: env.superblocks,
-            region_alloc: env.region_alloc,
-            fusion: env.fusion,
+            sb_cfg: d.superblocks,
+            region_alloc: d.region_alloc,
+            fusion: d.fusion,
         }
     }
 

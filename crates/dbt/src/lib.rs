@@ -49,5 +49,6 @@ pub mod stats;
 pub mod tcg;
 
 pub use engine::{Engine, RunOutcome, Translator, TrapKind};
+pub use env::Config;
 pub use share::RuleCell;
 pub use stats::{BlockProfile, DbtStats, ExecProfile, RuleProfile};

@@ -65,7 +65,7 @@ use crate::verify::VerifyFail;
 use ldbt_arm::{encode as arm_codec, ArmInstr, ArmReg};
 use ldbt_x86::{encode as x86_codec, Gpr, X86Instr};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
 /// On-disk magic, first 8 bytes of every database file.
@@ -154,14 +154,6 @@ impl std::fmt::Display for DbError {
 }
 
 impl std::error::Error for DbError {}
-
-/// The database path configured via `LDBT_RULEDB` (empty/unset → none).
-pub fn env_path() -> Option<PathBuf> {
-    match std::env::var("LDBT_RULEDB") {
-        Ok(s) if !s.is_empty() => Some(PathBuf::from(s)),
-        _ => None,
-    }
-}
 
 /// Serialize a rule set and memo cache to the on-disk byte format.
 pub fn to_bytes(rules: &RuleSet, cache: &VerifyCache) -> Vec<u8> {
@@ -875,13 +867,5 @@ mod tests {
     fn missing_file_is_an_io_error() {
         let path = Path::new("/nonexistent/ldbt-rules.db");
         assert!(matches!(load(path), Err(DbError::Io(_))));
-    }
-
-    #[test]
-    fn env_path_requires_a_nonempty_value() {
-        // Not set in the test environment (tier1 runs tests without it).
-        if std::env::var("LDBT_RULEDB").is_err() {
-            assert!(env_path().is_none());
-        }
     }
 }

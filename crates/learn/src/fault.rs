@@ -1,7 +1,8 @@
-//! Env-driven fault injection for exercising the containment layer.
+//! Fault injection for exercising the containment layer.
 //!
-//! `LDBT_FAULT=<site>:<seed>` arms exactly one deterministic fault per
-//! run; each site targets a different containment mechanism:
+//! A [`FaultPlan`] (`<site>:<seed>`, the `LDBT_FAULT` knob of a binary's
+//! configuration) arms exactly one deterministic fault per run; each
+//! site targets a different containment mechanism:
 //!
 //! | site             | injected fault                          | contained by                  |
 //! |------------------|-----------------------------------------|-------------------------------|
@@ -14,8 +15,8 @@
 //! The seed selects *which* item faults (an application index, a rule
 //! index, a budget value, a worker item index), keeping every injected
 //! run reproducible. Faults are injected only where a [`FaultPlan`] is
-//! explicitly threaded (engine/learn config); library defaults pick the
-//! plan up from the environment once per process.
+//! explicitly threaded (engine/learn config); nothing is armed by
+//! default.
 //!
 //! `imm-skew` and `operand-swap` corrupt the *installed* rule set once,
 //! via [`corrupt_ruleset`] — the rule's stored metadata goes wrong, so a
@@ -26,7 +27,6 @@
 //! the must-stay-quarantined control for the repair loop.
 
 use crate::rule::{ImmRel, Rule, RuleSet};
-use std::sync::OnceLock;
 
 /// Where the fault is injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,12 +86,6 @@ impl FaultPlan {
         };
         Some(FaultPlan { site, seed })
     }
-}
-
-/// The process-wide plan from `LDBT_FAULT`, read once.
-pub fn env_plan() -> Option<FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    *PLAN.get_or_init(|| std::env::var("LDBT_FAULT").ok().as_deref().and_then(FaultPlan::parse))
 }
 
 /// Skewed replacement for an [`ImmRel`]: the corrupted relation differs

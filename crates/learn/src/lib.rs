@@ -41,8 +41,7 @@ pub use cache::{VerifyCache, VerifyOutcome};
 pub use db::{DbError, RuleDb};
 pub use fault::{corrupt_ruleset, FaultPlan, FaultSite};
 pub use pipeline::{
-    configured_threads, learn_rules, parse_threads, worker_metrics, LearnConfig, LearnReport,
-    LearnStats, WORKER_METRIC_NAMES,
+    learn_rules, worker_metrics, LearnConfig, LearnReport, LearnStats, WORKER_METRIC_NAMES,
 };
 pub use repair::{repair, repair_budget, Counterexample, RepairFail, RepairReport};
 pub use rule::{Rule, RuleOperand, RuleSet};

@@ -19,9 +19,10 @@
 //!    counters bump and rules insert exactly as the sequential loop
 //!    would, regardless of thread count or cache state.
 //!
-//! Thread count comes from [`LearnConfig::threads`], defaulting to the
-//! `LDBT_THREADS` environment knob ([`configured_threads`]);
-//! `LDBT_THREADS=1` takes the pure-sequential path (no threads spawned).
+//! Thread count comes from [`LearnConfig::threads`] (the `LDBT_THREADS`
+//! knob of a binary's configuration); `0` is the machine's available
+//! parallelism, and `1` takes the pure-sequential path (no threads
+//! spawned).
 
 use crate::budget::{Budget, REASON_WORKER_PANIC};
 use crate::cache::{pair_signature, sig_hash, VerifyCache, VerifyOutcome};
@@ -140,8 +141,9 @@ pub struct LearnReport {
 /// Explicit control over the learning pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct LearnConfig {
-    /// Worker threads for the classify and verify stages. `0` means
-    /// "use [`configured_threads`]"; `1` takes the pure-sequential path.
+    /// Worker threads for the classify and verify stages. `0` means the
+    /// machine's available parallelism; `1` takes the pure-sequential
+    /// path.
     pub threads: usize,
     /// Initial-mapping try limit per snippet (the paper uses 5).
     pub max_tries: usize,
@@ -152,8 +154,7 @@ pub struct LearnConfig {
     /// by default; turning it off reverts to fail-fast workers. With no
     /// panics the output is identical either way.
     pub isolate: bool,
-    /// Armed fault injection; defaults to the `LDBT_FAULT` environment
-    /// plan ([`crate::fault::env_plan`]). Tests override explicitly.
+    /// Armed fault injection; none by default.
     pub fault: Option<FaultPlan>,
 }
 
@@ -164,15 +165,17 @@ impl Default for LearnConfig {
             max_tries: MAX_MAPPING_TRIES,
             budget: Budget::default(),
             isolate: true,
-            fault: crate::fault::env_plan(),
+            fault: None,
         }
     }
 }
 
 impl LearnConfig {
-    fn effective_threads(&self) -> usize {
+    /// The worker count learning runs with: [`LearnConfig::threads`],
+    /// or the machine's available parallelism for `0`.
+    pub fn effective_threads(&self) -> usize {
         if self.threads == 0 {
-            configured_threads()
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             self.threads
         }
@@ -188,36 +191,6 @@ impl LearnConfig {
             _ => self.budget,
         }
     }
-}
-
-/// Pure parse of the `LDBT_THREADS` knob against a fallback `auto`
-/// (the machine's available parallelism). Documented parse table:
-///
-/// | `LDBT_THREADS` value      | worker threads |
-/// |---------------------------|----------------|
-/// | unset / empty             | `auto`         |
-/// | `0`                       | `auto`         |
-/// | `N` (integer ≥ 1)         | `N`            |
-/// | garbage / negative        | `auto`         |
-///
-/// Whitespace is trimmed. `1` is honored as-is and takes the pipeline's
-/// pure-sequential path (no threads spawned).
-pub fn parse_threads(raw: Option<&str>, auto: usize) -> usize {
-    match raw.map(str::trim) {
-        None | Some("") => auto,
-        Some(s) => s.parse().ok().filter(|&n| n >= 1).unwrap_or(auto),
-    }
-}
-
-/// The worker-thread count from the `LDBT_THREADS` environment variable,
-/// read once per process; defaults to the machine's available
-/// parallelism (see [`parse_threads`] for the full table).
-pub fn configured_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        parse_threads(std::env::var("LDBT_THREADS").ok().as_deref(), auto)
-    })
 }
 
 /// Registry indices for [`worker_metrics`] (see [`WORKER_METRIC_NAMES`]).
@@ -339,22 +312,6 @@ pub fn learn_from_source(
         &LearnConfig::default(),
         &mut VerifyCache::new(),
     )
-}
-
-/// [`learn_from_source`] with an explicit initial-mapping try limit
-/// (ablation knob; the paper uses 5).
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] if the source does not compile.
-pub fn learn_from_source_with_tries(
-    name: &str,
-    source: &str,
-    options: &Options,
-    max_tries: usize,
-) -> Result<LearnReport, CompileError> {
-    let config = LearnConfig { max_tries, ..LearnConfig::default() };
-    learn_from_source_cached(name, source, options, &config, &mut VerifyCache::new())
 }
 
 /// The full pipeline with explicit configuration and a caller-provided
@@ -768,29 +725,18 @@ int main() {
 
     #[test]
     fn explicit_tries_limit_still_learns() {
-        let one = learn_from_source_with_tries("demo", PROGRAM, &Options::o2(), 1).unwrap();
-        let five = learn_from_source_with_tries("demo", PROGRAM, &Options::o2(), 5).unwrap();
+        let tries = |max_tries| {
+            let config = LearnConfig { max_tries, ..LearnConfig::default() };
+            learn_from_source_cached(
+                "demo",
+                PROGRAM,
+                &Options::o2(),
+                &config,
+                &mut VerifyCache::new(),
+            )
+        };
+        let (one, five) = (tries(1).unwrap(), tries(5).unwrap());
         assert!(one.stats.rules <= five.stats.rules, "more tries can only help");
-    }
-
-    #[test]
-    fn threads_parse_table() {
-        // (raw, expected) against auto = 6.
-        let cases: &[(Option<&str>, usize)] = &[
-            (None, 6),
-            (Some(""), 6),
-            (Some("   "), 6),
-            (Some("0"), 6),
-            (Some("-2"), 6),
-            (Some("garbage"), 6),
-            (Some("2.5"), 6),
-            (Some("1"), 1),
-            (Some("8"), 8),
-            (Some(" 4 "), 4),
-        ];
-        for (raw, want) in cases {
-            assert_eq!(parse_threads(*raw, 6), *want, "LDBT_THREADS={raw:?}");
-        }
     }
 
     #[test]

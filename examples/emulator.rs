@@ -15,7 +15,7 @@
 use ldbt_core::compiler::{link::build_arm_image, Options};
 use ldbt_core::dbt::engine::{RunOutcome, Translator};
 use ldbt_core::dbt::Engine;
-use ldbt_core::learn_suite;
+use ldbt_core::{learn_suite, Config};
 use std::sync::Arc;
 
 const DEMO: &str = "
@@ -61,7 +61,8 @@ fn main() {
     };
 
     println!("learning rules from the synthetic SPEC suite...");
-    let (rules, _) = learn_suite(&Options::o2(), None).expect("suite compiles");
+    let cfg = Config::from_env();
+    let (rules, _) = learn_suite(&Options::o2(), None, &cfg).expect("suite compiles");
     println!("  {} rules available", rules.len());
     let rules = Arc::new(rules);
 
@@ -69,7 +70,7 @@ fn main() {
     println!("guest image: {} instructions, entry {:#x}", image.instr_count(), image.entry);
 
     for engine in engines {
-        let mut e = Engine::new(&image, engine_of(engine, &rules));
+        let mut e = cfg.apply(Engine::new(&image, engine_of(engine, &rules)));
         let outcome = e.run(3_000_000_000);
         assert_eq!(outcome, RunOutcome::Halted, "{engine} did not halt");
         println!(

@@ -120,8 +120,7 @@ int main() {
         unemulated_flags: 0,
         has_branch: false,
     });
-    let mut evil_engine =
-        Engine::new(&image, Translator::Rules(Arc::new(evil))).with_watchdog(None).with_fault(None);
+    let mut evil_engine = Engine::new(&image, Translator::Rules(Arc::new(evil)));
     assert_eq!(evil_engine.run(10_000_000), RunOutcome::Halted);
     assert_ne!(
         evil_engine.guest_reg(ArmReg::R0),
@@ -143,7 +142,7 @@ int main() {
   return s;
 }";
     let image = build_arm_image(src, &Options::o2()).unwrap();
-    let mut base = Engine::new(&image, Translator::Tcg).with_watchdog(None).with_fault(None);
+    let mut base = Engine::new(&image, Translator::Tcg);
     assert_eq!(base.run(10_000_000), RunOutcome::Halted);
     let want = base.guest_reg(ArmReg::R0);
 
@@ -158,9 +157,7 @@ int main() {
         unemulated_flags: 0,
         has_branch: false,
     });
-    let mut e = Engine::new(&image, Translator::Rules(Arc::new(evil)))
-        .with_watchdog(Some(1))
-        .with_fault(None);
+    let mut e = Engine::new(&image, Translator::Rules(Arc::new(evil))).with_watchdog(Some(1));
     assert_eq!(e.run(10_000_000), RunOutcome::Halted);
     assert_eq!(
         e.guest_reg(ArmReg::R0),
@@ -185,7 +182,7 @@ int main() {
   return s;
 }";
     let image = build_arm_image(src, &Options::o2()).unwrap();
-    let mut base = Engine::new(&image, Translator::Tcg).with_watchdog(None).with_fault(None);
+    let mut base = Engine::new(&image, Translator::Tcg);
     assert_eq!(base.run(10_000_000), RunOutcome::Halted);
     let want = base.guest_reg(ArmReg::R0);
 
@@ -203,8 +200,7 @@ int main() {
     });
     let mut e = Engine::new(&image, Translator::Rules(Arc::new(evil)))
         .with_chaining(true)
-        .with_watchdog(Some(1))
-        .with_fault(None);
+        .with_watchdog(Some(1));
     assert_eq!(e.run(10_000_000), RunOutcome::Halted);
     assert_eq!(e.guest_reg(ArmReg::R0), want, "post-quarantine run matches TCG");
     assert_eq!(e.stats.quarantined_rules(), 1, "the bad rule is tombstoned");
@@ -240,7 +236,7 @@ int main() {
   return s & 0xffff;
 }";
     let image = build_arm_image(src, &Options::o2()).unwrap();
-    let mut base = Engine::new(&image, Translator::Tcg).with_watchdog(None).with_fault(None);
+    let mut base = Engine::new(&image, Translator::Tcg);
     assert_eq!(base.run(10_000_000), RunOutcome::Halted);
     let want = base.guest_reg(ArmReg::R0);
 
@@ -260,8 +256,7 @@ int main() {
     let mut e = Engine::new(&image, Translator::Rules(Arc::new(evil)))
         .with_chaining(true)
         .with_watchdog(Some(50))
-        .with_superblocks(Some(8))
-        .with_fault(None);
+        .with_superblocks(Some(8));
     assert_eq!(e.run(10_000_000), RunOutcome::Halted);
     assert_eq!(e.guest_reg(ArmReg::R0), want, "post-eviction run matches TCG");
     assert_eq!(e.stats.quarantined_rules(), 1, "the bad rule is tombstoned");
@@ -287,7 +282,7 @@ int main() {
   return s & 0xffff;
 }";
     let image = build_arm_image(src, &Options::o2()).unwrap();
-    let mut base = Engine::new(&image, Translator::Tcg).with_watchdog(None).with_fault(None);
+    let mut base = Engine::new(&image, Translator::Tcg);
     assert_eq!(base.run(10_000_000), RunOutcome::Halted);
     let want = base.guest_reg(ArmReg::R0);
 
@@ -333,7 +328,7 @@ int main() {
   return s;
 }";
     let image = build_arm_image(src, &Options::o2()).unwrap();
-    let mut base = Engine::new(&image, Translator::Tcg).with_watchdog(None).with_fault(None);
+    let mut base = Engine::new(&image, Translator::Tcg);
     assert_eq!(base.run(10_000_000), RunOutcome::Halted);
     let want = base.guest_reg(ArmReg::R0);
 
@@ -348,7 +343,6 @@ int main() {
     });
     let mut e = Engine::new(&image, Translator::Rules(Arc::new(evil)))
         .with_watchdog(Some(1))
-        .with_fault(None)
         .with_repair(true);
     assert_eq!(e.run(10_000_000), RunOutcome::Halted);
     assert_eq!(e.guest_reg(ArmReg::R0), want, "the quarantined run matches pure TCG");
@@ -380,7 +374,7 @@ int main() {
   return s & 0xffff;
 }";
     let image = build_arm_image(src, &Options::o2()).unwrap();
-    let mut base = Engine::new(&image, Translator::Tcg).with_watchdog(None).with_fault(None);
+    let mut base = Engine::new(&image, Translator::Tcg);
     assert_eq!(base.run(10_000_000), RunOutcome::Halted);
     let want = base.guest_reg(ArmReg::R0);
 

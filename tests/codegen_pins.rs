@@ -18,7 +18,7 @@ use ldbt_dbt::engine::{RunOutcome, Translator};
 use ldbt_dbt::jit::optimize_block;
 use ldbt_dbt::rules::{block_supported, lower_block_with_rules};
 use ldbt_dbt::tcg::{decode_block, translate_block, BlockEnd};
-use ldbt_dbt::Engine;
+use ldbt_dbt::{Config, Engine};
 use ldbt_isa::Memory;
 use ldbt_learn::cache::sig_hash;
 use ldbt_learn::pipeline::learn_from_source;
@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// sharing one register and flag state across the whole block.
 #[test]
 fn static_code_is_pinned() {
-    let all = learn_all(&Options::o2()).expect("suite compiles");
+    let all = learn_all(&Options::o2(), &Config::DEFAULT).expect("suite compiles");
     let (mut tcg_text, mut jit_text, mut rules_text) =
         (String::new(), String::new(), String::new());
     for b in &SUITE {

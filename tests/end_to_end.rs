@@ -2,7 +2,7 @@
 //! pipeline, validated against the ARM interpreter.
 
 use ldbt_compiler::{link::build_arm_image, OptLevel, Options, Style};
-use ldbt_core::{learn_suite, run_benchmark, EngineKind};
+use ldbt_core::{learn_suite, run_benchmark, Config, EngineKind};
 use ldbt_dbt::engine::{RunOutcome, Translator};
 use ldbt_dbt::Engine;
 use ldbt_workloads::Workload;
@@ -33,7 +33,7 @@ fn run_everywhere(src: &str, options: &Options, rules: &ldbt_learn::RuleSet) -> 
 
 #[test]
 fn representative_programs_agree_across_engines() {
-    let (rules, stats) = learn_suite(&Options::o2(), None).unwrap();
+    let (rules, stats) = learn_suite(&Options::o2(), None, &Config::DEFAULT).unwrap();
     assert_eq!(stats.len(), 12);
     assert!(rules.len() > 100, "rule corpus: {}", rules.len());
     let programs = [
@@ -49,7 +49,7 @@ fn representative_programs_agree_across_engines() {
 
 #[test]
 fn all_guest_configurations_are_translatable() {
-    let (rules, _) = learn_suite(&Options::o2(), None).unwrap();
+    let (rules, _) = learn_suite(&Options::o2(), None, &Config::DEFAULT).unwrap();
     let src = "
 int acc;
 int k(int a, int b) {
@@ -76,10 +76,10 @@ fn leave_one_out_runs_all_benchmarks_test_workload() {
     // A smoke pass of the Figure 8 protocol on the test workload for
     // three representative benchmarks (full sweeps live in ldbt-bench).
     for name in ["mcf", "libquantum", "astar"] {
-        let (rules, _) = learn_suite(&Options::o2(), Some(name)).unwrap();
-        let base = run_benchmark(name, Workload::Test, EngineKind::Tcg, &Options::o2(), None);
-        let ours =
-            run_benchmark(name, Workload::Test, EngineKind::Rules, &Options::o2(), Some(&rules));
+        let (rules, _) = learn_suite(&Options::o2(), Some(name), &Config::DEFAULT).unwrap();
+        let (o2, d) = (Options::o2(), &Config::DEFAULT);
+        let base = run_benchmark(name, Workload::Test, EngineKind::Tcg, &o2, None, d);
+        let ours = run_benchmark(name, Workload::Test, EngineKind::Rules, &o2, Some(&rules), d);
         assert_eq!(base.checksum, ours.checksum, "{name}");
         assert!(ours.stats.static_coverage() > 0.2, "{name} coverage");
     }
@@ -87,10 +87,10 @@ fn leave_one_out_runs_all_benchmarks_test_workload() {
 
 #[test]
 fn rules_reduce_dynamic_host_instructions() {
-    let (rules, _) = learn_suite(&Options::o2(), Some("hmmer")).unwrap();
-    let base = run_benchmark("hmmer", Workload::Ref, EngineKind::Tcg, &Options::o2(), None);
-    let ours =
-        run_benchmark("hmmer", Workload::Ref, EngineKind::Rules, &Options::o2(), Some(&rules));
+    let (rules, _) = learn_suite(&Options::o2(), Some("hmmer"), &Config::DEFAULT).unwrap();
+    let (o2, d) = (Options::o2(), &Config::DEFAULT);
+    let base = run_benchmark("hmmer", Workload::Ref, EngineKind::Tcg, &o2, None, d);
+    let ours = run_benchmark("hmmer", Workload::Ref, EngineKind::Rules, &o2, Some(&rules), d);
     assert!(
         ours.stats.exec.host_instrs < base.stats.exec.host_instrs,
         "{} !< {}",
@@ -104,10 +104,10 @@ fn rules_reduce_dynamic_host_instructions() {
 fn gcc_style_guests_still_benefit() {
     // Figure 9's claim in miniature: LLVM-learned rules on a GCC-built
     // guest.
-    let (rules, _) = learn_suite(&Options::o2(), Some("astar")).unwrap();
-    let base = run_benchmark("astar", Workload::Ref, EngineKind::Tcg, &Options::gcc(), None);
-    let ours =
-        run_benchmark("astar", Workload::Ref, EngineKind::Rules, &Options::gcc(), Some(&rules));
+    let (rules, _) = learn_suite(&Options::o2(), Some("astar"), &Config::DEFAULT).unwrap();
+    let (gcc, d) = (Options::gcc(), &Config::DEFAULT);
+    let base = run_benchmark("astar", Workload::Ref, EngineKind::Tcg, &gcc, None, d);
+    let ours = run_benchmark("astar", Workload::Ref, EngineKind::Rules, &gcc, Some(&rules), d);
     assert_eq!(base.checksum, ours.checksum);
     assert!(ours.stats.dynamic_coverage() > 0.1, "cross-compiler coverage");
 }

@@ -1,4 +1,5 @@
-//! Fault-injection harness (`LDBT_FAULT`, `LDBT_WATCHDOG`).
+//! Fault-injection harness: the fault plans `LDBT_FAULT` arms, under the
+//! watchdog `LDBT_WATCHDOG` enables, set per test through the builders.
 //!
 //! Each injection site must degrade gracefully, never abort: a corrupted
 //! rule is caught by the watchdog and quarantined, an exhausted solver
@@ -10,7 +11,7 @@
 use ldbt_arm::ArmReg;
 use ldbt_compiler::{link::build_arm_image, Options};
 use ldbt_dbt::engine::{RunOutcome, Translator};
-use ldbt_dbt::Engine;
+use ldbt_dbt::{Config, Engine};
 use ldbt_learn::cache::VerifyCache;
 use ldbt_learn::pipeline::{learn_from_source_cached, LearnConfig};
 use ldbt_learn::{FaultPlan, FaultSite, RuleSet};
@@ -30,10 +31,6 @@ int main() {
   return s & 0xffff;
 }";
 
-fn clean_config() -> LearnConfig {
-    LearnConfig { fault: None, ..LearnConfig::default() }
-}
-
 fn learn(config: &LearnConfig) -> (RuleSet, ldbt_learn::LearnStats) {
     let report =
         learn_from_source_cached("fi", SRC, &Options::o2(), config, &mut VerifyCache::new())
@@ -43,7 +40,7 @@ fn learn(config: &LearnConfig) -> (RuleSet, ldbt_learn::LearnStats) {
 
 /// The pure-TCG reference result for `SRC`.
 fn tcg_want(image: &ldbt_compiler::ArmImage) -> u32 {
-    let mut base = Engine::new(image, Translator::Tcg).with_watchdog(None).with_fault(None);
+    let mut base = Engine::new(image, Translator::Tcg);
     assert_eq!(base.run(50_000_000), RunOutcome::Halted);
     base.guest_reg(ArmReg::R0)
 }
@@ -52,10 +49,8 @@ fn tcg_want(image: &ldbt_compiler::ArmImage) -> u32 {
 fn clean_watchdog_run_quarantines_nothing() {
     let image = build_arm_image(SRC, &Options::o2()).unwrap();
     let want = tcg_want(&image);
-    let (rules, _) = learn(&clean_config());
-    let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules)))
-        .with_watchdog(Some(1))
-        .with_fault(None);
+    let (rules, _) = learn(&LearnConfig::default());
+    let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules))).with_watchdog(Some(1));
     assert_eq!(e.run(50_000_000), RunOutcome::Halted);
     assert_eq!(e.guest_reg(ArmReg::R0), want, "watchdog must not perturb a clean run");
     assert!(e.stats.guest_dyn_covered() > 0, "rules must actually apply");
@@ -67,7 +62,7 @@ fn clean_watchdog_run_quarantines_nothing() {
 fn rule_corrupt_is_quarantined_and_output_matches_tcg() {
     let image = build_arm_image(SRC, &Options::o2()).unwrap();
     let want = tcg_want(&image);
-    let (rules, _) = learn(&clean_config());
+    let (rules, _) = learn(&LearnConfig::default());
     let fault = FaultPlan { site: FaultSite::RuleCorrupt, seed: 0 };
     let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules)))
         .with_watchdog(Some(1))
@@ -88,7 +83,7 @@ fn rule_corrupt_is_quarantined_and_output_matches_tcg() {
 fn imm_skew_is_repaired_and_output_matches_tcg() {
     let image = build_arm_image(SRC, &Options::o2()).unwrap();
     let want = tcg_want(&image);
-    let (rules, _) = learn(&clean_config());
+    let (rules, _) = learn(&LearnConfig::default());
     let fault = FaultPlan { site: FaultSite::ImmSkew, seed: 0 };
     // Pick the seed's victim the same way the engine will, so this test
     // fails loudly (below) if the seed lands on a never-applied rule.
@@ -136,7 +131,7 @@ int main() {
         "fi-swap",
         src,
         &Options::o2(),
-        &clean_config(),
+        &LearnConfig::default(),
         &mut VerifyCache::new(),
     )
     .expect("learning completes");
@@ -168,7 +163,7 @@ int main() {
 fn repair_off_falls_back_to_conservative_quarantine() {
     let image = build_arm_image(SRC, &Options::o2()).unwrap();
     let want = tcg_want(&image);
-    let (rules, _) = learn(&clean_config());
+    let (rules, _) = learn(&LearnConfig::default());
     let fault = FaultPlan { site: FaultSite::ImmSkew, seed: 0 };
     let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules)))
         .with_watchdog(Some(1))
@@ -184,7 +179,7 @@ fn repair_off_falls_back_to_conservative_quarantine() {
 
 #[test]
 fn solver_exhaust_degrades_yield_without_abort() {
-    let (clean_rules, clean_stats) = learn(&clean_config());
+    let (clean_rules, clean_stats) = learn(&LearnConfig::default());
     let fault = FaultPlan { site: FaultSite::SolverExhaust, seed: 0 };
     let config = LearnConfig { fault: Some(fault), ..LearnConfig::default() };
     let (rules, stats) = learn(&config);
@@ -196,9 +191,7 @@ fn solver_exhaust_degrades_yield_without_abort() {
     // Whatever survived is still verified: the DBT result stays exact.
     let image = build_arm_image(SRC, &Options::o2()).unwrap();
     let want = tcg_want(&image);
-    let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules)))
-        .with_watchdog(Some(1))
-        .with_fault(None);
+    let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules))).with_watchdog(Some(1));
     assert_eq!(e.run(50_000_000), RunOutcome::Halted);
     assert_eq!(e.guest_reg(ArmReg::R0), want);
     assert_eq!(e.stats.quarantined_rules(), 0);
@@ -206,7 +199,7 @@ fn solver_exhaust_degrades_yield_without_abort() {
 
 #[test]
 fn worker_panic_loses_only_its_item() {
-    let (clean_rules, _) = learn(&clean_config());
+    let (clean_rules, _) = learn(&LearnConfig::default());
     let fault = FaultPlan { site: FaultSite::WorkerPanic, seed: 3 };
     // Suppress the injected panic's default stderr backtrace.
     let prev = std::panic::take_hook();
@@ -224,63 +217,61 @@ fn worker_panic_loses_only_its_item() {
     // The surviving set still runs exactly.
     let image = build_arm_image(SRC, &Options::o2()).unwrap();
     let want = tcg_want(&image);
-    let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules)))
-        .with_watchdog(Some(1))
-        .with_fault(None);
+    let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules))).with_watchdog(Some(1));
     assert_eq!(e.run(50_000_000), RunOutcome::Halted);
     assert_eq!(e.guest_reg(ArmReg::R0), want);
 }
 
-/// The `scripts/tier1.sh` smoke matrix drives this test with every
-/// `LDBT_FAULT=<site>:<seed>` and `LDBT_WATCHDOG=1`: learning and the
-/// engine pick the plan up from the environment (their defaults), and the
-/// run must still complete with a pure-TCG-identical result.
+/// Every fault site × repair on/off cell of the configuration, under a
+/// watchdog sampling every dispatch (`LDBT_WATCHDOG=1 LDBT_FAULT=<site>:0
+/// LDBT_REPAIR=0|1`): learning and the engine take the plan from the
+/// cell, and the run must still complete with a pure-TCG-identical
+/// result.
 #[test]
 fn env_driven_fault_run_completes_identical_to_tcg() {
     let image = build_arm_image(SRC, &Options::o2()).unwrap();
     let want = tcg_want(&image);
-    // Defaults: fault and watchdog from the environment.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let (rules, _) = learn(&LearnConfig::default());
-    std::panic::set_hook(prev);
-    // Whether an install-time fault plan has a victim in this learned
-    // set (e.g. operand-swap needs a two-register rule): replay the
-    // corruption on a throwaway clone before the set moves into the
-    // engine, so the per-site outcome asserts below don't demand a
-    // repair of a fault that never installed.
-    let plan = ldbt_learn::fault::env_plan();
-    let installs = match plan {
-        Some(p @ FaultPlan { site: FaultSite::ImmSkew | FaultSite::OperandSwap, .. }) => {
-            ldbt_learn::corrupt_ruleset(&mut rules.clone(), p).is_some()
-        }
-        _ => false,
-    };
-    let mut e = Engine::new(&image, Translator::Rules(Arc::new(rules)));
-    assert_eq!(e.run(50_000_000), RunOutcome::Halted, "no fault plan may abort the run");
-    assert_eq!(
-        e.guest_reg(ArmReg::R0),
-        want,
-        "guest-visible output must stay bit-identical to pure TCG under LDBT_FAULT={:?} LDBT_WATCHDOG={:?}",
-        std::env::var("LDBT_FAULT").ok(),
-        std::env::var("LDBT_WATCHDOG").ok(),
-    );
-    // The smoke matrix also pins the repair outcome per site: with the
-    // watchdog sampling, an install-time corruption must end repaired
-    // when repair is on, and the lowering-time `rule-corrupt` clobber
-    // must stay permanently tombstoned (the control: its rule is healthy,
-    // so the counterexample gate rejects every "repair").
-    if e.stats.watchdog_checks() > 0 && ldbt_dbt::env::repair_from_env() {
-        match plan.map(|p| p.site) {
-            Some(FaultSite::ImmSkew | FaultSite::OperandSwap) if installs => {
-                assert!(e.stats.wd_repaired() >= 1, "install-time corruption must be repaired");
-                assert_eq!(e.stats.quarantined_rules(), 0, "repair leaves no tombstone");
+    let sites =
+        ["rule-corrupt:0", "imm-skew:0", "operand-swap:0", "solver-exhaust:0", "worker-panic:0"];
+    for (site, repair) in sites.iter().flat_map(|s| [(s, false), (s, true)]) {
+        let plan = FaultPlan::parse(site);
+        let cfg = Config { watchdog: Some(1), fault: plan, repair, ..Config::DEFAULT };
+        let cell = format!("fault={site} repair={repair}");
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let (rules, _) = learn(&cfg.learn());
+        std::panic::set_hook(prev);
+        // Whether an install-time fault plan has a victim in this learned
+        // set (e.g. operand-swap needs a two-register rule): replay the
+        // corruption on a throwaway clone before the set moves into the
+        // engine, so the per-site outcome asserts below don't demand a
+        // repair of a fault that never installed.
+        let installs = match plan {
+            Some(p @ FaultPlan { site: FaultSite::ImmSkew | FaultSite::OperandSwap, .. }) => {
+                ldbt_learn::corrupt_ruleset(&mut rules.clone(), p).is_some()
             }
-            Some(FaultSite::RuleCorrupt) => {
-                assert_eq!(e.stats.wd_repaired(), 0, "rule-corrupt is unrepairable by design");
-                assert!(e.stats.quarantined_rules() >= 1, "the clobbered rule stays tombstoned");
+            _ => false,
+        };
+        let mut e = cfg.apply(Engine::new(&image, Translator::Rules(Arc::new(rules))));
+        assert_eq!(e.run(50_000_000), RunOutcome::Halted, "{cell}: a fault plan aborted the run");
+        assert_eq!(e.guest_reg(ArmReg::R0), want, "{cell}: output must stay identical to pure TCG");
+        // The per-site repair outcome: with the watchdog sampling, an
+        // install-time corruption must end repaired when repair is on,
+        // and the lowering-time `rule-corrupt` clobber must stay
+        // permanently tombstoned (the control: its rule is healthy, so
+        // the counterexample gate rejects every "repair").
+        if e.stats.watchdog_checks() > 0 && repair {
+            match plan.map(|p| p.site) {
+                Some(FaultSite::ImmSkew | FaultSite::OperandSwap) if installs => {
+                    assert!(e.stats.wd_repaired() >= 1, "{cell}: corruption must be repaired");
+                    assert_eq!(e.stats.quarantined_rules(), 0, "{cell}: a tombstone is left");
+                }
+                Some(FaultSite::RuleCorrupt) => {
+                    assert_eq!(e.stats.wd_repaired(), 0, "{cell}: rule-corrupt is unrepairable");
+                    assert!(e.stats.quarantined_rules() >= 1, "{cell}: the clobbered rule stays");
+                }
+                _ => {}
             }
-            _ => {}
         }
     }
 }

@@ -13,12 +13,7 @@
 //!   atomically through the shared [`RuleCell`]: after publication no
 //!   tenant — concurrent or later — ever executes the bad rule again.
 //!   Driven by the same install-time corruptions (`imm-skew`) as the
-//!   `LDBT_FAULT` harness in `tests/fault_injection.rs`.
-//!
-//! All engines pin their knobs explicitly (`with_watchdog` /
-//! `with_fault` / …) so the tier-1 fault matrix, which re-runs the whole
-//! test suite under `LDBT_FAULT`/`LDBT_WATCHDOG` environments, cannot
-//! perturb these invariants.
+//!   fault-injection harness in `tests/fault_injection.rs`.
 
 use ldbt_compiler::{link::build_arm_image, Options};
 use ldbt_core::serve::{serve_with, ServeProgram};
@@ -66,9 +61,7 @@ fn concurrent_tenants_match_solo_bit_for_bit() {
     let programs = [program()];
     let rules = rules();
     for (wd, sb) in [(None, None), (None, Some(64)), (Some(1), None), (Some(1), Some(64))] {
-        let cfg = move |e: Engine| {
-            e.with_watchdog(wd).with_superblocks(sb).with_fault(None).with_repair(true)
-        };
+        let cfg = move |e: Engine| e.with_watchdog(wd).with_superblocks(sb).with_repair(true);
         let solo = {
             let cell = Arc::new(RuleCell::new(rules.clone()));
             serve_with(&programs, 1, &cell, cfg)
@@ -116,9 +109,7 @@ fn concurrent_repair_publishes_one_generation_for_all() {
     let victim = corrupt_seed(&mut rules);
     let cell = Arc::new(RuleCell::new(rules));
     // Checksum correctness for every tenant is asserted inside serve_with.
-    let report = serve_with(&programs, 3, &cell, |e| {
-        e.with_watchdog(Some(1)).with_fault(None).with_repair(true)
-    });
+    let report = serve_with(&programs, 3, &cell, |e| e.with_watchdog(Some(1)).with_repair(true));
     assert!(report.generation >= 1, "the repair must be published through the cell");
     let (published, _) = cell.load();
     assert!(
@@ -147,7 +138,6 @@ fn later_tenant_without_watchdog_inherits_published_repair() {
     let mut a = Engine::new(&p.image, translator)
         .with_rule_cell(Arc::clone(&cell))
         .with_watchdog(Some(1))
-        .with_fault(None)
         .with_repair(true);
     assert_eq!(a.run(50_000_000), RunOutcome::Halted);
     assert_eq!(a.guest_reg(ldbt_arm::ArmReg::R0), p.want);
@@ -157,10 +147,7 @@ fn later_tenant_without_watchdog_inherits_published_repair() {
     // Tenant B: no watchdog, same cell, fresh engine. Correct because
     // its translator starts from the published (repaired) generation.
     let translator = Translator::Rules(cell.load().0);
-    let mut b = Engine::new(&p.image, translator)
-        .with_rule_cell(Arc::clone(&cell))
-        .with_watchdog(None)
-        .with_fault(None);
+    let mut b = Engine::new(&p.image, translator).with_rule_cell(Arc::clone(&cell));
     assert_eq!(b.run(50_000_000), RunOutcome::Halted);
     assert_eq!(
         b.guest_reg(ldbt_arm::ArmReg::R0),
@@ -185,7 +172,6 @@ fn later_tenant_inherits_published_tombstone() {
     let mut a = Engine::new(&p.image, translator)
         .with_rule_cell(Arc::clone(&cell))
         .with_watchdog(Some(1))
-        .with_fault(None)
         .with_repair(false);
     assert_eq!(a.run(50_000_000), RunOutcome::Halted);
     assert_eq!(a.guest_reg(ldbt_arm::ArmReg::R0), p.want);
@@ -195,10 +181,7 @@ fn later_tenant_inherits_published_tombstone() {
     assert!(published.is_tombstoned(victim), "the tombstone is in the published generation");
 
     let translator = Translator::Rules(cell.load().0);
-    let mut b = Engine::new(&p.image, translator)
-        .with_rule_cell(Arc::clone(&cell))
-        .with_watchdog(None)
-        .with_fault(None);
+    let mut b = Engine::new(&p.image, translator).with_rule_cell(Arc::clone(&cell));
     assert_eq!(b.run(50_000_000), RunOutcome::Halted);
     assert_eq!(b.guest_reg(ldbt_arm::ArmReg::R0), p.want);
     assert!(
