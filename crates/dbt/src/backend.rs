@@ -20,6 +20,15 @@
 //!   PC in it) and doubles as scratch,
 //! * temporaries that exceed the register pool spill to env slots;
 //!   temps and spill slots belong to one TCG stretch,
+//! * copies are coalesced the way QEMU's register allocator does it: an
+//!   op whose operand dies there takes the operand's register for its
+//!   result (`Mov` just renames), and `PutReg` of a dying temp makes the
+//!   temp's register the guest register's dirty home, freeing the old
+//!   one; no `movl %r, %r` is ever emitted,
+//! * a `MovI` emits nothing: its temp stays an immediate until a use
+//!   needs it in a register, and `PutReg`, `PutFlag`, a 32-bit `Store`,
+//!   an ALU or compare source and the block's exit take it as `$imm` (a
+//!   constant branch condition picks its exit statically),
 //! * condition codes follow one flag-mode protocol (env `flagmode`):
 //!   - only the §5 lazy save ([`Emitter::lazy_flag_save`]) sets it
 //!     nonzero, after a rule body whose guest flags are live out in host
@@ -73,6 +82,8 @@ enum RegUse {
 enum TLoc {
     Reg(Gpr),
     Spill(u32),
+    /// A constant not yet placed in a register (a folded `MovI`).
+    Imm(u32),
 }
 
 /// The block emitter (see module docs). A translator asks it for guest
@@ -137,6 +148,10 @@ impl Emitter {
     }
 
     pub(crate) fn emit(&mut self, i: X86Instr) {
+        debug_assert!(
+            !matches!(i, X86Instr::Mov { dst: Operand::Reg(d), src: Operand::Reg(s) } if d == s),
+            "self-move {i:?}"
+        );
         self.code.push(i);
     }
 
@@ -297,31 +312,58 @@ impl Emitter {
         self.flagmode_zero = false;
     }
 
-    /// Materialize a temp into a pool register, un-spilling it if needed.
-    /// `forbid` protects other operands of the current op from eviction.
+    /// Materialize a temp into a pool register, un-spilling it (or placing
+    /// its constant) if needed. `forbid` protects other operands of the
+    /// current op from eviction.
     fn unspill(&mut self, t: Temp, forbid: &[Temp]) -> Gpr {
-        match self.temp_loc[t.0 as usize] {
-            Some(TLoc::Reg(r)) => r,
-            Some(TLoc::Spill(slot)) => {
-                let r = self.grab_reg(forbid);
-                let m = self.spill_mem(slot);
-                self.emit(X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Mem(m) });
-                self.reg_state[r.index()] = RegUse::Temp(t);
-                self.temp_loc[t.0 as usize] = Some(TLoc::Reg(r));
-                self.free_slots.push(slot);
-                r
-            }
-            None => panic!("use of undefined temp {t:?}"),
+        let loc = self.temp_loc[t.0 as usize];
+        if let Some(TLoc::Reg(r)) = loc {
+            return r;
         }
+        // Grab before freeing the slot, so a spill made to free a
+        // register cannot land on the value being loaded.
+        let r = self.grab_reg(forbid);
+        let src = match loc {
+            Some(TLoc::Spill(slot)) => {
+                self.free_slots.push(slot);
+                Operand::Mem(self.spill_mem(slot))
+            }
+            Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
+            _ => panic!("use of undefined temp {t:?}"),
+        };
+        self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
+        self.reg_state[r.index()] = RegUse::Temp(t);
+        self.temp_loc[t.0 as usize] = Some(TLoc::Reg(r));
+        r
     }
 
-    /// A source operand for a temp (spills stay in memory).
+    /// A source operand for a temp (spills stay in memory, constants
+    /// are immediates).
     fn temp_operand(&self, t: Temp) -> Operand {
         match self.temp_loc[t.0 as usize] {
             Some(TLoc::Reg(r)) => Operand::Reg(r),
             Some(TLoc::Spill(slot)) => Operand::Mem(self.spill_mem(slot)),
+            Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
             None => panic!("use of undefined temp {t:?}"),
         }
+    }
+
+    /// Whether op `idx` is the last reader of `t`.
+    fn dies(&self, t: Temp, idx: usize) -> bool {
+        self.last_use[t.0 as usize] == idx
+    }
+
+    /// Hand `from`'s register to `to` when `from` dies at op `idx` and
+    /// holds a register; the register, if handed over.
+    fn take_reg(&mut self, to: Temp, from: Temp, idx: usize) -> Option<Gpr> {
+        let Some(TLoc::Reg(r)) = self.temp_loc[from.0 as usize] else { return None };
+        if !self.dies(from, idx) {
+            return None;
+        }
+        self.temp_loc[from.0 as usize] = None;
+        self.temp_loc[to.0 as usize] = Some(TLoc::Reg(r));
+        self.reg_state[r.index()] = RegUse::Temp(to);
+        Some(r)
     }
 
     /// Allocate a register for a temp definition.
@@ -334,18 +376,17 @@ impl Emitter {
 
     /// Release the temps of op `idx` whose last use has passed (a temp
     /// dies at the op that last reads it, or at its own definition when
-    /// nothing reads it).
+    /// nothing reads it). A temp whose register went to another temp or
+    /// a home has no location left to release.
     fn expire(&mut self, op: &TcgOp, idx: usize) {
         for t in op.uses().into_iter().chain(op.def()) {
             if self.last_use[t.0 as usize] > idx {
                 continue;
             }
             match self.temp_loc[t.0 as usize].take() {
-                Some(TLoc::Reg(r)) if self.reg_state[r.index()] == RegUse::Temp(t) => {
-                    self.reg_state[r.index()] = RegUse::Free;
-                }
+                Some(TLoc::Reg(r)) => self.reg_state[r.index()] = RegUse::Free,
                 Some(TLoc::Spill(slot)) => self.free_slots.push(slot),
-                Some(TLoc::Reg(_)) | None => {}
+                Some(TLoc::Imm(_)) | None => {}
             }
         }
     }
@@ -396,34 +437,55 @@ impl Emitter {
             self.boundary_instrs += self.code.len() - at;
         }
         for (idx, op) in block.ops.iter().enumerate() {
-            self.lower_op(op);
+            self.lower_op(op, idx);
             self.expire(op, idx);
+            self.debug_check();
         }
     }
 
-    fn lower_op(&mut self, op: &TcgOp) {
+    /// Lower op `idx` of the stretch.
+    fn lower_op(&mut self, op: &TcgOp, idx: usize) {
         match *op {
-            TcgOp::MovI(d, v) => {
-                let r = self.def_temp(d, &[]);
-                self.emit(X86Instr::mov_imm(r, v as i32));
-            }
+            TcgOp::MovI(d, v) => self.temp_loc[d.0 as usize] = Some(TLoc::Imm(v)),
             TcgOp::Mov(d, s) => {
-                let r = self.def_temp(d, &[s]);
-                let src = self.temp_operand(s);
-                self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
+                let loc = self.temp_loc[s.0 as usize];
+                match loc {
+                    Some(TLoc::Imm(_)) => self.temp_loc[d.0 as usize] = loc,
+                    // A dying source is renamed, wherever it lives.
+                    Some(TLoc::Spill(_)) if self.dies(s, idx) => {
+                        self.temp_loc[s.0 as usize] = None;
+                        self.temp_loc[d.0 as usize] = loc;
+                    }
+                    _ => {
+                        if self.take_reg(d, s, idx).is_none() {
+                            let r = self.def_temp(d, &[s]);
+                            let src = self.temp_operand(s);
+                            self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
+                        }
+                    }
+                }
             }
             TcgOp::Alu(aop, d, a, b) => {
-                let r = self.def_copy(d, a, Some(b));
+                let r = self.def_copy(d, a, Some(b), idx);
                 let sb = self.temp_operand(b);
                 match aop {
-                    TcgAlu::Mul => self.emit(X86Instr::Imul { dst: r, src: sb }),
+                    TcgAlu::Mul => {
+                        let src = match sb {
+                            Operand::Imm(v) => {
+                                self.emit(X86Instr::mov_imm(Gpr::Eax, v));
+                                Operand::Reg(Gpr::Eax)
+                            }
+                            src => src,
+                        };
+                        self.emit(X86Instr::Imul { dst: r, src })
+                    }
                     _ => {
                         self.emit(X86Instr::Alu { op: alu_of(aop), dst: Operand::Reg(r), src: sb })
                     }
                 }
             }
             TcgOp::AluI(aop, d, a, imm) => {
-                let r = self.def_copy(d, a, None);
+                let r = self.def_copy(d, a, None, idx);
                 match aop {
                     TcgAlu::Shl | TcgAlu::Lshr | TcgAlu::Ashr => {
                         let sop = match aop {
@@ -444,11 +506,11 @@ impl Emitter {
                 }
             }
             TcgOp::Not(d, a) => {
-                let r = self.def_copy(d, a, None);
+                let r = self.def_copy(d, a, None, idx);
                 self.emit(X86Instr::Un { op: UnOp::Not, dst: Operand::Reg(r) });
             }
             TcgOp::Neg(d, a) => {
-                let r = self.def_copy(d, a, None);
+                let r = self.def_copy(d, a, None, idx);
                 self.emit(X86Instr::Un { op: UnOp::Neg, dst: Operand::Reg(r) });
             }
             TcgOp::Setc(d, cond, a, b) => {
@@ -465,21 +527,39 @@ impl Emitter {
             TcgOp::GetReg(d, g) => {
                 let home = self.guest_home(g, true);
                 let r = self.def_temp(d, &[]);
-                let src = home.map_or(Operand::Mem(reg_mem(g)), Operand::Reg);
-                self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
+                // Under pool pressure `d` may evict the home just made:
+                // its register then already holds `g`.
+                if home != Some(r) {
+                    let src = home.map_or(Operand::Mem(reg_mem(g)), Operand::Reg);
+                    self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
+                }
             }
             TcgOp::PutReg(g, s) => {
-                let src = self.unspill(s, &[]);
+                if let Some(TLoc::Reg(r)) = self.temp_loc[s.0 as usize] {
+                    if self.dies(s, idx) {
+                        // Re-home: the temp's register becomes `g`'s dirty
+                        // home, and the old home's stale value is dropped.
+                        if let Some((old, _)) = self.home[g.index()] {
+                            self.reg_state[old.index()] = RegUse::Free;
+                        }
+                        self.temp_loc[s.0 as usize] = None;
+                        self.reg_state[r.index()] = RegUse::Home(g);
+                        self.home[g.index()] = Some((r, true));
+                        return;
+                    }
+                }
+                let src = match self.temp_loc[s.0 as usize] {
+                    Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
+                    _ => Operand::Reg(self.unspill(s, &[])),
+                };
                 // (A home allocated here is never `src`: `guest_home`
                 // takes a free register or another home, not a temp's.)
                 match self.guest_home(g, false) {
                     Some(h) => {
-                        if h != src {
-                            self.emit(X86Instr::mov_rr(h, src));
-                        }
+                        self.emit(X86Instr::Mov { dst: Operand::Reg(h), src });
                         self.mark_dirty(g);
                     }
-                    None => self.store_home(g, src),
+                    None => self.emit(X86Instr::Mov { dst: Operand::Mem(reg_mem(g)), src }),
                 }
             }
             TcgOp::GetFlag(d, f) => {
@@ -487,8 +567,11 @@ impl Emitter {
                 self.emit(X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Mem(flag_mem(f)) });
             }
             TcgOp::PutFlag(f, s) => {
-                let src = self.unspill(s, &[]);
-                self.emit(X86Instr::Mov { dst: Operand::Mem(flag_mem(f)), src: Operand::Reg(src) });
+                let src = match self.temp_loc[s.0 as usize] {
+                    Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
+                    _ => Operand::Reg(self.unspill(s, &[])),
+                };
+                self.emit(X86Instr::Mov { dst: Operand::Mem(flag_mem(f)), src });
             }
             TcgOp::Load(d, a, width, signed) => {
                 let base = self.unspill(a, &[]);
@@ -507,37 +590,43 @@ impl Emitter {
                 }
             }
             TcgOp::Store(s, a, width) => {
-                let val = self.unspill(s, &[a]);
-                let base = self.unspill(a, &[s]);
-                match width {
-                    Width::W32 => self.emit(X86Instr::Mov {
-                        dst: Operand::Mem(X86Mem::base(base)),
-                        src: Operand::Reg(val),
-                    }),
-                    w => {
-                        let src = if val.low8_name().is_some() || w == Width::W16 {
-                            val
-                        } else {
-                            self.emit(X86Instr::mov_rr(Gpr::Eax, val));
+                let val = match self.temp_loc[s.0 as usize] {
+                    Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
+                    _ => Operand::Reg(self.unspill(s, &[a])),
+                };
+                let dst = X86Mem::base(self.unspill(a, &[s]));
+                if width == Width::W32 {
+                    self.emit(X86Instr::Mov { dst: Operand::Mem(dst), src: val });
+                } else {
+                    // Sub-word: from a byte-addressable register or %eax.
+                    let src = match val {
+                        Operand::Reg(r) if r.low8_name().is_some() || width == Width::W16 => r,
+                        src => {
+                            self.emit(X86Instr::Mov { dst: Operand::Reg(Gpr::Eax), src });
                             Gpr::Eax
-                        };
-                        self.emit(X86Instr::MovStore { width: w, src, dst: X86Mem::base(base) });
-                    }
+                        }
+                    };
+                    self.emit(X86Instr::MovStore { width, src, dst });
                 }
             }
         }
     }
 
-    /// `d = a` in a fresh register — the two-address prelude of a unary
-    /// or binary op. `b`, the op's other operand, is protected from
-    /// eviction along with `a`.
-    fn def_copy(&mut self, d: Temp, a: Temp, b: Option<Temp>) -> Gpr {
-        let keep = [b.unwrap_or(a), a];
-        let sa = self.unspill(a, &keep[..1]);
-        let r = self.def_temp(d, &keep);
-        if r != sa {
-            self.emit(X86Instr::mov_rr(r, sa));
+    /// `d = a` in a register `d` owns — the two-address prelude of a
+    /// unary or binary op. When `a` dies here in a register, `d` takes
+    /// that register and nothing is emitted; otherwise `a` is copied
+    /// (from its register, spill slot or immediate) into a fresh one.
+    /// `b`, the op's other operand, is protected from eviction along
+    /// with `a`, and keeps `a` alive when it is `a`.
+    fn def_copy(&mut self, d: Temp, a: Temp, b: Option<Temp>, idx: usize) -> Gpr {
+        if b != Some(a) {
+            if let Some(r) = self.take_reg(d, a, idx) {
+                return r;
+            }
         }
+        let r = self.def_temp(d, &[b.unwrap_or(a), a]);
+        let src = self.temp_operand(a);
+        self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
         r
     }
 
@@ -615,6 +704,7 @@ impl Emitter {
     /// End the block with a two-way exit on a host condition the code
     /// before it left in EFLAGS (the writeback movs are flag-safe).
     pub(crate) fn exit_on_cc(&mut self, cc: Cc, taken: u32, not_taken: u32) {
+        self.debug_check();
         self.writeback();
         self.ret_either(cc, taken, not_taken);
     }
@@ -624,6 +714,7 @@ impl Emitter {
     /// emitted; an Indirect return deliberately is not, even though it
     /// ends in `mov %eax; ret` too.
     pub(crate) fn exit(&mut self, end: BlockEnd) {
+        self.debug_check();
         self.writeback();
         match end {
             BlockEnd::Jump(pc) => self.ret_to(pc),
@@ -639,11 +730,84 @@ impl Emitter {
                 self.emit(X86Instr::Mov { dst: Operand::Reg(Gpr::Eax), src });
                 self.emit(X86Instr::Ret);
             }
-            BlockEnd::Branch { cond, taken, not_taken } => {
-                let c = self.temp_operand(cond);
-                self.emit(X86Instr::Alu { op: AluOp::Cmp, dst: c, src: Operand::Imm(0) });
-                self.ret_either(Cc::Ne, taken, not_taken);
+            BlockEnd::Branch { cond, taken, not_taken } => match self.temp_operand(cond) {
+                // A constant condition has one successor.
+                Operand::Imm(v) => self.ret_to(if v != 0 { taken } else { not_taken }),
+                c => {
+                    self.emit(X86Instr::Alu { op: AluOp::Cmp, dst: c, src: Operand::Imm(0) });
+                    self.ret_either(Cc::Ne, taken, not_taken);
+                }
+            },
+        }
+    }
+
+    /// The ownership invariant of the register state, reporting the first
+    /// violation: every pool register is free, one live temp's, or one
+    /// guest register's home, and `reg_state`, `temp_loc` and `home` say
+    /// the same thing about it; no register outside the pool is owned; a
+    /// spill slot belongs to one temp and is not also free; a temp that
+    /// is an immediate owns no register.
+    #[cfg(debug_assertions)]
+    fn check(&self) -> Result<(), String> {
+        let ensure = |ok: bool, what: String| ok.then_some(()).ok_or(what);
+        for (i, u) in self.reg_state.iter().enumerate() {
+            let r = Gpr::from_index(i);
+            ensure(
+                *u == RegUse::Free || self.pool.contains(&r),
+                format!("{r:?} outside pool is {u:?}"),
+            )?;
+            match *u {
+                RegUse::Free => {}
+                RegUse::Temp(t) => ensure(
+                    self.temp_loc.get(t.0 as usize) == Some(&Some(TLoc::Reg(r))),
+                    format!(
+                        "{r:?} holds {t:?}, which lives at {:?}",
+                        self.temp_loc.get(t.0 as usize)
+                    ),
+                )?,
+                RegUse::Home(g) => ensure(
+                    self.home[g.index()].is_some_and(|(h, _)| h == r),
+                    format!("{r:?} holds {g:?}, whose home is {:?}", self.home[g.index()]),
+                )?,
             }
+        }
+        for (i, h) in self.home.iter().enumerate() {
+            if let Some((r, _)) = *h {
+                let g = ArmReg::from_index(i);
+                let owner = self.reg_state[r.index()];
+                ensure(
+                    owner == RegUse::Home(g),
+                    format!("home of {g:?} is {r:?}, held by {owner:?}"),
+                )?;
+            }
+        }
+        let mut slots = 0u32;
+        for (i, loc) in self.temp_loc.iter().enumerate() {
+            let t = Temp(i as u32);
+            match *loc {
+                Some(TLoc::Reg(r)) => {
+                    let owner = self.reg_state[r.index()];
+                    ensure(
+                        owner == RegUse::Temp(t),
+                        format!("{t:?} is in {r:?}, held by {owner:?}"),
+                    )?;
+                }
+                Some(TLoc::Spill(s)) => {
+                    let taken = slots & 1 << s != 0 || self.free_slots.contains(&s);
+                    ensure(!taken, format!("{t:?} spilled to slot {s}, which is shared or free"))?;
+                    slots |= 1 << s;
+                }
+                Some(TLoc::Imm(_)) | None => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Debug builds: assert [`Emitter::check`].
+    fn debug_check(&self) {
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.check() {
+            panic!("emitter ownership: {e}");
         }
     }
 }
@@ -1061,5 +1225,296 @@ mod tests {
             assert_eq!(regs & !(1 << Gpr::Esp.index()), 0, "{name}: reads host regs {regs:#010b}");
             assert_eq!(flags, 0, "{name}: reads host EFLAGS {flags:#06b}");
         }
+    }
+
+    // ---- coalescing, re-homing and folded constants ----
+
+    fn block_of(ops: Vec<TcgOp>, end: BlockEnd) -> TcgBlock {
+        TcgBlock {
+            ops,
+            end,
+            reads_live_in_flags: false,
+            writes_flags: false,
+            merges_live_in_flags: false,
+            unsupported_at: None,
+        }
+    }
+
+    /// Run `code` from a fresh host state prepared by `setup`.
+    fn exec(code: &[X86Instr], setup: impl FnOnce(&mut Memory)) -> X86State {
+        let mut st = X86State::new();
+        st.set_reg(Gpr::Esp, crate::env::HOST_STACK_TOP);
+        setup(&mut st.mem);
+        let mut stats = ExecStats::new();
+        let exit = run_seq(&mut st, code, 10_000, &CostModel::default(), &mut stats);
+        assert_eq!(exit, SeqExit::Returned, "{code:?}");
+        st
+    }
+
+    fn is_self_move(i: &X86Instr) -> bool {
+        matches!(i, X86Instr::Mov { dst: Operand::Reg(d), src: Operand::Reg(s) } if d == s)
+    }
+
+    fn flag(st: &X86State, f: FlagId) -> u32 {
+        st.mem.read(ENV_BASE + f.offset(), Width::W32)
+    }
+
+    #[test]
+    fn dying_spilled_operand_loads_straight_into_the_result() {
+        // Three registers, four live flag temps: `t0`, read last, is
+        // spilled. When `not` consumes it as it dies, the spill slot is
+        // loaded straight into the result's register — not into a
+        // register of its own first and then copied.
+        let t = |i| Temp(i);
+        let ops = vec![
+            TcgOp::GetFlag(t(0), FlagId::N),
+            TcgOp::GetFlag(t(1), FlagId::Z),
+            TcgOp::GetFlag(t(2), FlagId::C),
+            TcgOp::GetFlag(t(3), FlagId::V),
+            TcgOp::Alu(TcgAlu::Add, t(4), t(1), t(2)),
+            TcgOp::Alu(TcgAlu::Add, t(5), t(4), t(3)),
+            TcgOp::PutReg(ArmReg::R1, t(5)),
+            TcgOp::Not(t(6), t(0)),
+            TcgOp::PutReg(ArmReg::R2, t(6)),
+        ];
+        let code =
+            lower_block_pool(&block_of(ops, BlockEnd::Jump(0x1000)), crate::jit::JIT_POOL).code;
+        let slot0 = env_mem(SPILL_OFFSET);
+        let spill = code.iter().position(|i| {
+            *i == X86Instr::Mov { dst: Operand::Mem(slot0), src: Operand::Reg(Gpr::Ecx) }
+        });
+        assert!(spill.is_some(), "t0 spilled: {code:?}");
+        let reload = code
+            .iter()
+            .position(|i| matches!(i, X86Instr::Mov { dst: Operand::Reg(_), src: Operand::Mem(m) } if *m == slot0))
+            .expect("t0 reloaded");
+        let X86Instr::Mov { dst: Operand::Reg(r), .. } = code[reload] else { unreachable!() };
+        assert_eq!(
+            code[reload + 1],
+            X86Instr::Un { op: UnOp::Not, dst: Operand::Reg(r) },
+            "{code:?}"
+        );
+        let copies = code
+            .iter()
+            .filter(|i| matches!(i, X86Instr::Mov { dst: Operand::Reg(_), src: Operand::Reg(_) }));
+        assert_eq!(copies.count(), 0, "every copy coalesced: {code:?}");
+        let st = exec(&code, |mem| {
+            for (f, v) in [(FlagId::N, 1), (FlagId::Z, 0), (FlagId::C, 1), (FlagId::V, 1)] {
+                mem.write(ENV_BASE + f.offset(), v, Width::W32);
+            }
+        });
+        assert_eq!(guest_reg(&st, ArmReg::R1), 2);
+        assert_eq!(guest_reg(&st, ArmReg::R2), !1);
+    }
+
+    #[test]
+    fn rehome_over_a_dirty_home_drops_the_stale_value() {
+        // r1 is re-homed twice: the first home is dirty when the second
+        // put lands, and goes back to the pool without a store.
+        let t = |i| Temp(i);
+        let ops = vec![
+            TcgOp::GetReg(t(0), ArmReg::R2),
+            TcgOp::AluI(TcgAlu::Add, t(1), t(0), 1),
+            TcgOp::PutReg(ArmReg::R1, t(1)),
+            TcgOp::GetReg(t(2), ArmReg::R3),
+            TcgOp::AluI(TcgAlu::Add, t(3), t(2), 5),
+            TcgOp::PutReg(ArmReg::R1, t(3)),
+        ];
+        let mut e = Emitter::new(POOL.len());
+        e.lower_ops(&block_of(ops.clone(), BlockEnd::Jump(0x1000)));
+        let first = e.code.iter().find_map(|i| match *i {
+            X86Instr::Alu { op: AluOp::Add, dst: Operand::Reg(r), src: Operand::Imm(1) } => Some(r),
+            _ => None,
+        });
+        let first = first.expect("r2 + 1 computed in place");
+        let home = e.home_of(ArmReg::R1).expect("r1 homed");
+        assert_ne!(home, first, "the second put re-homed r1");
+        assert_eq!(
+            e.reg_state[first.index()],
+            RegUse::Free,
+            "the stale home went back to the pool"
+        );
+        assert_eq!(e.home[ArmReg::R1.index()], Some((home, true)));
+        let code = lower_block(&block_of(ops, BlockEnd::Jump(0x1000))).code;
+        let r1 = Operand::Mem(reg_mem(ArmReg::R1));
+        let stores = code.iter().filter(|i| matches!(i, X86Instr::Mov { dst, .. } if *dst == r1));
+        assert_eq!(stores.count(), 1, "one writeback of r1, at the exit: {code:?}");
+        let st = exec(&code, |mem| {
+            set_guest_reg(mem, ArmReg::R1, 7);
+            set_guest_reg(mem, ArmReg::R2, 10);
+            set_guest_reg(mem, ArmReg::R3, 20);
+        });
+        assert_eq!(guest_reg(&st, ArmReg::R1), 25);
+        assert_eq!(guest_reg(&st, ArmReg::R2), 10);
+    }
+
+    #[test]
+    fn rehome_into_ecx_is_written_back_before_a_flag_stub() {
+        // The first stretch leaves r4's dirty home in %ecx; the next one
+        // reads live-in flags, and its stub uses %ecx as scratch.
+        let t = |i| Temp(i);
+        let mut e = Emitter::new(POOL.len());
+        let first = vec![
+            TcgOp::MovI(t(0), 5),
+            TcgOp::AluI(TcgAlu::Add, t(1), t(0), 1),
+            TcgOp::PutReg(ArmReg::R4, t(1)),
+        ];
+        e.lower_ops(&block_of(first, BlockEnd::Jump(0)));
+        assert_eq!(e.home[ArmReg::R4.index()], Some((Gpr::Ecx, true)));
+        let reader = TcgBlock {
+            reads_live_in_flags: true,
+            ..block_of(
+                vec![TcgOp::GetFlag(t(0), FlagId::Z), TcgOp::PutReg(ArmReg::R5, t(0))],
+                BlockEnd::Jump(0x2000),
+            )
+        };
+        e.lower_ops(&reader);
+        e.exit(reader.end);
+        let code = e.finish().code;
+        let stub = code
+            .iter()
+            .position(|i| matches!(i, X86Instr::Alu { op: AluOp::Cmp, dst: Operand::Mem(m), .. } if *m == env_mem(FLAGMODE_OFFSET)))
+            .expect("flag stub");
+        let wb =
+            X86Instr::Mov { dst: Operand::Mem(reg_mem(ArmReg::R4)), src: Operand::Reg(Gpr::Ecx) };
+        assert_eq!(code[stub - 1], wb, "{code:?}");
+        // Flag-mode 1 with ZF clear: the stub runs and clobbers %ecx.
+        let st = exec(&code, |mem| {
+            mem.write(ENV_BASE + FLAGMODE_OFFSET, 1, Width::W32);
+            mem.write(ENV_BASE + HOSTFLAGS_OFFSET, 0, Width::W32);
+            mem.write(ENV_BASE + FlagId::Z.offset(), 1, Width::W32);
+        });
+        assert_eq!(guest_reg(&st, ArmReg::R4), 6);
+        assert_eq!(guest_reg(&st, ArmReg::R5), 0, "Z materialized from the saved EFLAGS");
+        assert_eq!(st.reg(Gpr::Eax), 0x2000);
+    }
+
+    #[test]
+    fn jit_pool_block_coalesces_and_computes() {
+        // Nine guest registers through three pool registers: homes are
+        // evicted and re-homed all the way, with no copies left over.
+        let instrs: Vec<ArmInstr> = (0..9)
+            .map(|i| {
+                let (d, s) = (ArmReg::from_index(i), ArmReg::from_index((i + 1) % 9));
+                ArmInstr::dp(DpOp::Add, d, d, Operand2::Reg(s))
+            })
+            .collect();
+        let tcg = translate_block(&Memory::new(), &GuestBlock { pc: 0x1_0000, instrs });
+        let code = lower_block_pool(&tcg, crate::jit::JIT_POOL).code;
+        assert!(!code.iter().any(is_self_move), "{code:?}");
+        let st = exec(&code, |mem| {
+            for i in 0..9 {
+                set_guest_reg(mem, ArmReg::from_index(i), 1 << i);
+            }
+        });
+        let mut want: Vec<u32> = (0..9).map(|i| 1 << i).collect();
+        for i in 0..9 {
+            want[i] = want[i].wrapping_add(want[(i + 1) % 9]);
+        }
+        for (i, w) in want.iter().enumerate() {
+            assert_eq!(guest_reg(&st, ArmReg::from_index(i)), *w, "r{i}");
+        }
+    }
+
+    #[test]
+    fn constants_fold_into_stores_flags_and_branches() {
+        let t = |i| Temp(i);
+        let ops = vec![
+            TcgOp::MovI(t(0), 0x1234_5678),
+            TcgOp::GetReg(t(1), ArmReg::R1),
+            TcgOp::Store(t(0), t(1), Width::W32),
+            TcgOp::MovI(t(2), 0x1ff),
+            TcgOp::GetReg(t(3), ArmReg::R2),
+            TcgOp::Store(t(2), t(3), Width::W8),
+            TcgOp::MovI(t(4), 1),
+            TcgOp::PutFlag(FlagId::Z, t(4)),
+            TcgOp::PutReg(ArmReg::R3, t(4)),
+            TcgOp::MovI(t(5), 1),
+        ];
+        for (cond, next) in [(1, 0x3000), (0, 0x4000)] {
+            let mut ops = ops.clone();
+            ops[9] = TcgOp::MovI(t(5), cond);
+            let end = BlockEnd::Branch { cond: t(5), taken: 0x3000, not_taken: 0x4000 };
+            let low = lower_block(&block_of(ops, end));
+            let code = &low.code;
+            let has = |i: X86Instr| code.contains(&i);
+            assert!(
+                code.iter().any(|i| matches!(i, X86Instr::Mov { dst: Operand::Mem(m), src: Operand::Imm(0x1234_5678) } if m.base.is_some())),
+                "word store of the immediate: {code:?}"
+            );
+            assert!(has(X86Instr::Mov {
+                dst: Operand::Mem(flag_mem(FlagId::Z)),
+                src: Operand::Imm(1)
+            }));
+            // No constant is placed in a pool register: the byte store
+            // goes through %eax, the guest register's home takes `$1`.
+            let in_pool = |i: &X86Instr| matches!(i, X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Imm(_) } if POOL.contains(r));
+            let placed: Vec<_> = code.iter().filter(|i| in_pool(i)).collect();
+            assert_eq!(placed.len(), 1, "only r3's home takes a constant: {code:?}");
+            // A constant condition has one exit and no compare.
+            assert_eq!(low.exits.len(), 1, "{code:?}");
+            assert_eq!(low.exits[0].1, next);
+            assert!(!code.iter().any(|i| matches!(i, X86Instr::Alu { op: AluOp::Cmp, .. })));
+            let st = exec(code, |mem| {
+                set_guest_reg(mem, ArmReg::R1, 0x8000);
+                set_guest_reg(mem, ArmReg::R2, 0x8010);
+                mem.write(0x8010, 0xaaaa_aaaa, Width::W32);
+            });
+            assert_eq!(st.mem.read(0x8000, Width::W32), 0x1234_5678);
+            assert_eq!(st.mem.read(0x8010, Width::W32), 0xaaaa_aaff);
+            assert_eq!(flag(&st, FlagId::Z), 1);
+            assert_eq!(guest_reg(&st, ArmReg::R3), 1);
+            assert_eq!(st.reg(Gpr::Eax), next);
+        }
+    }
+
+    /// No translator emits `movl %r, %r`, over every reachable block of
+    /// the twelve `Test` images: TCG, the JIT (its own 3-register pool)
+    /// and rules under each program's leave-one-out rule set, learned
+    /// here from the `Ref` sources of the other eleven programs.
+    #[test]
+    fn no_translator_emits_a_self_move_over_the_suite() {
+        use ldbt_workloads::{source, Workload, SUITE};
+        let o2 = ldbt_compiler::Options::o2();
+        let learned: Vec<ldbt_learn::RuleSet> = SUITE
+            .iter()
+            .map(|b| {
+                let src = source(b, Workload::Ref);
+                ldbt_learn::pipeline::learn_from_source(b.name, &src, &o2).expect("learns").rules
+            })
+            .collect();
+        let mut blocks = 0;
+        for (p, (mem, suite)) in crate::tcg::tests::suite_blocks().into_iter().enumerate() {
+            let mut rules = ldbt_learn::RuleSet::new();
+            learned.iter().enumerate().filter(|&(q, _)| q != p).for_each(|(_, r)| rules.merge(r));
+            for block in &suite {
+                let tcg = translate_block(&mem, block);
+                if tcg.unsupported_at == Some(0) {
+                    continue;
+                }
+                let mut lowered = vec![lower_block(&tcg).code, crate::jit::lower(&tcg).code];
+                if crate::rules::block_supported(block) {
+                    lowered.push(crate::rules::lower_block_with_rules(&mem, block, &rules).code);
+                }
+                for (code, by) in lowered.iter().zip(["tcg", "jit", "rules"]) {
+                    let bad = code.iter().find(|i| is_self_move(i));
+                    assert!(bad.is_none(), "{by} at {:#x}: {bad:?}", block.pc);
+                }
+                blocks += 1;
+            }
+        }
+        assert!(blocks > 1000, "the whole suite was scanned: {blocks} blocks");
+    }
+
+    /// [`Emitter::check`] reports a register two owners claim.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn ownership_check_reports_a_doubly_owned_register() {
+        let mut e = Emitter::new(POOL.len());
+        e.lower_ops(&block_of(vec![TcgOp::GetReg(Temp(0), ArmReg::R0)], BlockEnd::Halt));
+        assert_eq!(e.check(), Ok(()));
+        let home = e.home_of(ArmReg::R0).expect("r0 homed");
+        e.home[ArmReg::R1.index()] = Some((home, false));
+        assert!(e.check().is_err(), "two guest registers homed in {home:?}");
     }
 }

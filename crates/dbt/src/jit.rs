@@ -361,8 +361,8 @@ mod tests {
     /// The engine's JIT translation — optimize, then lower with
     /// [`JIT_POOL`] registers — of every suite block, hashed: the static
     /// pin `tests/codegen_pins.rs` cannot take (it reaches only the
-    /// public full-pool lowering). Recorded at the commit before the
-    /// block emitter replaced `backend::Lowerer`.
+    /// public full-pool lowering). Recorded when the block emitter
+    /// started coalescing dying copies and folding `MovI` constants.
     #[test]
     fn jit_pool_code_is_pinned() {
         use std::fmt::Write;
@@ -377,6 +377,6 @@ mod tests {
             }
         }
         let got = ldbt_learn::cache::sig_hash(&text);
-        assert_eq!(got, 0x3111_81c8_15fd_9cae, "jit code hash: {got:#018x}");
+        assert_eq!(got, 0x479d_f0bd_6949_80c2, "jit code hash: {got:#018x}");
     }
 }

@@ -333,7 +333,7 @@ fn exit_live(pinned: u8) -> Live {
 /// ordinary edge. Passes mutate the region in place; `code` and `info`
 /// stay index-aligned through [`Region::set`], [`Region::compact`] and
 /// [`Region::insert_before`].
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Region {
     code: Vec<X86Instr>,
     info: Vec<Info>,
@@ -906,42 +906,70 @@ fn rewrite_reads(ins: &mut X86Instr, vals: &[Option<Operand>; 8]) -> bool {
 
 impl Region {
     /// Forward copy/constant propagation with local constant folding.
-    /// Equalities are dropped at every join (jump targets and part
-    /// starts). A fold replaces a flag-writing instruction with a `mov`,
-    /// so it requires the instruction's EFLAGS results dead per `lin`.
-    /// Folds only ever *remove* flag writes whose results were already
-    /// dead, so liveness computed before the pass stays a sound
-    /// over-approximation throughout.
+    /// Equalities are dropped at every join (jump targets) and after a
+    /// call. The region head starts with none, and so does a part whose
+    /// predecessor kept its seam exit pair. A part behind a stripped seam
+    /// starts from the meet of the equalities at each seam edge into it,
+    /// the same edges [`Region::fuse_forward`] meets its facts over (host
+    /// registers are intact across a seam). A fold replaces a
+    /// flag-writing instruction with a `mov`, so it requires the
+    /// instruction's EFLAGS results dead per `lin`. Folds only ever
+    /// *remove* flag writes whose results were already dead, so liveness
+    /// computed before the pass stays a sound over-approximation
+    /// throughout.
     fn propagate(&mut self, lin: &[Live], exit: Live, is_target: &[bool]) -> bool {
-        let mut vals: [Option<Operand>; 8] = [None; 8];
+        type Vals = [Option<Operand>; 8];
+        let meet = |cur: &Vals, acc: &mut Option<Vals>| match acc {
+            None => *acc = Some(*cur),
+            Some(a) => a.iter_mut().zip(cur).filter(|(a, c)| a != c).for_each(|(a, _)| *a = None),
+        };
         let mut changed = false;
-        for (i, &join) in is_target.iter().enumerate() {
-            if join || self.is_start(i) {
-                vals = [None; 8];
-            }
-            let mut ins = self.code[i];
-            let mut rewritten = rewrite_reads(&mut ins, &vals);
-            if let Some((d, v)) = fold(&ins, &vals) {
-                if ins.flags_written() & self.live_out(i, lin, exit).flags == 0 {
-                    ins = X86Instr::mov_imm(d, v);
-                    rewritten = true;
+        let mut carry: Option<Vals> = None;
+        for k in 0..self.ids.len() {
+            let (start, end) = (self.starts[k], self.starts[k + 1]);
+            let mut vals: Vals = carry.take().filter(|_| k > 0).unwrap_or([None; 8]);
+            let mut seam: Option<Vals> = None;
+            for (i, &join) in is_target.iter().enumerate().take(end).skip(start) {
+                if join {
+                    vals = [None; 8];
+                }
+                let mut ins = self.code[i];
+                let mut rewritten = rewrite_reads(&mut ins, &vals);
+                if let Some((d, v)) = fold(&ins, &vals) {
+                    if ins.flags_written() & self.live_out(i, lin, exit).flags == 0 {
+                        ins = X86Instr::mov_imm(d, v);
+                        rewritten = true;
+                    }
+                }
+                if rewritten {
+                    self.set(i, ins);
+                    changed = true;
+                }
+                if let Some(d) = ins.def() {
+                    invalidate(&mut vals, d);
+                }
+                if moves_esp(&ins) {
+                    invalidate(&mut vals, Gpr::Esp);
+                }
+                if self.info[i].flow == Flow::Call {
+                    vals = [None; 8];
+                }
+                if let X86Instr::Mov { dst: Operand::Reg(r), src } = ins {
+                    if !src.is_mem() && src != Operand::Reg(r) {
+                        vals[r.index()] = Some(src);
+                    }
+                }
+                let to_end = self.ft_seam[k] && self.jump_dest(i) == Some(end);
+                if self.info[i].flow == Flow::Seam || to_end {
+                    meet(&vals, &mut seam);
                 }
             }
-            if rewritten {
-                self.set(i, ins);
-                changed = true;
+            let falls =
+                start == end || matches!(self.info[end - 1].flow, Flow::Next | Flow::Branch(_));
+            if self.ft_seam[k] && falls {
+                meet(&vals, &mut seam);
             }
-            if let Some(d) = ins.def() {
-                invalidate(&mut vals, d);
-            }
-            if moves_esp(&ins) {
-                invalidate(&mut vals, Gpr::Esp);
-            }
-            if let X86Instr::Mov { dst: Operand::Reg(r), src } = ins {
-                if !src.is_mem() && src != Operand::Reg(r) {
-                    vals[r.index()] = Some(src);
-                }
-            }
+            carry = seam.filter(|_| self.ft_seam[k]);
         }
         changed
     }
@@ -1342,10 +1370,12 @@ pub fn fuse_region(parts: &mut [SbPart]) -> u64 {
 // pinned slot's env home; the differential watchdog remains the safety
 // net for one that somehow does (DESIGN.md §16). A slot accessed by any
 // sub-word or misaligned-overlap form is unpinnable; remaining
-// candidates are ranked by static access count and pinned to `POOL`
+// candidates are ranked by static access count and tried on `POOL`
 // registers the region never touches, most-accessed first, while free
-// registers last. Under spill pressure (no free registers) the region
-// simply keeps its current env-home behavior.
+// registers last: a pin is kept only when the region cleanup then
+// deletes at least one instruction it could not delete without it.
+// Under spill pressure (no free registers) the region simply keeps its
+// current env-home behavior.
 
 /// The absolute address expression of guest register slot `s`.
 fn slot_mem(s: u8) -> X86Mem {
@@ -1421,34 +1451,58 @@ impl Region {
             }
         }
         // ---- selection: hottest slots onto unused pool registers ----
-        // A pin costs one preamble load plus one writeback per escape; it
-        // must be reached by at least two rewritten accesses to pay off.
-        let mut hot: Vec<u8> = (0..15u8)
-            .filter(|&s| pinnable[s as usize] && count[s as usize] >= 2u32.max(escapes))
-            .collect();
+        // A pin adds one preamble load per region entry and one writeback
+        // per escape. A rewritten access alone is a register move, no
+        // fewer instructions than the env access it replaces; what a pin
+        // can save is what the cleanup then deletes from the body, which
+        // runs once per loop iteration. So each candidate, hottest first,
+        // is pinned on a copy and cleaned up there, and kept only when
+        // that deletes at least one instruction (its writebacks aside).
+        let mut hot: Vec<u8> =
+            (0..15u8).filter(|&s| pinnable[s as usize] && count[s as usize] >= 2).collect();
         hot.sort_by_key(|&s| (std::cmp::Reverse(count[s as usize]), s));
-        let free = pool.iter().copied().filter(|&p| used & bit(p) == 0);
-        let ra: Vec<(u8, Gpr)> = hot.into_iter().zip(free).collect();
-        if ra.is_empty() {
+        let mut free = pool.iter().copied().filter(|&p| used & bit(p) == 0).peekable();
+        let mut ra: Vec<(u8, Gpr)> = Vec::new();
+        if hot.is_empty() || free.peek().is_none() {
             return ra;
         }
-        // ---- rewrite: interior accesses, then writebacks ----
+        let mut kept = self.clone();
+        kept.optimize(0);
+        for s in hot {
+            let Some(&p) = free.peek() else { break };
+            let mut trial = self.clone();
+            ra.push((s, p));
+            ra.iter().for_each(|&(s, p)| trial.pin(s, p));
+            trial.optimize(pin_mask(&ra));
+            let deleted = (kept.code.len() + escapes as usize).saturating_sub(trial.code.len());
+            if deleted > 0 {
+                kept = trial;
+                free.next();
+            } else {
+                ra.pop();
+            }
+        }
+        ra.iter().for_each(|&(s, p)| self.pin(s, p));
+        ra
+    }
+
+    /// Pin guest slot `s` to `p`: rewrite every interior access to the
+    /// register form, then write the slot back immediately before every
+    /// instruction that leaves the region (after the writebacks of the
+    /// slots pinned before it).
+    fn pin(&mut self, s: u8, p: Gpr) {
         for i in 0..self.code.len() {
-            let ins = ra.iter().fold(self.code[i], |ins, &(s, p)| rewrite_slot_access(ins, s, p));
+            let ins = rewrite_slot_access(self.code[i], s, p);
             if ins != self.code[i] {
                 self.set(i, ins);
             }
         }
-        let wb: Vec<X86Instr> = ra
-            .iter()
-            .map(|&(s, p)| X86Instr::Mov { dst: Operand::Mem(slot_mem(s)), src: Operand::Reg(p) })
-            .collect();
+        let wb = X86Instr::Mov { dst: Operand::Mem(slot_mem(s)), src: Operand::Reg(p) };
         let sites: Vec<usize> =
             (0..self.code.len()).filter(|&i| self.info[i].flow.leaves()).collect();
         for &at in sites.iter().rev() {
-            self.insert_before(at, &wb);
+            self.insert_before(at, &[wb]);
         }
-        ra
     }
 }
 
@@ -1830,6 +1884,53 @@ mod tests {
         );
     }
 
+    /// Behind a stripped seam, copy propagation continues into the next
+    /// part from the meet of the seam edges: a copy made at the end of
+    /// part 0 is read through its source in part 1 and then dies, unless
+    /// a side exit into part 1 arrives without the equality.
+    #[test]
+    fn propagation_carries_equalities_across_a_stripped_seam() {
+        let copy = X86Instr::mov_rr(Gpr::Ecx, Gpr::Ebx);
+        let tail = vec![
+            X86Instr::Alu { op: AluOp::Cmp, dst: Operand::Reg(Gpr::Ecx), src: Operand::Imm(4) },
+            X86Instr::Jcc { cc: Cc::L, target: 2 },
+            X86Instr::mov_imm(Gpr::Eax, 0x300),
+            X86Instr::Ret,
+            X86Instr::mov_imm(Gpr::Eax, 0x400),
+            X86Instr::Ret,
+        ];
+        let region = |head: Vec<X86Instr>| {
+            let mut parts = vec![
+                SbPart { id: 5, code: Rc::new(head), fallthrough_seam: true },
+                part(7, tail.clone()),
+            ];
+            optimize_region(&mut parts);
+            parts
+        };
+        let parts = region(vec![load(Gpr::Ebx, ArmReg::R0), copy, store(ArmReg::R1, Gpr::Ebx)]);
+        assert!(
+            !parts[0].code.contains(&copy),
+            "copy read through its source: {:?}",
+            parts[0].code
+        );
+        assert!(matches!(
+            parts[1].code[0],
+            X86Instr::Alu { op: AluOp::Cmp, dst: Operand::Reg(Gpr::Ebx), .. }
+        ));
+        // A chain into part 1 taken before the copy: the edges disagree.
+        let parts = region(vec![
+            load(Gpr::Ebx, ArmReg::R0),
+            X86Instr::mov_rr(Gpr::Ecx, Gpr::Edx),
+            X86Instr::Alu { op: AluOp::Cmp, dst: Operand::Reg(Gpr::Ebx), src: Operand::Imm(9) },
+            X86Instr::Jcc { cc: Cc::L, target: 1 },
+            X86Instr::ChainJmp { block: 7 },
+            copy,
+            store(ArmReg::R1, Gpr::Ebx),
+        ]);
+        assert!(parts[0].code.contains(&copy), "{:?}", parts[0].code);
+        assert_eq!(parts[1].code, tail.into());
+    }
+
     // ---- guest memory access fusion ----
 
     fn part(id: u32, code: Vec<X86Instr>) -> SbPart {
@@ -2150,6 +2251,24 @@ mod tests {
         // No free pool register: the region keeps its env-home behavior.
         let mut no_free = ra_region(X86Instr::ChainJmp { block: 9 });
         assert!(allocate_region(&mut no_free, &[Gpr::Edx]).is_empty());
+    }
+
+    #[test]
+    fn allocate_region_refuses_a_pin_that_deletes_nothing() {
+        // Two accesses to r4 in a one-part region that escapes: pinned,
+        // the load and the store become register moves the cleanup
+        // cannot delete (the pin is live at the escape), so the pin
+        // would only add its writeback and preamble load.
+        let code = vec![
+            X86Instr::Mov { dst: Operand::Reg(Gpr::Edx), src: Operand::Mem(slot_mem(4)) },
+            X86Instr::alu_ri(AluOp::Add, Gpr::Edx, 1),
+            X86Instr::Mov { dst: Operand::Mem(slot_mem(4)), src: Operand::Reg(Gpr::Edx) },
+            X86Instr::mov_imm(Gpr::Eax, 0x100),
+            X86Instr::Ret,
+        ];
+        let mut parts = vec![part(5, code.clone())];
+        assert!(allocate_region(&mut parts, &[Gpr::Ecx]).is_empty());
+        assert_eq!(*parts[0].code, code, "a refused pin leaves the code as it was");
     }
 
     #[test]
