@@ -79,4 +79,16 @@ events_have_field purge reason "$OBS_DIR/smc.ndjson"
 # The benchmark's own cross-checks, last: one pass of each of the six
 # perfbench workloads (including `churn`: SMC purges, traps, watchdog
 # re-execution, repair), every run compared against the ARM interpreter.
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- smoke
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- smoke \
+    > "$OBS_DIR/perfbench_smoke.txt" || { cat "$OBS_DIR/perfbench_smoke.txt"; exit 1; }
+cat "$OBS_DIR/perfbench_smoke.txt"
+# Its deterministic rows are pinned like the emitted code: a change that
+# moves them re-records results/perfbench_smoke_rows.txt with this filter.
+smoke_rows() {
+    awk '/^perfbench [a-z_]+ seed=/ { w = $2 }
+        $1 ~ /^(host_instrs_per_ginstr|model_cycles_per_ginstr|dyn_coverage|rule_yield)$/ {
+            print w, $1, $2
+        }' "$1"
+}
+smoke_rows "$OBS_DIR/perfbench_smoke.txt" > "$OBS_DIR/smoke_rows.txt"
+grep -v '^#' results/perfbench_smoke_rows.txt | diff - "$OBS_DIR/smoke_rows.txt"
