@@ -348,6 +348,15 @@ impl Emitter {
         }
     }
 
+    /// A source operand for a temp that may be an immediate but not
+    /// memory (un-spilled into a register).
+    fn reg_or_imm(&mut self, t: Temp, forbid: &[Temp]) -> Operand {
+        match self.temp_loc[t.0 as usize] {
+            Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
+            _ => Operand::Reg(self.unspill(t, forbid)),
+        }
+    }
+
     /// Whether op `idx` is the last reader of `t`.
     fn dies(&self, t: Temp, idx: usize) -> bool {
         self.last_use[t.0 as usize] == idx
@@ -447,24 +456,18 @@ impl Emitter {
     fn lower_op(&mut self, op: &TcgOp, idx: usize) {
         match *op {
             TcgOp::MovI(d, v) => self.temp_loc[d.0 as usize] = Some(TLoc::Imm(v)),
-            TcgOp::Mov(d, s) => {
-                let loc = self.temp_loc[s.0 as usize];
-                match loc {
-                    Some(TLoc::Imm(_)) => self.temp_loc[d.0 as usize] = loc,
-                    // A dying source is renamed, wherever it lives.
-                    Some(TLoc::Spill(_)) if self.dies(s, idx) => {
-                        self.temp_loc[s.0 as usize] = None;
-                        self.temp_loc[d.0 as usize] = loc;
-                    }
-                    _ => {
-                        if self.take_reg(d, s, idx).is_none() {
-                            let r = self.def_temp(d, &[s]);
-                            let src = self.temp_operand(s);
-                            self.emit(X86Instr::Mov { dst: Operand::Reg(r), src });
-                        }
-                    }
+            TcgOp::Mov(d, s) => match self.temp_loc[s.0 as usize] {
+                loc @ Some(TLoc::Imm(_)) => self.temp_loc[d.0 as usize] = loc,
+                // A dying spilled source is renamed (a dying one in a
+                // register too, by `def_copy`).
+                loc @ Some(TLoc::Spill(_)) if self.dies(s, idx) => {
+                    self.temp_loc[s.0 as usize] = None;
+                    self.temp_loc[d.0 as usize] = loc;
                 }
-            }
+                _ => {
+                    self.def_copy(d, s, None, idx);
+                }
+            },
             TcgOp::Alu(aop, d, a, b) => {
                 let r = self.def_copy(d, a, Some(b), idx);
                 let sb = self.temp_operand(b);
@@ -548,10 +551,7 @@ impl Emitter {
                         return;
                     }
                 }
-                let src = match self.temp_loc[s.0 as usize] {
-                    Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
-                    _ => Operand::Reg(self.unspill(s, &[])),
-                };
+                let src = self.reg_or_imm(s, &[]);
                 // (A home allocated here is never `src`: `guest_home`
                 // takes a free register or another home, not a temp's.)
                 match self.guest_home(g, false) {
@@ -567,10 +567,7 @@ impl Emitter {
                 self.emit(X86Instr::Mov { dst: Operand::Reg(r), src: Operand::Mem(flag_mem(f)) });
             }
             TcgOp::PutFlag(f, s) => {
-                let src = match self.temp_loc[s.0 as usize] {
-                    Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
-                    _ => Operand::Reg(self.unspill(s, &[])),
-                };
+                let src = self.reg_or_imm(s, &[]);
                 self.emit(X86Instr::Mov { dst: Operand::Mem(flag_mem(f)), src });
             }
             TcgOp::Load(d, a, width, signed) => {
@@ -590,10 +587,7 @@ impl Emitter {
                 }
             }
             TcgOp::Store(s, a, width) => {
-                let val = match self.temp_loc[s.0 as usize] {
-                    Some(TLoc::Imm(v)) => Operand::Imm(v as i32),
-                    _ => Operand::Reg(self.unspill(s, &[a])),
-                };
+                let val = self.reg_or_imm(s, &[a]);
                 let dst = X86Mem::base(self.unspill(a, &[s]));
                 if width == Width::W32 {
                     self.emit(X86Instr::Mov { dst: Operand::Mem(dst), src: val });

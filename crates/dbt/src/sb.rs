@@ -906,8 +906,8 @@ fn rewrite_reads(ins: &mut X86Instr, vals: &[Option<Operand>; 8]) -> bool {
 
 impl Region {
     /// Forward copy/constant propagation with local constant folding.
-    /// Equalities are dropped at every join (jump targets) and after a
-    /// call. The region head starts with none, and so does a part whose
+    /// Equalities are dropped at every join (jump targets). The region
+    /// head starts with none, and so does a part whose
     /// predecessor kept its seam exit pair. A part behind a stripped seam
     /// starts from the meet of the equalities at each seam edge into it,
     /// the same edges [`Region::fuse_forward`] meets its facts over (host
@@ -950,9 +950,6 @@ impl Region {
                 }
                 if moves_esp(&ins) {
                     invalidate(&mut vals, Gpr::Esp);
-                }
-                if self.info[i].flow == Flow::Call {
-                    vals = [None; 8];
                 }
                 if let X86Instr::Mov { dst: Operand::Reg(r), src } = ins {
                     if !src.is_mem() && src != Operand::Reg(r) {
