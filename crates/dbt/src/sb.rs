@@ -927,7 +927,7 @@ impl Region {
         let mut carry: Option<Vals> = None;
         for k in 0..self.ids.len() {
             let (start, end) = (self.starts[k], self.starts[k + 1]);
-            let mut vals: Vals = carry.take().filter(|_| k > 0).unwrap_or([None; 8]);
+            let mut vals: Vals = carry.take().unwrap_or([None; 8]);
             let mut seam: Option<Vals> = None;
             for (i, &join) in is_target.iter().enumerate().take(end).skip(start) {
                 if join {
